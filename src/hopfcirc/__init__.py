@@ -48,8 +48,8 @@ from .circuit import (
     evaluate,
     evaluate_bruteforce,
     is_unitary,
-    layer_map,
     measure,
+    run,
     unitary,
     validate,
 )

@@ -271,7 +271,8 @@ def _validate_group_table(table: Sequence[Sequence[int]]) -> int:
         raise GroupTableError(f"not a group: table must be square, got {d} rows")
     for row in table:
         for v in row:
-            if not isinstance(v, (int, np.integer)) or not 0 <= v < d:
+            # bool is an int subclass, but True/False are not element indices
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < d:
                 raise GroupTableError(
                     f"not a group: table entries must be indices in 0..{d - 1}, got {v!r}"
                 )
@@ -376,7 +377,13 @@ def load_group_table(path: str | Path) -> HopfAlgebra:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "labels" not in doc or "table" not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'labels' and 'table'")
-    return group_algebra(doc["labels"], doc["table"])
+    labels = doc["labels"]
+    if not isinstance(labels, list) or not all(isinstance(lbl, str) for lbl in labels):
+        raise ValueError(f"{path}: 'labels' must be a list of strings")
+    table = doc["table"]
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise GroupTableError(f"{path}: 'table' must be a list of rows, each a list")
+    return group_algebra(labels, table)
 
 
 def resolve_algebra(name: str) -> HopfAlgebra:

@@ -8,7 +8,10 @@ change the wire count, circuits need not be square maps: evaluation yields
 a LinearMap from d^wires_in to d^wires_out and the output can be fed to a
 Born-rule measurement even when the map is not unitary.
 
-Two evaluators are provided.  evaluate composes dense layer matrices;
+Two evaluators are provided.  run pushes a batch of input columns through
+the layers as a state tensor with one axis of extent d per wire: each
+primitive acts on its own wires only, Id and Swap merely relabel axes, and
+no layer matrix is ever formed.  evaluate is run on the identity batch.
 evaluate_bruteforce propagates one basis input through an explicit sum
 over all intermediate basis assignments, reading structure-tensor entries
 directly.  They share no code path and are tested against each other.
@@ -16,6 +19,7 @@ directly.  They share no code path and are tested against each other.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import HopfAlgebra
-from .tensor import LinearMap, Tensor, compose, identity_map, kron_maps
+from .tensor import LinearMap, Tensor
 
 __all__ = [
     "Primitive",
@@ -43,7 +47,7 @@ __all__ = [
     "Cnot",
     "U1",
     "validate",
-    "layer_map",
+    "run",
     "evaluate",
     "evaluate_bruteforce",
     "build_cnot",
@@ -72,6 +76,10 @@ PRIMITIVE_ARITY = {
 
 #: states wider than this many entries are refused outright
 MAX_STATE_ENTRIES = 2**20
+
+#: full maps (and the identity batch that builds them) larger than this many
+#: entries are refused before allocation: one 256 MiB complex array
+MAX_MAP_ENTRIES = 2**24
 
 
 class CircuitError(ValueError):
@@ -149,6 +157,18 @@ class Circuit:
             raise CircuitError("wires_in must be nonnegative")
 
 
+def _max_wires(base_dim: int) -> int:
+    """Largest wire count whose state fits in MAX_STATE_ENTRIES entries.
+
+    A one-dimensional algebra would admit any width; it gets the width of
+    the two-dimensional one, so the state tensor's axis count stays small.
+    """
+    w = 0
+    while max(base_dim, 2) ** (w + 1) <= MAX_STATE_ENTRIES:
+        w += 1
+    return w
+
+
 def validate(circuit: Circuit) -> list[int]:
     """Thread wire counts through the layers; the profile has one entry per
     layer boundary, starting at wires_in."""
@@ -169,50 +189,95 @@ def validate(circuit: Circuit) -> list[int]:
                 )
         wires = sum(p.wires_out for p in layer)
         profile.append(wires)
+    limit = _max_wires(d)
     for w in profile:
-        if d**w > MAX_STATE_ENTRIES:
+        if w > limit:
             raise CircuitError(
                 f"circuit too wide: {w} wires at dimension {d} exceeds "
-                f"{MAX_STATE_ENTRIES} state entries"
+                f"{MAX_STATE_ENTRIES} state entries (at most {limit} wires)"
             )
     return profile
 
 
-def _primitive_map(algebra: HopfAlgebra, prim: Primitive) -> LinearMap:
-    if prim.kind == "Id":
-        return identity_map(algebra.dim, 1)
-    if prim.kind == "Mul":
-        return algebra.mul_map()
-    if prim.kind == "Comul":
-        return algebra.comul_map()
-    if prim.kind == "Unit":
-        return algebra.unit_map()
-    if prim.kind == "Counit":
-        return algebra.counit_map()
-    if prim.kind == "Antipode":
-        return algebra.antipode_map()
-    if prim.kind == "Swap":
-        return algebra.swap_map()
-    return LinearMap(algebra.dim, 1, 1, Tensor(prim.matrix))
+def _structure_matrices(algebra: HopfAlgebra) -> dict[str, np.ndarray]:
+    """(d^wires_out, d^wires_in) matrix of each structure-map primitive."""
+    return {
+        "Mul": algebra.mul_map().matrix.array,
+        "Comul": algebra.comul_map().matrix.array,
+        "Unit": algebra.unit_map().matrix.array,
+        "Counit": algebra.counit_map().matrix.array,
+        "Antipode": algebra.antipode_map().matrix.array,
+    }
 
 
-def layer_map(algebra: HopfAlgebra, layer: Sequence[Primitive]) -> LinearMap:
-    """Kronecker product of the layer's primitive maps, leftmost factor first."""
-    if not layer:
-        raise CircuitError("layer_map requires a nonempty layer")
-    result = _primitive_map(algebra, layer[0])
-    for prim in layer[1:]:
-        result = kron_maps(result, _primitive_map(algebra, prim))
-    return result
+#: primitives that produce more wires than they consume
+_GROWING = frozenset({"Comul", "Unit"})
+
+
+def _push(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
+    """run without validation: columns is (d^wires_in, batch).
+
+    Within a layer the primitives act on disjoint wires, so their order is
+    free: the shrinking and width-preserving ones go first and Comul/Unit
+    second, and the state is never wider than the wider layer boundary.
+    """
+    d = circuit.algebra.dim
+    matrices = _structure_matrices(circuit.algebra)
+    batch = columns.shape[1]
+    state = columns.reshape((d,) * circuit.wires_in + (batch,))
+    for layer in circuit.layers:
+        for growing in (False, True):
+            pos = 0  # axis of the next primitive's first wire
+            for prim in layer:
+                if (prim.kind in _GROWING) != growing:
+                    # not applied in this pass: still unapplied in the first,
+                    # already applied in the second
+                    pos += prim.wires_out if growing else prim.wires_in
+                elif prim.kind == "Id":
+                    pos += 1
+                elif prim.kind == "Swap":
+                    state = np.swapaxes(state, pos, pos + 1)
+                    pos += 2
+                else:
+                    k_in, k_out = prim.wires_in, prim.wires_out
+                    tail = state.shape[pos + k_in :]
+                    flat = state.reshape(d**pos, d**k_in, math.prod(tail))
+                    matrix = prim.matrix if prim.kind == "Unitary" else matrices[prim.kind]
+                    state = np.matmul(matrix, flat).reshape((d,) * (pos + k_out) + tail)
+                    pos += k_out
+    return state.reshape(math.prod(state.shape[:-1]), batch)
+
+
+def run(circuit: Circuit, states) -> np.ndarray:
+    """Push a (d^wires_in, batch) array of input columns through the layers.
+
+    Returns the (d^wires_out, batch) array of output columns, i.e.
+    evaluate(circuit).matrix.array @ states, without forming any layer
+    matrix or the map itself.  The result never shares memory with states.
+    """
+    validate(circuit)
+    d = circuit.algebra.dim
+    columns = np.asarray(states, dtype=complex)
+    if columns.ndim != 2 or columns.shape[0] != d**circuit.wires_in:
+        raise ValueError(
+            f"states must be a (d^wires_in, batch) = ({d**circuit.wires_in}, batch) array, "
+            f"got shape {columns.shape}"
+        )
+    return np.array(_push(circuit, columns))
 
 
 def evaluate(circuit: Circuit) -> LinearMap:
-    """Compose the layer maps in application order."""
-    validate(circuit)
-    total = identity_map(circuit.algebra.dim, circuit.wires_in)
-    for layer in circuit.layers:
-        total = compose(layer_map(circuit.algebra, layer), total)
-    return total
+    """The circuit's full linear map: run on the identity batch."""
+    profile = validate(circuit)
+    d = circuit.algebra.dim
+    n_in = d**circuit.wires_in
+    if n_in * d ** max(profile) > MAX_MAP_ENTRIES:
+        raise CircuitError(
+            f"map too large: {circuit.wires_in} input wires and up to {max(profile)} wires "
+            f"at dimension {d} exceed {MAX_MAP_ENTRIES} map entries"
+        )
+    out = _push(circuit, np.eye(n_in, dtype=complex))
+    return LinearMap(d, circuit.wires_in, profile[-1], Tensor(out))
 
 
 # --- brute-force evaluator -------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,16 +25,18 @@ from .circuit import (
     CircuitError,
     Cnot,
     U1,
-    apply,
     basis_label,
     basis_state,
     compile_gate_circuit,
+    digits_to_index,
     direct_gate_map,
     evaluate,
     evaluate_bruteforce,
     index_to_digits,
     is_unitary,
     measure,
+    run,
+    validate,
 )
 from .dsl import ParseError, _format_complex, circuit_to_document, parse_circuit, print_circuit, to_circuit
 
@@ -65,6 +68,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hopfcirc",
@@ -74,7 +87,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-axioms", help="verify the Hopf axioms of an algebra")
     p.add_argument("--algebra", required=True, help="built-in name (Z2..Z5, S3) or group-table JSON path")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--json", action="store_true", help="print only the JSON report")
     p.set_defaults(func=_cmd_check_axioms)
 
@@ -103,7 +116,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("oracle-check", help="compare dense evaluation against the brute-force evaluator")
+    p = sub.add_parser("oracle-check", help="compare evaluation against the brute-force evaluator")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle_check)
@@ -174,7 +187,7 @@ def _cmd_eval(args) -> int:
     d = circuit.algebra.dim
     linmap = evaluate(circuit)
     digits = _parse_input_digits(args.input, d, linmap.wires_in)
-    out = apply(linmap, basis_state(d, digits))
+    out = linmap.matrix.array[:, digits_to_index(digits, d)]
     unitary = is_unitary(linmap)
     distribution = None
     if args.json or not unitary:
@@ -288,9 +301,9 @@ def _cmd_sample(args) -> int:
         raise ValueError("shots must be positive")
     circuit = _load_circuit(args.file)
     d = circuit.algebra.dim
-    linmap = evaluate(circuit)
-    digits = _parse_input_digits(args.input, d, linmap.wires_in)
-    out = apply(linmap, basis_state(d, digits))
+    validate(circuit)
+    digits = _parse_input_digits(args.input, d, circuit.wires_in)
+    out = run(circuit, basis_state(d, digits)[:, None])[:, 0]
     distribution = measure(out, d)
     labels = [lbl for lbl, _ in distribution.entries]
     probs = np.array([p for _, p in distribution.entries])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,32 @@ class TestGroupAlgebra:
         with pytest.raises(GroupTableError, match="square"):
             group_algebra(["a", "b"], [[0, 1]])
 
+    @pytest.mark.parametrize(
+        "table",
+        [[[True, False], [False, True]], [[0, 1], [1, 0.0]]],
+        ids=["bools", "float"],
+    )
+    def test_type_confused_table_rejected(self, table):
+        with pytest.raises(GroupTableError, match="not a group"):
+            group_algebra(["a", "b"], table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [((0, 1), (1, 0)), [(0, 1), (1, 0)], np.array([[0, 1], [1, 0]])],
+        ids=["tuple-table", "tuple-rows", "numpy"],
+    )
+    def test_non_list_sequences_accepted(self, table):
+        assert group_algebra(["a", "b"], table).dim == 2
+
+    @pytest.mark.parametrize(
+        "table", [5, [5], "01", [[0, 1], "10"]], ids=["int", "int-row", "string", "string-row"]
+    )
+    def test_loaded_table_must_be_list_of_lists(self, tmp_path, table):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "table": table}))
+        with pytest.raises(GroupTableError, match="'table' must be a list of rows"):
+            load_group_table(path)
+
     def test_label_count_checked(self):
         with pytest.raises(ValueError, match="labels"):
             group_algebra(["only"], [[0, 1], [1, 0]])
@@ -260,6 +288,12 @@ class TestResolution:
         path.write_text('{"labels": ["e", "x"], "table": [[0, 1], [1, 0]]}')
         assert load_group_table(path) == group_algebra(["e", "x"], [[0, 1], [1, 0]])
         assert resolve_algebra(str(path)).dim == 2
+
+    def test_load_rejects_non_string_labels(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"labels": ["e", 1], "table": [[0, 1], [1, 0]]}')
+        with pytest.raises(ValueError, match="labels"):
+            load_group_table(path)
 
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfcirc.algebra import builtin_algebra, z2_algebra
+from hopfcirc.algebra import builtin_algebra, group_algebra, z2_algebra
 from hopfcirc.circuit import (
     ANTIPODE,
     COMUL,
@@ -10,6 +14,7 @@ from hopfcirc.circuit import (
     MUL,
     SWAP,
     UNIT,
+    MAX_MAP_ENTRIES,
     AnnihilatedStateError,
     Circuit,
     CircuitError,
@@ -21,8 +26,8 @@ from hopfcirc.circuit import (
     evaluate_bruteforce,
     index_to_digits,
     is_unitary,
-    layer_map,
     measure,
+    run,
     unitary,
     validate,
 )
@@ -86,13 +91,18 @@ class TestValidate:
             validate(c)
 
 
+def one_layer_map(algebra, layer):
+    """Map of the one-layer circuit whose inputs are exactly the layer's."""
+    return evaluate(Circuit(algebra, wires_in=sum(p.wires_in for p in layer), layers=(layer,)))
+
+
 class TestLayerMap:
     def test_two_identities(self):
-        m = layer_map(Z2, (ID, ID))
+        m = one_layer_map(Z2, (ID, ID))
         assert np.array_equal(m.matrix.array, np.eye(4))
 
     def test_copy_extended_by_identity(self):
-        m = layer_map(Z2, (COMUL, ID))
+        m = one_layer_map(Z2, (COMUL, ID))
         assert m.matrix.dims == (8, 4)
         for a in range(2):
             for b in range(2):
@@ -101,13 +111,13 @@ class TestLayerMap:
                 assert np.array_equal(col, expect)
 
     def test_swap_exchanges_basis(self):
-        m = layer_map(Z2, (SWAP,))
+        m = one_layer_map(Z2, (SWAP,))
         want = np.eye(4)[:, [0, 2, 1, 3]]
         assert np.array_equal(m.matrix.array, want)
 
     def test_empty_layer_rejected(self):
-        with pytest.raises(CircuitError, match="nonempty"):
-            layer_map(Z2, ())
+        with pytest.raises(CircuitError, match="layer 0 is empty"):
+            one_layer_map(Z2, ())
 
 
 class TestEvaluate:
@@ -130,6 +140,177 @@ class TestEvaluate:
     def test_validation_error_propagates(self):
         with pytest.raises(CircuitError):
             evaluate(Circuit(Z2, wires_in=1, layers=((MUL,),)))
+
+
+class TestLimits:
+    def test_huge_wire_count_refused_without_big_powers(self):
+        with pytest.raises(CircuitError, match="too wide"):
+            validate(Circuit(Z2, wires_in=10**20))
+
+    def test_one_dimensional_algebra_width_capped(self):
+        trivial = group_algebra(["e"], [[0]])
+        assert validate(Circuit(trivial, wires_in=20)) == [20]
+        with pytest.raises(CircuitError, match="too wide"):
+            validate(Circuit(trivial, wires_in=21))
+
+    def test_map_entry_limit(self):
+        # 2^13 x 2^13 entries exceed the map limit; one state still runs
+        c = Circuit(Z2, wires_in=13, layers=((ID,) * 13,))
+        with pytest.raises(CircuitError, match="map too large"):
+            evaluate(c)
+        state = basis_state(2, [1] * 13)
+        assert np.array_equal(run(c, state[:, None])[:, 0], state)
+
+    def test_map_entry_limit_counts_widest_boundary(self):
+        # 2^12 inputs alone fit, but a copy makes the map 2^13 x 2^12
+        assert 2**12 * 2**12 <= MAX_MAP_ENTRIES < 2**12 * 2**13
+        c = Circuit(Z2, wires_in=12, layers=((COMUL,) + (ID,) * 11, (MUL,) + (ID,) * 11))
+        with pytest.raises(CircuitError, match="map too large"):
+            evaluate(c)
+
+
+class TestRun:
+    def test_cnot_on_one_state(self):
+        out = run(build_cnot(Z2), basis_state(2, [1, 0])[:, None])
+        assert np.array_equal(out[:, 0], basis_state(2, [1, 1]))
+
+    def test_batch_equals_map_product(self):
+        rng = np.random.default_rng(5)
+        c = generalized_circuit(HADAMARD)
+        batch = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        assert run(c, batch).shape == (8, 3)
+        assert np.max(np.abs(run(c, batch) - evaluate(c).matrix.array @ batch)) <= 1e-12
+
+    def test_swap_chain_moves_wire(self):
+        # three adjacent swaps in one layer carry wire 0 to the far end
+        c = Circuit(Z2, wires_in=4, layers=((SWAP, SWAP), (ID, SWAP, ID), (SWAP, SWAP)))
+        out = run(c, basis_state(2, [1, 0, 1, 1])[:, None])[:, 0]
+        assert np.array_equal(out, evaluate_bruteforce(c, digits_to_index([1, 0, 1, 1], 2)))
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="batch"):
+            run(build_cnot(Z2), np.ones(4))
+        with pytest.raises(ValueError, match="batch"):
+            run(build_cnot(Z2), np.ones((8, 1)))
+
+    def test_validation_error_propagates(self):
+        with pytest.raises(CircuitError, match="consumes"):
+            run(Circuit(Z2, wires_in=1, layers=((MUL,),)), np.ones((2, 1)))
+
+    @pytest.mark.parametrize(
+        "layers", [(), ((ID, ID),), ((SWAP,),)], ids=["no-layers", "id", "swap"]
+    )
+    def test_output_never_aliases_input(self, layers):
+        states = np.eye(4, dtype=complex)
+        out = run(Circuit(Z2, wires_in=2, layers=layers), states)
+        assert not np.shares_memory(out, states)
+
+
+class TestLayerWidth:
+    """Inside a layer the engine applies shrinking primitives before
+    growing ones, so no state is wider than the wider layer boundary."""
+
+    @pytest.mark.parametrize(
+        "layer",
+        [(COMUL, COMUL, MUL, MUL), (COMUL, SWAP, MUL, COMUL), (COMUL, UNIT, MUL, COUNIT, ANTIPODE)],
+        ids=["copies-first", "interleaved", "unit-counit"],
+    )
+    @pytest.mark.parametrize("algebra", [Z2, Z3], ids=["Z2", "Z3"])
+    def test_reordered_layer_matches_bruteforce(self, algebra, layer):
+        c = Circuit(algebra, wires_in=sum(p.wires_in for p in layer), layers=(layer,))
+        m = evaluate(c).matrix.array
+        for idx in range(m.shape[1]):
+            assert np.max(np.abs(evaluate_bruteforce(c, idx) - m[:, idx])) <= 1e-12
+
+    def test_peak_memory_bounded_by_boundaries(self):
+        # 12 wires in and out; applied left to right, the four copies would
+        # first widen the state to 16 wires (2^16 entries, 1 MiB)
+        c = Circuit(Z2, wires_in=12, layers=((COMUL,) * 4 + (MUL,) * 4,))
+        state = basis_state(2, [1] * 12)[:, None]
+        tracemalloc.start()
+        try:
+            out = run(c, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * state.nbytes
+        assert np.array_equal(out[:, 0], evaluate_bruteforce(c, digits_to_index([1] * 12, 2)))
+
+
+ENGINE_ALGEBRAS = {"Z2": Z2, "Z3": Z3, "S3": builtin_algebra("S3")}
+#: widest layer boundary per algebra, so the brute force stays quick at d = 6
+ENGINE_MAX_WIRES = {"Z2": 7, "Z3": 5, "S3": 3}
+EDGE_UNIT_COUNIT = st.sampled_from(["none", "left", "right"])
+
+
+@st.composite
+def engine_circuits(draw):
+    """Circuits with every primitive kind, swap chains and Unit/Counit at
+    both ends of the first and last layers."""
+    name = draw(st.sampled_from(sorted(ENGINE_ALGEBRAS)))
+    algebra = ENGINE_ALGEBRAS[name]
+    cap = ENGINE_MAX_WIRES[name]
+    d = algebra.dim
+    wires_in = draw(st.integers(0, cap - 1))
+    wires = wires_in
+    layers = []
+
+    def edge_layer(kind, at):
+        nonlocal wires
+        if kind == UNIT and wires < cap:
+            rest = (ID,) * wires
+            layers.append((UNIT,) + rest if at == "left" else rest + (UNIT,))
+            wires += 1
+        elif kind == COUNIT and wires > 0:
+            rest = (ID,) * (wires - 1)
+            layers.append((COUNIT,) + rest if at == "left" else rest + (COUNIT,))
+            wires -= 1
+
+    at = draw(EDGE_UNIT_COUNIT)
+    if at != "none":
+        edge_layer(draw(st.sampled_from([UNIT, COUNIT])), at)
+    for _ in range(draw(st.integers(0, 5))):
+        if wires >= 2 and draw(st.booleans()):
+            # a chain of adjacent swaps walking one wire across the others
+            start, stop = sorted(draw(st.lists(st.integers(0, wires - 1), min_size=2, max_size=2, unique=True)))
+            for p in range(start, stop):
+                layers.append((ID,) * p + (SWAP,) + (ID,) * (wires - p - 2))
+            continue
+        layer = []
+        remaining = wires
+        produced = 0
+        while remaining > 0 or not layer:
+            choices = [ID, ANTIPODE, "U", COUNIT] if remaining >= 1 else []
+            if remaining >= 2:
+                choices += [MUL, SWAP]
+            if remaining >= 1 and produced + remaining + 1 <= cap:
+                choices.append(COMUL)
+            if produced + remaining + 1 <= cap and layer.count(UNIT) < 2:
+                choices.append(UNIT)
+            prim = draw(st.sampled_from(choices))
+            if prim == "U":
+                seed = draw(st.integers(0, 2**32 - 1))
+                prim = unitary("u", haar_unitary(np.random.default_rng(seed), d))
+            layer.append(prim)
+            remaining -= prim.wires_in
+            produced += prim.wires_out
+        layers.append(tuple(layer))
+        wires = produced
+    at = draw(EDGE_UNIT_COUNIT)
+    if at != "none":
+        edge_layer(draw(st.sampled_from([UNIT, COUNIT])), at)
+    return Circuit(algebra, wires_in=wires_in, layers=tuple(layers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_circuits(), st.integers(0, 2**32 - 1))
+def test_engine_matches_bruteforce_and_map(circuit, seed):
+    m = evaluate(circuit).matrix.array
+    for idx in range(m.shape[1]):
+        assert np.max(np.abs(evaluate_bruteforce(circuit, idx) - m[:, idx])) <= 1e-12
+    rng = np.random.default_rng(seed)
+    batch = rng.normal(size=(m.shape[1], 3)) + 1j * rng.normal(size=(m.shape[1], 3))
+    assert np.max(np.abs(run(circuit, batch) - m @ batch)) <= 1e-12
 
 
 class TestBruteForce:
@@ -261,13 +442,13 @@ class TestIsUnitary:
         assert not is_unitary(evaluate(generalized_circuit(HADAMARD)))
 
     def test_multiply_layer_is_not(self):
-        m = layer_map(Z2, (MUL,))
+        m = one_layer_map(Z2, (MUL,))
         assert not is_unitary(m)
 
     def test_random_unitary_layer(self):
         rng = np.random.default_rng(31)
         u = unitary("r", haar_unitary(rng, 2))
-        assert is_unitary(layer_map(Z2, (u, ID)))
+        assert is_unitary(one_layer_map(Z2, (u, ID)))
 
 
 class TestPrimitives:

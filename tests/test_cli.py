@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,37 @@ class TestCheckAxioms:
     def test_unknown_algebra_exits_2(self, capsys):
         code, _, err = run(capsys, ["check-axioms", "--algebra", "Q8"])
         assert code == 2 and err.startswith("error: validate:")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "NaN", "abc"])
+    def test_nonfinite_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, ["check-axioms", "--algebra", "Z2", "--tol", tol, "--json"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+
+    def test_negative_tolerance_exits_2(self, capsys):
+        code, out, err = run(capsys, ["check-axioms", "--algebra", "Z2", "--tol", "-1"])
+        assert code == 2 and out == ""
+        assert err == "error: validate: tolerance must be nonnegative\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"labels": ["a"], "table": 5},
+            {"labels": ["a"], "table": [5]},
+            {"labels": ["a"], "table": "0"},
+            {"labels": ["a", "b"], "table": [[True, False], [False, True]]},
+            {"labels": ["a", "b"], "table": [[0, 1], [1, 0.0]]},
+            {"labels": 5, "table": [[0]]},
+        ],
+        ids=["int-table", "int-row", "string-table", "bool-entries", "float-entry", "int-labels"],
+    )
+    def test_type_confused_table_exits_2(self, capsys, tmp_path, doc):
+        table = tmp_path / "bad.json"
+        table.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["check-axioms", "--algebra", str(table)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: validate:") and err.count("\n") == 1
+        assert "Hopf axioms" not in err
 
 
 class TestEval:
@@ -255,6 +287,40 @@ class TestSample:
     def test_bad_shots_exit_2(self, capsys):
         code, _, _ = run(capsys, ["sample", FIG2_FILE, "--input", "10", "--shots", "0", "--seed", "1"])
         assert code == 2
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix"],
+            ["oracle-check"],
+            ["eval", "--input", "0"],
+            ["sample", "--input", "0", "--shots", "1", "--seed", "1"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_huge_wire_count_fails_fast(self, capsys, tmp_path, argv):
+        path = tmp_path / "huge.hopf"
+        path.write_text("algebra Z2\nin 99999999999999999999\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, [argv[0], str(path)] + argv[1:])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        # the width check runs before the input digits are parsed
+        assert err.startswith("error: validate: circuit too wide") and err.count("\n") == 1
+
+    def test_map_entry_limit_spares_sample(self, capsys, tmp_path):
+        path = tmp_path / "id13.hopf"
+        path.write_text("algebra Z2\nin 13\nlayer " + ", ".join(["ID"] * 13) + "\n")
+        for argv in (["matrix"], ["oracle-check"], ["eval", "--input", "1" * 13]):
+            code, out, err = run(capsys, [argv[0], str(path)] + argv[1:])
+            assert code == 2 and out == ""
+            assert err.startswith("error: validate: map too large") and err.count("\n") == 1
+        code, out, _ = run(
+            capsys, ["sample", str(path), "--input", "1" * 13, "--shots", "5", "--seed", "1", "--json"]
+        )
+        assert code == 0 and json.loads(out)["counts"] == {"1" * 13: 5}
 
 
 class TestOracleCheck:
