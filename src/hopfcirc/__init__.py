@@ -54,17 +54,6 @@ from .circuit import (
     validate,
 )
 from .dsl import CircuitDocument, ParseError, parse_circuit, print_circuit, to_circuit
-from .tensor import (
-    LinearMap,
-    Tensor,
-    allclose,
-    as_linear_map,
-    compose,
-    contract,
-    identity_map,
-    kron_maps,
-    permute_axes,
-    tensor_product,
-)
+from .tensor import LinearMap, Tensor, as_linear_map, permute_axes
 
 __version__ = "0.1.0"

@@ -20,15 +20,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import (
-    LinearMap,
-    Tensor,
-    as_linear_map,
-    compose,
-    identity_map,
-    kron_maps,
-    permute_axes,
+from .circuit import (
+    ANTIPODE,
+    COMUL,
+    COUNIT,
+    ID,
+    MAX_MAP_ENTRIES,
+    MUL,
+    SWAP,
+    UNIT,
+    Circuit,
+    evaluate,
 )
+from .tensor import LinearMap, Tensor, as_linear_map, permute_axes
 
 __all__ = [
     "HopfAlgebra",
@@ -67,7 +71,7 @@ class HopfAlgebra:
     or builtin_algebra to obtain instances whose axioms are verified.
     """
 
-    __slots__ = ("dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode")
+    __slots__ = ("dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode", "_maps")
 
     def __init__(
         self,
@@ -99,6 +103,18 @@ class HopfAlgebra:
         self.unit = unit
         self.counit = counit
         self.antipode = antipode
+        # Structure tensors reshaped into composable maps (see tensor.py for
+        # the wire conventions), built once: the algebra is immutable and the
+        # circuit engine asks for them on every run.  Output axes must precede
+        # input axes, so mul (in,in,out) is permuted to (out,in,in) and comul
+        # (in,out,out) to (out,out,in) before reshaping.
+        self._maps = {
+            "mul": as_linear_map(permute_axes(mul, (2, 0, 1)), d, 1, 2),
+            "comul": as_linear_map(permute_axes(comul, (1, 2, 0)), d, 2, 1),
+            "unit": as_linear_map(unit, d, 1, 0),
+            "counit": as_linear_map(counit, d, 0, 1),
+            "antipode": as_linear_map(permute_axes(antipode, (1, 0)), d, 1, 1),
+        }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HopfAlgebra):
@@ -118,33 +134,20 @@ class HopfAlgebra:
     def __repr__(self) -> str:
         return f"HopfAlgebra(dim={self.dim}, labels={list(self.basis_labels)})"
 
-    # Structure tensors reshaped into composable maps (see tensor.py for the
-    # wire conventions).  Output axes must precede input axes, so mul
-    # (in,in,out) is permuted to (out,in,in) and comul (in,out,out) to
-    # (out,out,in) before reshaping.
-
     def mul_map(self) -> LinearMap:
-        return as_linear_map(permute_axes(self.mul, (2, 0, 1)), self.dim, 1, 2)
+        return self._maps["mul"]
 
     def comul_map(self) -> LinearMap:
-        return as_linear_map(permute_axes(self.comul, (1, 2, 0)), self.dim, 2, 1)
+        return self._maps["comul"]
 
     def unit_map(self) -> LinearMap:
-        return as_linear_map(self.unit, self.dim, 1, 0)
+        return self._maps["unit"]
 
     def counit_map(self) -> LinearMap:
-        return as_linear_map(self.counit, self.dim, 0, 1)
+        return self._maps["counit"]
 
     def antipode_map(self) -> LinearMap:
-        return as_linear_map(permute_axes(self.antipode, (1, 0)), self.dim, 1, 1)
-
-    def swap_map(self) -> LinearMap:
-        d = self.dim
-        m = np.zeros((d * d, d * d), dtype=complex)
-        for a in range(d):
-            for b in range(d):
-                m[b * d + a, a * d + b] = 1.0
-        return LinearMap(d, 2, 2, Tensor(m))
+        return self._maps["antipode"]
 
 
 @dataclass(frozen=True)
@@ -188,63 +191,64 @@ class AxiomReport:
         }
 
 
-def _deviation(f: LinearMap, g: LinearMap) -> float:
-    return float(np.max(np.abs(f.matrix.array - g.matrix.array)))
+#: each axiom as an equality of two circuits: (family, wires in, left layers,
+#: right layers).  A family's deviation is the largest over its identities;
+#: the last two rows are the informational flags, not axioms.
+_AXIOM_CIRCUITS = (
+    ("associativity", 3, ((MUL, ID), (MUL,)), ((ID, MUL), (MUL,))),
+    ("unit", 1, ((UNIT, ID), (MUL,)), ()),
+    ("unit", 1, ((ID, UNIT), (MUL,)), ()),
+    ("coassociativity", 1, ((COMUL,), (COMUL, ID)), ((COMUL,), (ID, COMUL))),
+    ("counit", 1, ((COMUL,), (COUNIT, ID)), ()),
+    ("counit", 1, ((COMUL,), (ID, COUNIT)), ()),
+    # the four compatibility identities making (mul, comul) a bialgebra
+    ("bialgebra", 2, ((MUL,), (COMUL,)), ((COMUL, COMUL), (ID, SWAP, ID), (MUL, MUL))),
+    ("bialgebra", 0, ((UNIT,), (COMUL,)), ((UNIT, UNIT),)),
+    ("bialgebra", 2, ((MUL,), (COUNIT,)), ((COUNIT, COUNIT),)),
+    ("bialgebra", 0, ((UNIT,), (COUNIT,)), ()),
+    ("antipode", 1, ((COMUL,), (ANTIPODE, ID), (MUL,)), ((COUNIT,), (UNIT,))),
+    ("antipode", 1, ((COMUL,), (ID, ANTIPODE), (MUL,)), ((COUNIT,), (UNIT,))),
+    ("commutative", 2, ((SWAP,), (MUL,)), ((MUL,),)),
+    ("cocommutative", 1, ((COMUL,), (SWAP,)), ((COMUL,),)),
+)
+
+#: largest order whose widest axiom maps (d^3 x d^3, and d^2 columns of
+#: d^4 entries inside the bialgebra circuit) fit in MAX_MAP_ENTRIES
+MAX_CHECKED_ORDER = next(n for n in itertools.count(1) if (n + 1) ** 6 > MAX_MAP_ENTRIES)
+
+
+def _check_order(d: int) -> None:
+    if d > MAX_CHECKED_ORDER:
+        raise ValueError(
+            f"algebra of order {d} is too large to check: its axiom circuits "
+            f"exceed {MAX_MAP_ENTRIES} map entries (order at most {MAX_CHECKED_ORDER})"
+        )
 
 
 def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
-    """Evaluate the six Hopf axiom families as exact tensor identities.
+    """Evaluate the six Hopf axiom families as circuit identities.
 
+    Each identity is a pair of small circuits of structure maps, e.g. the
+    bialgebra law M ; DELTA = DELTA,DELTA ; ID,SWAP,ID ; M,M, and its
+    deviation is the largest entry of the difference of their maps.
     Families: associativity, unit, coassociativity, counit, the four
     bialgebra compatibility identities (reported as one family by their
     max deviation), and the antipode identity.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    d = algebra.dim
-    m = algebra.mul_map()
-    dl = algebra.comul_map()
-    u = algebra.unit_map()
-    eps = algebra.counit_map()
-    s = algebra.antipode_map()
-    tau = algebra.swap_map()
-    i1 = identity_map(d, 1)
-
+    _check_order(algebra.dim)
     deviations: dict[str, float] = {}
-
-    deviations["associativity"] = _deviation(
-        compose(m, kron_maps(m, i1)), compose(m, kron_maps(i1, m))
-    )
-    deviations["unit"] = max(
-        _deviation(compose(m, kron_maps(u, i1)), i1),
-        _deviation(compose(m, kron_maps(i1, u)), i1),
-    )
-    deviations["coassociativity"] = _deviation(
-        compose(kron_maps(dl, i1), dl), compose(kron_maps(i1, dl), dl)
-    )
-    deviations["counit"] = max(
-        _deviation(compose(kron_maps(eps, i1), dl), i1),
-        _deviation(compose(kron_maps(i1, eps), dl), i1),
-    )
-    # Four compatibility identities making (mul, comul) a bialgebra.
-    mm = compose(kron_maps(m, m), kron_maps(kron_maps(i1, tau), i1))
-    deviations["bialgebra"] = max(
-        _deviation(compose(dl, m), compose(mm, kron_maps(dl, dl))),
-        _deviation(compose(dl, u), kron_maps(u, u)),
-        _deviation(compose(eps, m), kron_maps(eps, eps)),
-        _deviation(compose(eps, u), identity_map(d, 0)),
-    )
-    u_eps = compose(u, eps)
-    deviations["antipode"] = max(
-        _deviation(compose(m, compose(kron_maps(s, i1), dl)), u_eps),
-        _deviation(compose(m, compose(kron_maps(i1, s), dl)), u_eps),
-    )
-
+    for family, wires, left, right in _AXIOM_CIRCUITS:
+        lhs = evaluate(Circuit(algebra, wires, left)).matrix.array
+        rhs = evaluate(Circuit(algebra, wires, right)).matrix.array
+        deviation = float(np.max(np.abs(lhs - rhs)))
+        deviations[family] = max(deviations.get(family, 0.0), deviation)
+    commutative = deviations.pop("commutative") <= tol
+    cocommutative = deviations.pop("cocommutative") <= tol
     checks = tuple(
         AxiomCheck(name, dev, dev <= tol) for name, dev in deviations.items()
     )
-    commutative = _deviation(compose(m, tau), m) <= tol
-    cocommutative = _deviation(compose(tau, dl), dl) <= tol
     return AxiomReport(tol=tol, checks=checks, commutative=commutative, cocommutative=cocommutative)
 
 
@@ -303,8 +307,10 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
 
     table[i][j] is the index of (element i) * (element j).  The table is
     validated exhaustively (permutation rows/columns, identity,
-    associativity, inverses) before any tensor is built.
+    associativity, inverses) before any tensor is built.  Orders too large
+    for check_axioms are refused first, before the O(d^3) validation.
     """
+    _check_order(len(table))
     identity = _validate_group_table(table)
     d = len(table)
     if len(labels) != d:

@@ -22,12 +22,14 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import HopfAlgebra
 from .tensor import LinearMap, Tensor
+
+if TYPE_CHECKING:
+    from .algebra import HopfAlgebra
 
 __all__ = [
     "Primitive",
@@ -39,7 +41,7 @@ __all__ = [
     "ANTIPODE",
     "SWAP",
     "unitary",
-    "PRIMITIVE_ARITY",
+    "PRIMITIVES",
     "Circuit",
     "CircuitError",
     "AnnihilatedStateError",
@@ -62,16 +64,26 @@ __all__ = [
     "digits_to_index",
 ]
 
-#: kind -> (wires consumed, wires produced)
-PRIMITIVE_ARITY = {
-    "Id": (1, 1),
-    "Mul": (2, 1),
-    "Comul": (1, 2),
-    "Unit": (0, 1),
-    "Counit": (1, 0),
-    "Antipode": (1, 1),
-    "Swap": (2, 2),
-    "Unitary": (1, 1),
+
+class PrimitiveSpec(NamedTuple):
+    """One row of the primitive table."""
+
+    wires_in: int
+    wires_out: int
+    token: str | None  # DSL token; a unitary is written U(name) instead
+    map_method: str | None  # HopfAlgebra method giving the (d^out, d^in) matrix
+
+
+#: the primitive set, listed once: kind -> spec
+PRIMITIVES = {
+    "Id": PrimitiveSpec(1, 1, "ID", None),
+    "Mul": PrimitiveSpec(2, 1, "M", "mul_map"),
+    "Comul": PrimitiveSpec(1, 2, "DELTA", "comul_map"),
+    "Unit": PrimitiveSpec(0, 1, "UNIT", "unit_map"),
+    "Counit": PrimitiveSpec(1, 0, "COUNIT", "counit_map"),
+    "Antipode": PrimitiveSpec(1, 1, "S", "antipode_map"),
+    "Swap": PrimitiveSpec(2, 2, "SWAP", None),
+    "Unitary": PrimitiveSpec(1, 1, None, None),
 }
 
 #: states wider than this many entries are refused outright
@@ -98,10 +110,16 @@ class Primitive:
     kind: str
     name: str | None = None
     matrix: np.ndarray | None = None
+    # read off the primitive table once: the engine and validate read them
+    # for every primitive of every layer
+    wires_in: int = field(init=False)
+    wires_out: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in PRIMITIVE_ARITY:
+        if self.kind not in PRIMITIVES:
             raise CircuitError(f"unknown primitive kind {self.kind!r}")
+        object.__setattr__(self, "wires_in", PRIMITIVES[self.kind].wires_in)
+        object.__setattr__(self, "wires_out", PRIMITIVES[self.kind].wires_out)
         if (self.kind == "Unitary") != (self.matrix is not None):
             raise CircuitError("exactly the Unitary primitive carries a matrix")
         if self.matrix is None:
@@ -115,14 +133,6 @@ class Primitive:
             raise CircuitError(f"matrix for {self.name!r} is not unitary (deviation {dev:.2e})")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-
-    @property
-    def wires_in(self) -> int:
-        return PRIMITIVE_ARITY[self.kind][0]
-
-    @property
-    def wires_out(self) -> int:
-        return PRIMITIVE_ARITY[self.kind][1]
 
     def __repr__(self) -> str:
         if self.kind == "Unitary":
@@ -199,21 +209,6 @@ def validate(circuit: Circuit) -> list[int]:
     return profile
 
 
-def _structure_matrices(algebra: HopfAlgebra) -> dict[str, np.ndarray]:
-    """(d^wires_out, d^wires_in) matrix of each structure-map primitive."""
-    return {
-        "Mul": algebra.mul_map().matrix.array,
-        "Comul": algebra.comul_map().matrix.array,
-        "Unit": algebra.unit_map().matrix.array,
-        "Counit": algebra.counit_map().matrix.array,
-        "Antipode": algebra.antipode_map().matrix.array,
-    }
-
-
-#: primitives that produce more wires than they consume
-_GROWING = frozenset({"Comul", "Unit"})
-
-
 def _push(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     """run without validation: columns is (d^wires_in, batch).
 
@@ -222,14 +217,18 @@ def _push(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     second, and the state is never wider than the wider layer boundary.
     """
     d = circuit.algebra.dim
-    matrices = _structure_matrices(circuit.algebra)
+    matrices = {
+        kind: getattr(circuit.algebra, spec.map_method)().matrix.array
+        for kind, spec in PRIMITIVES.items()
+        if spec.map_method
+    }
     batch = columns.shape[1]
     state = columns.reshape((d,) * circuit.wires_in + (batch,))
     for layer in circuit.layers:
         for growing in (False, True):
             pos = 0  # axis of the next primitive's first wire
             for prim in layer:
-                if (prim.kind in _GROWING) != growing:
+                if (prim.wires_out > prim.wires_in) != growing:
                     # not applied in this pass: still unapplied in the first,
                     # already applied in the second
                     pos += prim.wires_out if growing else prim.wires_in

@@ -51,6 +51,9 @@ EXIT_ANNIHILATED = 4
 ORACLE_TOL = 1e-12
 COMPILE_TOL = 1e-10
 
+#: sample refuses more shots than this before drawing: 128 MiB of int64 draws
+MAX_SHOTS = 2**24
+
 _BASIS_NOTE = (
     "Basis convention: wire 0 is the leftmost tensor factor and the most "
     "significant (slowest-varying) digit of every basis label and matrix "
@@ -243,6 +246,13 @@ def _matrix_from_json(obj, where: str) -> np.ndarray:
     return re_part + 1j * im_part
 
 
+def _wire(value, where: str) -> int:
+    # bool is an int subclass, but true/false are not wire indices
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: wire must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _load_gates(path: str) -> list[Cnot | U1]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -257,14 +267,14 @@ def _load_gates(path: str) -> list[Cnot | U1]:
             pair = item["cnot"]
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"{where}: 'cnot' must be [control, target]")
-            gates.append(Cnot(int(pair[0]), int(pair[1])))
+            gates.append(Cnot(_wire(pair[0], where), _wire(pair[1], where)))
         elif "u1" in item:
             spec = item["u1"]
             if not isinstance(spec, dict) or "wire" not in spec or "matrix" not in spec:
                 raise ValueError(f"{where}: 'u1' needs 'wire' and 'matrix'")
             gates.append(
                 U1(
-                    wire=int(spec["wire"]),
+                    wire=_wire(spec["wire"], where),
                     matrix=_matrix_from_json(spec["matrix"], where),
                     name=str(spec.get("name", "u")),
                 )
@@ -297,8 +307,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.shots < 1:
-        raise ValueError("shots must be positive")
+    if not 1 <= args.shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {args.shots}")
     circuit = _load_circuit(args.file)
     d = circuit.algebra.dim
     validate(circuit)
@@ -309,10 +319,8 @@ def _cmd_sample(args) -> int:
     probs = np.array([p for _, p in distribution.entries])
     rng = np.random.default_rng(args.seed)
     draws = rng.choice(len(labels), size=args.shots, p=probs / probs.sum())
-    counts: dict[str, int] = {lbl: 0 for lbl in labels}
-    for k in draws:
-        counts[labels[k]] += 1
-    counts = {lbl: n for lbl, n in sorted(counts.items()) if n > 0}
+    tally = np.bincount(draws, minlength=len(labels))
+    counts = {lbl: int(n) for lbl, n in sorted(zip(labels, tally)) if n > 0}
     if args.json:
         print(_dump_json({"input": args.input, "shots": args.shots, "seed": args.seed, "counts": counts}))
     else:

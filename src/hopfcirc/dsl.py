@@ -27,19 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import resolve_algebra
-from .circuit import (
-    ANTIPODE,
-    COMUL,
-    COUNIT,
-    ID,
-    MUL,
-    SWAP,
-    UNIT,
-    Circuit,
-    CircuitError,
-    Primitive,
-    unitary,
-)
+from .circuit import PRIMITIVES, Circuit, CircuitError, Primitive, unitary
 
 __all__ = [
     "ParseError",
@@ -56,14 +44,9 @@ __all__ = [
 PRESET_NAMES = ("I", "X", "Y", "Z", "H", "S_PHASE", "T")
 ROTATION_NAMES = ("RX", "RY", "RZ")
 
-_PRIM_TOKENS = {
-    "ID": ID,
-    "M": MUL,
-    "DELTA": COMUL,
-    "UNIT": UNIT,
-    "COUNIT": COUNIT,
-    "S": ANTIPODE,
-    "SWAP": SWAP,
+#: DSL token -> structure-map primitive, read off the primitive table
+_PRIMITIVE_BY_TOKEN = {
+    spec.token: Primitive(kind) for kind, spec in PRIMITIVES.items() if spec.token
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -310,7 +293,7 @@ def _parse_layer(
             if name not in unitary_names:
                 raise ParseError(f"unknown unitary name {name!r}", lineno, column)
             tokens.append(("U", name))
-        elif token.upper() in _PRIM_TOKENS:
+        elif token.upper() in _PRIMITIVE_BY_TOKEN:
             tokens.append(token.upper())
         else:
             raise ParseError(f"unknown primitive {token!r}", lineno, column)
@@ -353,21 +336,10 @@ def to_circuit(doc: CircuitDocument) -> Circuit:
             )
         prims[name] = unitary(name, udef.matrix())
     layers = tuple(
-        tuple(_PRIM_TOKENS[t] if isinstance(t, str) else prims[t[1]] for t in layer)
+        tuple(_PRIMITIVE_BY_TOKEN[t] if isinstance(t, str) else prims[t[1]] for t in layer)
         for layer in doc.layers
     )
     return Circuit(algebra, wires_in=doc.wires_in, layers=layers)
-
-
-_TOKEN_BY_KIND = {
-    "Id": "ID",
-    "Mul": "M",
-    "Comul": "DELTA",
-    "Unit": "UNIT",
-    "Counit": "COUNIT",
-    "Antipode": "S",
-    "Swap": "SWAP",
-}
 
 
 def circuit_to_document(circuit: Circuit, algebra_name: str) -> CircuitDocument:
@@ -379,7 +351,7 @@ def circuit_to_document(circuit: Circuit, algebra_name: str) -> CircuitDocument:
         tokens: list[str | tuple[str, str]] = []
         for prim in layer:
             if prim.kind != "Unitary":
-                tokens.append(_TOKEN_BY_KIND[prim.kind])
+                tokens.append(PRIMITIVES[prim.kind].token)
                 continue
             key = prim.matrix.tobytes()
             if key not in seen:

@@ -1,4 +1,9 @@
-"""Dense complex multi-index tensors and their reshaping into linear maps.
+"""Immutable complex tensors, and the linear maps they reshape into.
+
+Tensor holds the algebra's structure tensors and every map the package
+returns; LinearMap is a Tensor read as a d^wires_out x d^wires_in matrix.
+All composition happens in the state engine of circuit.py, so this module
+only validates, permutes and reshapes.
 
 Convention used everywhere in this package: entries are stored row-major
 with the leftmost index varying slowest.  When a tensor is reshaped into a
@@ -12,18 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "LinearMap",
-    "tensor_product",
-    "contract",
-    "permute_axes",
-    "as_linear_map",
-    "compose",
-    "allclose",
-    "identity_map",
-    "kron_maps",
-]
+__all__ = ["Tensor", "LinearMap", "permute_axes", "as_linear_map"]
 
 
 class Tensor:
@@ -60,15 +54,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(dims={list(self.dims)})"
 
-    def to_json(self) -> dict:
-        """Debug export: row-major real/imaginary parts plus extents."""
-        flat = self.array.reshape(-1)
-        return {
-            "dims": list(self.dims),
-            "re": [float(x) for x in flat.real],
-            "im": [float(x) for x in flat.imag],
-        }
-
 
 class LinearMap:
     """A tensor reshaped into a matrix sending d^wires_in to d^wires_out.
@@ -97,11 +82,6 @@ class LinearMap:
     def __repr__(self) -> str:
         return f"LinearMap(d={self.base_dim}, {self.wires_in}->{self.wires_out})"
 
-    def to_tensor(self) -> Tensor:
-        """Inverse of as_linear_map: one axis of extent d per wire, outputs first."""
-        d = self.base_dim
-        return Tensor(self.matrix.array, dims=(d,) * (self.wires_out + self.wires_in))
-
     def to_json(self) -> dict:
         m = self.matrix.array.reshape(self.base_dim**self.wires_out, self.base_dim**self.wires_in)
         return {
@@ -111,39 +91,6 @@ class LinearMap:
             "re": [[float(x) for x in row] for row in m.real],
             "im": [[float(x) for x in row] for row in m.imag],
         }
-
-
-def tensor_product(a: Tensor, b: Tensor) -> Tensor:
-    """Outer product: dims are dims(a) ++ dims(b), entry (i,j) = a[i]*b[j]."""
-    return Tensor(np.tensordot(a.array, b.array, axes=0))
-
-
-def _check_axes(t: Tensor, axes: Sequence[int], side: str) -> tuple[int, ...]:
-    axes = tuple(axes)
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"duplicate axis in {side} axis list {list(axes)}")
-    for ax in axes:
-        if not 0 <= ax < t.order:
-            raise ValueError(f"axis {ax} out of range for order-{t.order} tensor ({side})")
-    return axes
-
-
-def contract(a: Tensor, axes_a: Sequence[int], b: Tensor, axes_b: Sequence[int]) -> Tensor:
-    """Sum over paired axes of a and b.
-
-    Result dims are the uncontracted axes of a followed by those of b, in
-    their original order.  Paired axes must have equal extents.
-    """
-    axes_a = _check_axes(a, axes_a, "left")
-    axes_b = _check_axes(b, axes_b, "right")
-    if len(axes_a) != len(axes_b):
-        raise ValueError(f"axis lists differ in length: {len(axes_a)} vs {len(axes_b)}")
-    for i, j in zip(axes_a, axes_b):
-        if a.dims[i] != b.dims[j]:
-            raise ValueError(
-                f"extent mismatch on contracted pair ({i},{j}): {a.dims[i]} vs {b.dims[j]}"
-            )
-    return Tensor(np.tensordot(a.array, b.array, axes=(axes_a, axes_b)))
 
 
 def permute_axes(t: Tensor, perm: Sequence[int]) -> Tensor:
@@ -168,43 +115,3 @@ def as_linear_map(t: Tensor, base_dim: int, wires_out: int, wires_in: int) -> Li
         raise ValueError(f"every extent must equal base dimension {base_dim}, got {t.dims}")
     matrix = Tensor(t.array, dims=(base_dim**wires_out, base_dim**wires_in))
     return LinearMap(base_dim, wires_in, wires_out, matrix)
-
-
-def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Apply g first, then f: the matrix product f.matrix @ g.matrix."""
-    if f.base_dim != g.base_dim:
-        raise ValueError(f"base dimension mismatch: {f.base_dim} vs {g.base_dim}")
-    if f.wires_in != g.wires_out:
-        raise ValueError(
-            f"wire-count mismatch: f consumes {f.wires_in} wires, g produces {g.wires_out}"
-        )
-    product = f.matrix.array @ g.matrix.array
-    return LinearMap(f.base_dim, g.wires_in, f.wires_out, Tensor(product))
-
-
-def allclose(a: Tensor, b: Tensor, tol: float) -> bool:
-    """True iff dims match and the max entry-wise |a-b| is at most tol.
-
-    A dimension mismatch returns False rather than raising.
-    """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if a.dims != b.dims:
-        return False
-    if a.order == 0:
-        return abs(complex(a.array) - complex(b.array)) <= tol
-    return float(np.max(np.abs(a.array - b.array))) <= tol
-
-
-def identity_map(base_dim: int, wires: int) -> LinearMap:
-    return LinearMap(base_dim, wires, wires, Tensor(np.eye(base_dim**wires, dtype=complex)))
-
-
-def kron_maps(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Tensor product of maps; f acts on the leftmost (slowest) wires."""
-    if f.base_dim != g.base_dim:
-        raise ValueError(f"base dimension mismatch: {f.base_dim} vs {g.base_dim}")
-    matrix = np.kron(f.matrix.array, g.matrix.array)
-    return LinearMap(
-        f.base_dim, f.wires_in + g.wires_in, f.wires_out + g.wires_out, Tensor(matrix)
-    )

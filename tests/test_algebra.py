@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from hopfcirc.algebra import (
 )
 from hopfcirc.tensor import Tensor
 
-from helpers import loop_axiom_deviations
+from helpers import REPO_ROOT, loop_axiom_deviations
 
 AXIOM_NAMES = ["associativity", "unit", "coassociativity", "counit", "bialgebra", "antipode"]
 
@@ -259,6 +262,45 @@ class TestCheckAxioms:
         # compatibility and the antipode identity
         assert failing == {"bialgebra", "antipode"}
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_random_algebra_matches_loop_oracle(self, d, seed, sym_mul, sym_comul):
+        # random complex structure tensors satisfy no axiom, so a wrong wire
+        # order in any axiom circuit shows up as a wrong deviation
+        rng = np.random.default_rng(seed)
+
+        def rand(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        mul, comul = rand(d, d, d), rand(d, d, d)
+        if sym_mul:
+            mul = (mul + mul.swapaxes(0, 1)) / 2
+        if sym_comul:
+            comul = (comul + comul.swapaxes(1, 2)) / 2
+        h = HopfAlgebra(
+            [f"b{i}" for i in range(d)],
+            Tensor(mul), Tensor(comul), Tensor(rand(d)), Tensor(rand(d)), Tensor(rand(d, d)),
+        )
+        tol = 1e-12
+        report = check_axioms(h, tol)
+        oracle = loop_axiom_deviations(h)
+        assert [c.name for c in report.checks] == AXIOM_NAMES
+        for c in report.checks:
+            assert abs(c.deviation - oracle[c.name]) <= 1e-12 * oracle[c.name]
+            assert c.passed == (c.deviation <= tol)
+        assert report.commutative == (np.max(np.abs(mul - mul.swapaxes(0, 1))) <= tol)
+        assert report.cocommutative == (np.max(np.abs(comul - comul.swapaxes(1, 2))) <= tol)
+
+    def test_order_above_limit_refused(self):
+        d = 17
+        zeros = Tensor(np.zeros((d, d, d)))
+        h = HopfAlgebra(
+            [str(i) for i in range(d)], zeros, zeros,
+            Tensor(np.zeros(d)), Tensor(np.zeros(d)), Tensor(np.zeros((d, d))),
+        )
+        with pytest.raises(ValueError, match="order 17 .*order at most 16"):
+            check_axioms(h, 1e-12)
+
     def test_report_covers_exactly_six_families(self):
         report = check_axioms(builtin_algebra("Z4"), 1e-12)
         assert [c.name for c in report.checks] == AXIOM_NAMES
@@ -300,3 +342,12 @@ class TestResolution:
         path.write_text('{"labels": ["e"]}')
         with pytest.raises(ValueError, match="table"):
             load_group_table(path)
+
+
+@pytest.mark.parametrize("module", ["hopfcirc.algebra", "hopfcirc.circuit"])
+def test_module_imports_first(module):
+    # algebra imports the circuit engine; circuit names HopfAlgebra only in annotations
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", f"import {module}"], env={**os.environ, "PYTHONPATH": path}, check=True
+    )

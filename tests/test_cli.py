@@ -99,6 +99,32 @@ class TestCheckAxioms:
         assert err.startswith("error: validate:") and err.count("\n") == 1
         assert "Hopf axioms" not in err
 
+    @staticmethod
+    def cyclic_table_file(tmp_path, n):
+        path = tmp_path / f"z{n}.json"
+        path.write_text(json.dumps({
+            "labels": [f"g{i}" for i in range(n)],
+            "table": [[(i + j) % n for j in range(n)] for i in range(n)],
+        }))
+        return str(path)
+
+    def test_order_12_table_passes(self, capsys, tmp_path):
+        table = self.cyclic_table_file(tmp_path, 12)
+        code, out, _ = run(capsys, ["check-axioms", "--algebra", table, "--json"])
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"] and payload["dim"] == 12
+
+    @pytest.mark.parametrize("n", [17, 300])
+    def test_order_above_limit_refused_fast(self, capsys, tmp_path, n):
+        # refused before the O(n^3) table validation as well as the axiom circuits
+        table = self.cyclic_table_file(tmp_path, n)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["check-axioms", "--algebra", table])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: validate: algebra of order {n} is too large")
+        assert "order at most 16" in err
+
 
 class TestEval:
     def test_cnot_flips_target(self, capsys):
@@ -245,6 +271,24 @@ class TestCompile:
         check_schema(payload, "compile")
         assert code == 0 and payload["max_deviation"] <= 1e-10 and payload["gates"] == 3
 
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            [{"cnot": [None, 1]}],
+            [{"u1": {"wire": None, "matrix": {"re": [[1, 0], [0, 1]]}}}],
+            [{"cnot": [True, 0.9]}],
+            [{"cnot": ["1", 0]}],
+        ],
+        ids=["null-cnot", "null-u1", "bool-float-cnot", "string-cnot"],
+    )
+    def test_non_integer_wire_exits_2(self, capsys, tmp_path, gates):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(gates))
+        code, out, err = run(capsys, ["compile", "--wires", "2", "--gates", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: validate:") and err.count("\n") == 1
+        assert "wire must be an integer" in err
+
     def test_bad_gate_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[{"u1": {"wire": 0}}]')
@@ -262,6 +306,22 @@ class TestSample:
         payload = json.loads(out)
         check_schema(payload, "sample")
         assert sum(payload["counts"].values()) == 1000
+
+    def test_output_pinned(self, capsys):
+        code, out, _ = run(
+            capsys, ["sample", FIG2_FILE, "--input", "10", "--shots", "1000", "--seed", "7", "--json"]
+        )
+        assert code == 0
+        assert out == '{"counts":{"100":502,"110":498},"input":"10","seed":7,"shots":1000}\n'
+
+    def test_shots_above_limit_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, ["sample", FIG2_FILE, "--input", "10", "--shots", str(2**24 + 1), "--seed", "1"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: validate: shots must be between 1 and 16777216")
 
     def test_frequencies_match_distribution_within_3_sigma(self, capsys):
         shots = 100_000

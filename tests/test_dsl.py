@@ -2,7 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hopfcirc.circuit import CircuitError, Cnot, U1, compile_gate_circuit, evaluate, validate
+from hopfcirc.circuit import (
+    ANTIPODE,
+    COMUL,
+    COUNIT,
+    ID,
+    MUL,
+    SWAP,
+    UNIT,
+    Circuit,
+    CircuitError,
+    Cnot,
+    U1,
+    compile_gate_circuit,
+    evaluate,
+    validate,
+)
 from hopfcirc.algebra import z2_algebra
 from hopfcirc.dsl import (
     CircuitDocument,
@@ -195,3 +210,18 @@ class TestCircuitToDocument:
         got = evaluate(rebuilt).matrix.array
         want = evaluate(circuit).matrix.array
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_every_structure_primitive_round_trips(self):
+        # the DSL tokens come from the circuit module's primitive table; each
+        # layer takes two wires, and the layers are not chained (never validated)
+        prims = (ID, MUL, COMUL, UNIT, COUNIT, ANTIPODE, SWAP)
+        circuit = Circuit(z2_algebra(), 2, tuple((p,) + (ID,) * (2 - p.wires_in) for p in prims))
+        doc = circuit_to_document(circuit, "Z2")
+        assert doc.layers == tuple(
+            (tok,) + ("ID",) * (2 - p.wires_in)
+            for p, tok in zip(prims, ("ID", "M", "DELTA", "UNIT", "COUNIT", "S", "SWAP"))
+        )
+        rebuilt = to_circuit(parse_circuit(print_circuit(doc)))
+        assert [[p.kind for p in layer] for layer in rebuilt.layers] == [
+            [p.kind for p in layer] for layer in circuit.layers
+        ]

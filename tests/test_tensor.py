@@ -3,20 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcirc.tensor import (
-    LinearMap,
-    Tensor,
-    allclose,
-    as_linear_map,
-    compose,
-    contract,
-    identity_map,
-    kron_maps,
-    permute_axes,
-    tensor_product,
-)
-
-from helpers import loop_contract
+from hopfcirc.tensor import LinearMap, Tensor, as_linear_map, permute_axes
 
 # structure tensors of the two-element algebra, written out longhand so the
 # tensor tests do not depend on the algebra module
@@ -60,109 +47,6 @@ class TestTensor:
         with pytest.raises(ValueError):
             t.array[0] = 5.0
 
-    def test_to_json_row_major(self):
-        t = Tensor([[1, 2j], [3, 4]])
-        doc = t.to_json()
-        assert doc["dims"] == [2, 2]
-        assert doc["re"] == [1.0, 0.0, 3.0, 4.0]
-        assert doc["im"] == [0.0, 2.0, 0.0, 0.0]
-
-
-class TestTensorProduct:
-    def test_scalar_one_is_identity(self):
-        t = Tensor([[1, 2], [3, 4j]])
-        prod = tensor_product(Tensor(1.0), t)
-        assert prod.dims == (1,) * 0 + t.dims
-        assert np.array_equal(prod.array, t.array)
-
-    def test_basis_vectors(self):
-        e0, e1 = Tensor([1, 0]), Tensor([0, 1])
-        prod = tensor_product(e0, e1)
-        assert prod.dims == (2, 2)
-        assert np.array_equal(prod.array.reshape(-1), [0, 1, 0, 0])
-
-    def test_copy_map_coefficients(self):
-        # the square of a basis vector carries a single 1 on the diagonal
-        f0 = Tensor([1, 0])
-        prod = tensor_product(f0, f0)
-        assert prod[0, 0] == 1 and np.count_nonzero(prod.array) == 1
-
-    def test_associative_up_to_flattening(self):
-        # products of small integers are exact in float64, so the two
-        # groupings must agree entry for entry
-        rng = np.random.default_rng(3)
-        a = Tensor(rng.integers(-3, 4, size=(2, 3)).astype(float))
-        b = Tensor(rng.integers(-3, 4, size=(2,)).astype(float))
-        c = Tensor(rng.integers(-3, 4, size=(3, 2)).astype(float))
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert left.dims == right.dims
-        assert np.array_equal(left.array, right.array)
-
-    def test_associative_within_rounding_for_floats(self):
-        rng = np.random.default_rng(4)
-        a = Tensor(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
-        b = Tensor(rng.normal(size=(2,)) + 1j * rng.normal(size=(2,)))
-        c = Tensor(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert left.dims == right.dims
-        assert np.max(np.abs(left.array - right.array)) <= 1e-14
-
-
-class TestContract:
-    def test_cnot_tensor_from_structure_tensors(self):
-        # comul's second output axis against mul's first input axis gives the
-        # four-index controlled-NOT tensor; axes come out (i_c, o_c, i_t, o_t)
-        h = contract(Tensor(C_COMUL), [2], Tensor(C_MUL), [0])
-        as_matrix = permute_axes(h, (1, 3, 0, 2)).array.reshape(4, 4)
-        assert np.array_equal(as_matrix, CNOT_TABLE)
-
-    def test_identity_times_vector(self):
-        v = Tensor([1.5, -2j])
-        out = contract(Tensor(np.eye(2)), [1], v, [0])
-        assert np.array_equal(out.array, v.array)
-
-    def test_matches_loop_oracle_2x2x2(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        got = contract(Tensor(a), [1], Tensor(b), [2])
-        want = loop_contract(a, [1], b, [2])
-        assert got.dims == want.shape
-        assert np.max(np.abs(got.array - want)) <= 1e-14
-
-    @settings(max_examples=60, deadline=None)
-    @given(small_tensors(), small_tensors(), st.data())
-    def test_matches_loop_oracle_property(self, a, b, data):
-        pairs = [
-            (i, j) for i in range(a.order) for j in range(b.order) if a.dims[i] == b.dims[j]
-        ]
-        n = data.draw(st.integers(0, min(len(pairs), 2)))
-        chosen: list[tuple[int, int]] = []
-        for pair in pairs:
-            if len(chosen) == n:
-                break
-            if all(pair[0] != p[0] and pair[1] != p[1] for p in chosen):
-                chosen.append(pair)
-        axes_a = [p[0] for p in chosen]
-        axes_b = [p[1] for p in chosen]
-        got = contract(a, axes_a, b, axes_b).array
-        want = loop_contract(a.array, axes_a, b.array, axes_b)
-        assert np.max(np.abs(got - want)) <= 1e-13 if got.shape else abs(got - want) <= 1e-13
-
-    def test_errors(self):
-        t2 = Tensor(np.zeros((2, 2)))
-        t3 = Tensor(np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="extent mismatch"):
-            contract(t2, [0], t3, [0])
-        with pytest.raises(ValueError, match="out of range"):
-            contract(t2, [2], t2, [0])
-        with pytest.raises(ValueError, match="duplicate"):
-            contract(t2, [0, 0], t2, [0, 1])
-        with pytest.raises(ValueError, match="length"):
-            contract(t2, [0, 1], t2, [0])
-
 
 class TestPermuteAxes:
     def test_identity_permutation(self):
@@ -201,7 +85,9 @@ class TestPermuteAxes:
 
 class TestAsLinearMap:
     def test_cnot_tensor_reshapes_to_table(self):
-        h = contract(Tensor(C_COMUL), [2], Tensor(C_MUL), [0])
+        # comul's second output axis against mul's first input axis gives the
+        # four-index controlled-NOT tensor; axes come out (i_c, o_c, i_t, o_t)
+        h = Tensor(np.tensordot(C_COMUL, C_MUL, axes=([2], [0])))
         ordered = permute_axes(h, (1, 3, 0, 2))  # (o_c, o_t, i_c, i_t)
         m = as_linear_map(ordered, 2, 2, 2)
         assert m.matrix.dims == (4, 4)
@@ -215,7 +101,7 @@ class TestAsLinearMap:
         rng = np.random.default_rng(13)
         t = Tensor(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
         m = as_linear_map(t, 2, 2, 1)
-        assert np.array_equal(m.to_tensor().array, t.array)
+        assert np.array_equal(m.matrix.array.reshape(t.dims), t.array)
 
     def test_scalar_map(self):
         m = as_linear_map(Tensor(2.0), 3, 0, 0)
@@ -226,65 +112,6 @@ class TestAsLinearMap:
             as_linear_map(Tensor(np.zeros((2, 2))), 2, 2, 1)
         with pytest.raises(ValueError, match="extent"):
             as_linear_map(Tensor(np.zeros((2, 3))), 2, 1, 1)
-
-
-class TestCompose:
-    def test_identity_neutral_both_sides(self):
-        rng = np.random.default_rng(17)
-        m = LinearMap(2, 2, 2, Tensor(rng.normal(size=(4, 4))))
-        i2 = identity_map(2, 2)
-        assert np.array_equal(compose(i2, m).matrix.array, m.matrix.array)
-        assert np.array_equal(compose(m, i2).matrix.array, m.matrix.array)
-
-    def test_copy_then_multiply_is_cnot(self):
-        comul_map = as_linear_map(permute_axes(Tensor(C_COMUL), (1, 2, 0)), 2, 2, 1)
-        mul_map = as_linear_map(permute_axes(Tensor(C_MUL), (2, 0, 1)), 2, 1, 2)
-        i1 = identity_map(2, 1)
-        cnot = compose(kron_maps(i1, mul_map), kron_maps(comul_map, i1))
-        assert np.array_equal(cnot.matrix.array, CNOT_TABLE)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(19)
-        f = LinearMap(2, 1, 2, Tensor(rng.normal(size=(4, 2))))
-        g = LinearMap(2, 2, 1, Tensor(rng.normal(size=(2, 4))))
-        h = LinearMap(2, 1, 2, Tensor(rng.normal(size=(4, 2))))
-        left = compose(compose(f, g), h)
-        right = compose(f, compose(g, h))
-        assert np.max(np.abs(left.matrix.array - right.matrix.array)) <= 1e-12
-
-    def test_mismatch_errors(self):
-        a = identity_map(2, 1)
-        b = identity_map(2, 2)
-        with pytest.raises(ValueError, match="wire-count"):
-            compose(a, b)
-        with pytest.raises(ValueError, match="base dimension"):
-            compose(a, identity_map(3, 1))
-
-
-class TestAllclose:
-    def test_exact_equality_at_zero_tol(self):
-        t = Tensor([[1, 2], [3, 4]])
-        assert allclose(t, t, 0.0)
-
-    def test_small_difference_fails_tight_tol(self):
-        a = Tensor([1.0])
-        b = Tensor([1.0 + 1e-9])
-        assert not allclose(a, b, 1e-12)
-        assert allclose(a, b, 1e-8)
-
-    def test_dims_mismatch_returns_false(self):
-        assert not allclose(Tensor([1.0]), Tensor([[1.0]]), 1.0)
-
-    def test_composed_cnot_equals_table_at_zero(self):
-        comul_map = as_linear_map(permute_axes(Tensor(C_COMUL), (1, 2, 0)), 2, 2, 1)
-        mul_map = as_linear_map(permute_axes(Tensor(C_MUL), (2, 0, 1)), 2, 1, 2)
-        i1 = identity_map(2, 1)
-        built = compose(kron_maps(i1, mul_map), kron_maps(comul_map, i1))
-        assert allclose(built.matrix, Tensor(CNOT_TABLE), 0.0)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            allclose(Tensor([1.0]), Tensor([1.0]), -1e-3)
 
 
 class TestLinearMap:
@@ -298,6 +125,6 @@ class TestLinearMap:
         assert col.matrix.dims == (2, 1) and row.matrix.dims == (1, 2)
 
     def test_to_json_shape(self):
-        doc = identity_map(2, 1).to_json()
+        doc = LinearMap(2, 1, 1, Tensor(np.eye(2))).to_json()
         assert doc["d"] == 2 and doc["re"] == [[1.0, 0.0], [0.0, 1.0]]
         assert doc["im"] == [[0.0, 0.0], [0.0, 0.0]]
