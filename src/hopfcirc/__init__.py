@@ -47,6 +47,7 @@ from .circuit import (
     direct_gate_map,
     evaluate,
     evaluate_bruteforce,
+    evaluate_bruteforce_map,
     is_unitary,
     measure,
     run,

@@ -12,9 +12,13 @@ Two evaluators are provided.  run pushes a batch of input columns through
 the layers as a state tensor with one axis of extent d per wire: each
 primitive acts on its own wires only, Id and Swap merely relabel axes, and
 no layer matrix is ever formed.  evaluate is run on the identity batch.
-evaluate_bruteforce propagates one basis input through an explicit sum
-over all intermediate basis assignments, reading structure-tensor entries
-directly.  They share no code path and are tested against each other.
+evaluate_bruteforce_map propagates a batch of basis inputs through an
+explicit sum over all intermediate basis assignments, reading
+structure-tensor entries directly: each assignment carries one amplitude
+per input, and each branch weight scales that vector elementwise, so no
+reshape, matrix multiplication or Kronecker product is involved.
+evaluate_bruteforce is the same sum on a batch of one input.  The engine
+and the brute force share no code path and are tested against each other.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "run",
     "evaluate",
     "evaluate_bruteforce",
+    "evaluate_bruteforce_map",
     "build_cnot",
     "compile_gate_circuit",
     "direct_gate_map",
@@ -209,6 +214,17 @@ def validate(circuit: Circuit) -> list[int]:
     return profile
 
 
+def _check_map_entries(d: int, wires_in: int, widest: int) -> None:
+    """Refuse a map from wires_in wires whose widest boundary has widest
+    wires before anything of that size is allocated.  Both wire counts must
+    already be within the width limit, so the powers stay small."""
+    if d**wires_in * d**widest > MAX_MAP_ENTRIES:
+        raise CircuitError(
+            f"map too large: {wires_in} input wires and up to {widest} wires "
+            f"at dimension {d} exceed {MAX_MAP_ENTRIES} map entries"
+        )
+
+
 def _push(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
     """run without validation: columns is (d^wires_in, batch).
 
@@ -269,13 +285,8 @@ def evaluate(circuit: Circuit) -> LinearMap:
     """The circuit's full linear map: run on the identity batch."""
     profile = validate(circuit)
     d = circuit.algebra.dim
-    n_in = d**circuit.wires_in
-    if n_in * d ** max(profile) > MAX_MAP_ENTRIES:
-        raise CircuitError(
-            f"map too large: {circuit.wires_in} input wires and up to {max(profile)} wires "
-            f"at dimension {d} exceed {MAX_MAP_ENTRIES} map entries"
-        )
-    out = _push(circuit, np.eye(n_in, dtype=complex))
+    _check_map_entries(d, circuit.wires_in, max(profile))
+    out = _push(circuit, np.eye(d**circuit.wires_in, dtype=complex))
     return LinearMap(d, circuit.wires_in, profile[-1], Tensor(out))
 
 
@@ -332,22 +343,22 @@ def _transitions(algebra: HopfAlgebra, prim: Primitive):
     return out
 
 
-def evaluate_bruteforce(circuit: Circuit, input_basis_index: int) -> np.ndarray:
-    """Propagate one basis input by explicit summation over all intermediate
-    basis assignments; returns the output column as a complex vector.
+def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int]) -> np.ndarray:
+    """Output columns of the basis inputs listed, as a (d^wires_out,
+    len(inputs)) array, by explicit summation over all intermediate basis
+    assignments.  The circuit must be validated.
 
-    Independent of evaluate: no Kronecker products, reshapes or matrix
-    multiplications are involved.
+    Every assignment holds a vector of amplitudes, one per input.  A layer's
+    transition tables are built once, each (assignment, primitive) branch is
+    walked once for the whole batch, and the product of a path's branch
+    coefficients scales the assignment's vector elementwise.
     """
-    profile = validate(circuit)
     d = circuit.algebra.dim
-    n_in = circuit.wires_in
-    if not 0 <= input_basis_index < d**n_in:
-        raise ValueError(
-            f"input index {input_basis_index} out of range for {n_in} wires at dimension {d}"
-        )
-
-    amplitudes = {tuple(index_to_digits(input_basis_index, d, n_in)): 1.0 + 0j}
+    one_hot = np.eye(len(inputs), dtype=complex)
+    amplitudes = {
+        tuple(index_to_digits(index, d, circuit.wires_in)): one_hot[j]
+        for j, index in enumerate(inputs)
+    }
     for layer in circuit.layers:
         tables = []
         for prim in layer:
@@ -356,30 +367,69 @@ def evaluate_bruteforce(circuit: Circuit, input_basis_index: int) -> np.ndarray:
                 by_input[digits_in].append((digits_out, coeff))
             tables.append((prim.wires_in, by_input))
 
-        next_amplitudes: dict[tuple[int, ...], complex] = defaultdict(complex)
+        next_amplitudes: dict[tuple[int, ...], np.ndarray] = {}
         for assignment, amp in amplitudes.items():
-            partial = [((), amp)]
+            partial = [((), 1.0 + 0j)]
             pos = 0
             for n_cons, by_input in tables:
                 digits_in = assignment[pos : pos + n_cons]
                 pos += n_cons
                 branches = by_input.get(digits_in, ())
                 partial = [
-                    (prefix + digits_out, value * coeff)
-                    for prefix, value in partial
+                    (prefix + digits_out, weight * coeff)
+                    for prefix, weight in partial
                     for digits_out, coeff in branches
                 ]
                 if not partial:
                     break
-            for digits, value in partial:
-                next_amplitudes[digits] += value
+            for digits, weight in partial:
+                value = amp * weight  # a new array, so it may be added to in place
+                total = next_amplitudes.get(digits)
+                if total is None:
+                    next_amplitudes[digits] = value
+                else:
+                    total += value
         amplitudes = next_amplitudes
 
-    n_out = profile[-1]
-    column = np.zeros(d**n_out, dtype=complex)
-    for digits, value in amplitudes.items():
-        column[digits_to_index(digits, d)] += value
-    return column
+    columns = np.zeros((d**wires_out, len(inputs)), dtype=complex)
+    for digits, amp in amplitudes.items():
+        columns[digits_to_index(digits, d)] += amp
+    return columns
+
+
+def evaluate_bruteforce(circuit: Circuit, input_basis_index: int) -> np.ndarray:
+    """Propagate one basis input by explicit summation over all intermediate
+    basis assignments; returns the output column as a complex vector.
+
+    The summation propagates a batch of basis inputs at once, one
+    amplitude per input on every assignment (evaluate_bruteforce_map runs
+    it on every input); here the batch holds this one input.  Independent
+    of evaluate: branch weights scale the amplitude vectors elementwise,
+    and no Kronecker products, reshapes or matrix multiplications are
+    involved.
+    """
+    profile = validate(circuit)
+    d = circuit.algebra.dim
+    n_in = circuit.wires_in
+    if not 0 <= input_basis_index < d**n_in:
+        raise ValueError(
+            f"input index {input_basis_index} out of range for {n_in} wires at dimension {d}"
+        )
+    return _bruteforce_columns(circuit, profile[-1], [input_basis_index])[:, 0]
+
+
+def evaluate_bruteforce_map(circuit: Circuit) -> LinearMap:
+    """The circuit's full linear map by one brute-force pass over every
+    basis input at once; the reference evaluate is checked against.
+
+    The map-entry limit is checked before the batch is allocated, as in
+    evaluate.
+    """
+    profile = validate(circuit)
+    d = circuit.algebra.dim
+    _check_map_entries(d, circuit.wires_in, max(profile))
+    columns = _bruteforce_columns(circuit, profile[-1], range(d**circuit.wires_in))
+    return LinearMap(d, circuit.wires_in, profile[-1], Tensor(columns))
 
 
 # --- controlled-NOT and gate-list compilation ------------------------------
@@ -460,16 +510,21 @@ def compile_gate_circuit(
 def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]) -> LinearMap:
     """Plain matrix product of the gate list, for checking compiled circuits.
 
-    Controlled-NOT acts as a basis permutation read off the group table;
-    no comultiplication is involved, so this shares nothing with the
+    Controlled-NOT acts as a basis permutation read off the group table:
+    the target digit of every basis index is replaced by the product of the
+    control and target digits, and the rows of the total move accordingly.
+    No comultiplication is involved, so this shares nothing with the
     compiled evaluation path.
     """
     d = algebra.dim
-    dim = d**wires
-    if dim > MAX_STATE_ENTRIES:
+    if wires > _max_wires(d):
         raise CircuitError(f"{wires} wires at dimension {d} exceeds the width limit")
+    _check_map_entries(d, wires, wires)
+    dim = d**wires
     total = np.eye(dim, dtype=complex)
-    mul = algebra.mul.array
+    product = np.argmax(algebra.mul.array, axis=2)  # product[a, b] = a * b
+    index = np.arange(dim)
+    digits = np.indices((d,) * wires).reshape(wires, dim)  # digits[k, i]: digit k of index i
     for gi, gate in enumerate(gates):
         if isinstance(gate, U1):
             if not 0 <= gate.wire < wires:
@@ -478,16 +533,17 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
                 np.kron(np.eye(d**gate.wire), np.asarray(gate.matrix, dtype=complex)),
                 np.eye(d ** (wires - gate.wire - 1)),
             )
+            total = m @ total
         else:
             c, t = gate.control, gate.target
             if not (0 <= c < wires and 0 <= t < wires) or c == t:
                 raise CircuitError(f"gate {gi}: bad wire pair ({c},{t}) for {wires} wires")
-            m = np.zeros((dim, dim), dtype=complex)
-            for col in range(dim):
-                digits = index_to_digits(col, d, wires)
-                digits[t] = int(np.argmax(mul[digits[c], digits[t]]))
-                m[digits_to_index(digits, d), col] = 1.0
-        total = m @ total
+            # row i of the total moves to row rows[i]; the group table makes
+            # rows a permutation
+            rows = index + (product[digits[c], digits[t]] - digits[t]) * d ** (wires - 1 - t)
+            moved = np.zeros_like(total)
+            moved[rows] = total
+            total = moved
     return LinearMap(d, wires, wires, Tensor(total))
 
 

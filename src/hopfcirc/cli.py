@@ -31,7 +31,7 @@ from .circuit import (
     digits_to_index,
     direct_gate_map,
     evaluate,
-    evaluate_bruteforce,
+    evaluate_bruteforce_map,
     index_to_digits,
     is_unitary,
     measure,
@@ -335,10 +335,8 @@ def _cmd_oracle_check(args) -> int:
     d = circuit.algebra.dim
     linmap = evaluate(circuit)
     n_inputs = d**linmap.wires_in
-    deviation = 0.0
-    for idx in range(n_inputs):
-        column = evaluate_bruteforce(circuit, idx)
-        deviation = max(deviation, float(np.max(np.abs(column - linmap.matrix.array[:, idx]))))
+    reference = evaluate_bruteforce_map(circuit)
+    deviation = float(np.max(np.abs(reference.matrix.array - linmap.matrix.array)))
     passed = deviation <= ORACLE_TOL
     if args.json:
         print(_dump_json({"inputs": n_inputs, "max_deviation": deviation, "passed": passed}))

@@ -22,8 +22,10 @@ from hopfcirc.circuit import (
     basis_state,
     build_cnot,
     digits_to_index,
+    direct_gate_map,
     evaluate,
     evaluate_bruteforce,
+    evaluate_bruteforce_map,
     index_to_digits,
     is_unitary,
     measure,
@@ -167,6 +169,26 @@ class TestLimits:
         c = Circuit(Z2, wires_in=12, layers=((COMUL,) + (ID,) * 11, (MUL,) + (ID,) * 11))
         with pytest.raises(CircuitError, match="map too large"):
             evaluate(c)
+
+    def test_bruteforce_map_refused_before_allocating(self):
+        # the same over-limit map: refused before the batch exists
+        c = Circuit(Z2, wires_in=12, layers=((COMUL,) + (ID,) * 11, (MUL,) + (ID,) * 11))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CircuitError, match="map too large"):
+                evaluate_bruteforce_map(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_direct_gate_map_refused_past_map_limit(self):
+        # 2^13 x 2^13 entries exceed the map limit, 2^20 x 2^20 would need 16 TiB
+        for wires in (13, 20):
+            with pytest.raises(CircuitError, match="map too large"):
+                direct_gate_map(Z2, wires, [])
+        with pytest.raises(CircuitError, match="width limit"):
+            direct_gate_map(Z2, 10**20, [])
 
 
 class TestRun:
@@ -313,7 +335,46 @@ def test_engine_matches_bruteforce_and_map(circuit, seed):
     assert np.max(np.abs(run(circuit, batch) - m @ batch)) <= 1e-12
 
 
+#: widest layer boundary per algebra for random_circuit, so that the
+#: per-column brute force stays quick at d = 6
+BATCH_MAX_WIRES = {"Z2": 5, "Z3": 4, "S3": 3}
+
+
+def annihilating_prefix(algebra, wires: int) -> tuple:
+    """Layers sending every basis input whose wire-0 digit is not 0 to zero:
+    copy wire 0, apply the discrete Fourier transform to the copy and take
+    its counit, which sums a column of the transform."""
+    d = algebra.dim
+    dft = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    rest = (ID,) * (wires - 1)
+    return ((COMUL,) + rest, (unitary("f", dft), ID) + rest, (COUNIT, ID) + rest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ENGINE_ALGEBRAS)), st.integers(0, 2**32 - 1), st.booleans())
+def test_bruteforce_map_matches_columns_and_engine(name, seed, annihilate):
+    algebra = ENGINE_ALGEBRAS[name]
+    c = random_circuit(np.random.default_rng(seed), algebra, max_wires=BATCH_MAX_WIRES[name])
+    if annihilate:
+        c = Circuit(algebra, c.wires_in, annihilating_prefix(algebra, c.wires_in) + c.layers)
+    got = evaluate_bruteforce_map(c)
+    want = evaluate(c)
+    assert (got.base_dim, got.wires_in, got.wires_out) == (want.base_dim, want.wires_in, want.wires_out)
+    m = got.matrix.array
+    assert m.shape == want.matrix.array.shape
+    for idx in range(m.shape[1]):
+        assert np.max(np.abs(m[:, idx] - evaluate_bruteforce(c, idx))) <= 1e-12
+    assert np.max(np.abs(m - want.matrix.array)) <= 1e-12
+    if annihilate:
+        d = algebra.dim
+        zero = [i for i in range(m.shape[1]) if index_to_digits(i, d, c.wires_in)[0] != 0]
+        assert np.max(np.abs(m[:, zero])) <= 1e-12
+
+
 class TestBruteForce:
+    def test_map_of_cnot_is_its_table(self):
+        assert np.array_equal(evaluate_bruteforce_map(build_cnot(Z2)).matrix.array, CNOT_TABLE)
+
     def test_cnot_flips_target_of_input_two(self):
         col = evaluate_bruteforce(build_cnot(Z2), 2)
         assert np.array_equal(col, basis_state(2, [1, 1]))

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from jsonschema import Draft7Validator
 
+import hopfcirc.cli
+from hopfcirc.circuit import evaluate
 from hopfcirc.cli import cli_run
+from hopfcirc.tensor import LinearMap, Tensor
 
 from helpers import REPO_ROOT
 
@@ -25,6 +28,24 @@ def run(capsys, argv):
     code = cli_run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: above both the 1e-12 oracle and the 1e-10 compile tolerance
+CORRUPTION = 1e-9
+
+
+@pytest.fixture
+def corrupt_evaluate(monkeypatch):
+    """Make the CLI's evaluate return a map with one entry of one column off
+    by CORRUPTION."""
+
+    def corrupted(circuit):
+        good = evaluate(circuit)
+        array = good.matrix.array.copy()
+        array[0, 1] += CORRUPTION
+        return LinearMap(good.base_dim, good.wires_in, good.wires_out, Tensor(array))
+
+    monkeypatch.setattr(hopfcirc.cli, "evaluate", corrupted)
 
 
 class TestCheckAxioms:
@@ -289,6 +310,13 @@ class TestCompile:
         assert err.startswith("error: validate:") and err.count("\n") == 1
         assert "wire must be an integer" in err
 
+    def test_one_corrupted_entry_exits_3(self, capsys, gatefile, corrupt_evaluate):
+        code, out, _ = run(capsys, ["compile", "--wires", "3", "--gates", gatefile, "--json"])
+        payload = json.loads(out)
+        check_schema(payload, "compile")
+        assert code == 3
+        assert payload["max_deviation"] == pytest.approx(CORRUPTION, rel=1e-6)
+
     def test_bad_gate_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[{"u1": {"wire": 0}}]')
@@ -395,6 +423,16 @@ class TestOracleCheck:
         check_schema(payload, "oracle_check")
         assert payload["passed"] and payload["inputs"] == 4
         assert payload["max_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("path", [CNOT_FILE, FIG2_FILE])
+    def test_one_corrupted_entry_exits_3(self, capsys, path, corrupt_evaluate):
+        code, out, _ = run(capsys, ["oracle-check", path, "--json"])
+        payload = json.loads(out)
+        check_schema(payload, "oracle_check")
+        assert code == 3 and payload["passed"] is False and payload["inputs"] == 4
+        assert payload["max_deviation"] == pytest.approx(CORRUPTION, rel=1e-6)
+        code, out, _ = run(capsys, ["oracle-check", path])
+        assert code == 3 and "oracle check: FAIL" in out
 
 
 class TestUsage:
