@@ -71,7 +71,9 @@ class HopfAlgebra:
     or builtin_algebra to obtain instances whose axioms are verified.
     """
 
-    __slots__ = ("dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode", "_maps")
+    __slots__ = (
+        "dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode", "_maps", "_deviations"
+    )
 
     def __init__(
         self,
@@ -115,6 +117,9 @@ class HopfAlgebra:
             "counit": as_linear_map(counit, d, 0, 1),
             "antipode": as_linear_map(permute_axes(antipode, (1, 0)), d, 1, 1),
         }
+        # raw per-family axiom deviations, filled by the first check_axioms
+        # call; they do not depend on its tolerance
+        self._deviations: dict[str, float] | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HopfAlgebra):
@@ -234,22 +239,35 @@ def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
     Families: associativity, unit, coassociativity, counit, the four
     bialgebra compatibility identities (reported as one family by their
     max deviation), and the antipode identity.
+
+    The circuits run only on the first call for a given algebra object: the
+    deviations do not depend on tol, so they are kept on the (immutable)
+    algebra and every call compares them with its own tol.  An algebra
+    from group_algebra has already been checked once at construction.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     _check_order(algebra.dim)
-    deviations: dict[str, float] = {}
-    for family, wires, left, right in _AXIOM_CIRCUITS:
-        lhs = evaluate(Circuit(algebra, wires, left)).matrix.array
-        rhs = evaluate(Circuit(algebra, wires, right)).matrix.array
-        deviation = float(np.max(np.abs(lhs - rhs)))
-        deviations[family] = max(deviations.get(family, 0.0), deviation)
-    commutative = deviations.pop("commutative") <= tol
-    cocommutative = deviations.pop("cocommutative") <= tol
+    deviations = algebra._deviations
+    if deviations is None:
+        deviations = {}
+        for family, wires, left, right in _AXIOM_CIRCUITS:
+            lhs = evaluate(Circuit(algebra, wires, left)).matrix.array
+            rhs = evaluate(Circuit(algebra, wires, right)).matrix.array
+            deviation = float(np.max(np.abs(lhs - rhs)))
+            deviations[family] = max(deviations.get(family, 0.0), deviation)
+        algebra._deviations = deviations
     checks = tuple(
-        AxiomCheck(name, dev, dev <= tol) for name, dev in deviations.items()
+        AxiomCheck(name, dev, dev <= tol)
+        for name, dev in deviations.items()
+        if name not in ("commutative", "cocommutative")
     )
-    return AxiomReport(tol=tol, checks=checks, commutative=commutative, cocommutative=cocommutative)
+    return AxiomReport(
+        tol=tol,
+        checks=checks,
+        commutative=deviations["commutative"] <= tol,
+        cocommutative=deviations["cocommutative"] <= tol,
+    )
 
 
 def z2_algebra() -> HopfAlgebra:
@@ -308,7 +326,9 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
     table[i][j] is the index of (element i) * (element j).  The table is
     validated exhaustively (permutation rows/columns, identity,
     associativity, inverses) before any tensor is built.  Orders too large
-    for check_axioms are refused first, before the O(d^3) validation.
+    for check_axioms are refused first, before the O(d^3) validation.  The
+    algebra's axioms are then checked once at 1e-12; a later check_axioms
+    call on the returned object reuses those deviations.
     """
     _check_order(len(table))
     identity = _validate_group_table(table)

@@ -132,9 +132,12 @@ class Primitive:
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise CircuitError(f"unitary {self.name!r} must be square, got shape {arr.shape}")
-        gram = arr.conj().T @ arr
-        dev = float(np.max(np.abs(gram - np.eye(arr.shape[0]))))
-        if dev > UNITARY_TOL:
+        # huge entries overflow the Gram matrix to inf or nan; that is a
+        # rejection, not a warning, and a nan deviation must not pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = arr.conj().T @ arr
+            dev = float(np.max(np.abs(gram - np.eye(arr.shape[0]))))
+        if not dev <= UNITARY_TOL:
             raise CircuitError(f"matrix for {self.name!r} is not unitary (deviation {dev:.2e})")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -184,6 +187,17 @@ def _max_wires(base_dim: int) -> int:
     return w
 
 
+def _check_widths(widths: Sequence[int], d: int) -> None:
+    """Refuse the first wire count above the width limit."""
+    limit = _max_wires(d)
+    for w in widths:
+        if w > limit:
+            raise CircuitError(
+                f"circuit too wide: {w} wires at dimension {d} exceeds "
+                f"{MAX_STATE_ENTRIES} state entries (at most {limit} wires)"
+            )
+
+
 def validate(circuit: Circuit) -> list[int]:
     """Thread wire counts through the layers; the profile has one entry per
     layer boundary, starting at wires_in."""
@@ -204,13 +218,7 @@ def validate(circuit: Circuit) -> list[int]:
                 )
         wires = sum(p.wires_out for p in layer)
         profile.append(wires)
-    limit = _max_wires(d)
-    for w in profile:
-        if w > limit:
-            raise CircuitError(
-                f"circuit too wide: {w} wires at dimension {d} exceeds "
-                f"{MAX_STATE_ENTRIES} state entries (at most {limit} wires)"
-            )
+    _check_widths(profile, d)
     return profile
 
 
@@ -474,8 +482,10 @@ def compile_gate_circuit(
     wires (control immediately left of target) becomes the two-layer
     copy/multiply block; any other control/target pair is bracketed by
     ladders of adjacent swaps that move the control next to the target and
-    unwind afterwards.
+    unwind afterwards.  A width above the state limit is refused before
+    any layer is built.
     """
+    _check_widths([wires], algebra.dim)
     n = wires
     layers: list[tuple[Primitive, ...]] = []
     for gi, gate in enumerate(gates):

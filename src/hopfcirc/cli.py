@@ -203,7 +203,7 @@ def _cmd_eval(args) -> int:
             "wires_in": linmap.wires_in,
             "wires_out": linmap.wires_out,
             "unitary": unitary,
-            "vector": {"re": [float(z.real) for z in out], "im": [float(z.imag) for z in out]},
+            "vector": {"re": out.real.tolist(), "im": out.imag.tolist()},
             "distribution": distribution.as_dict(),
         }
         print(_dump_json(payload))
@@ -370,7 +370,7 @@ def cli_run(argv: list[str] | None = None) -> int:
     except (CircuitError, GroupTableError) as exc:
         print(f"error: validate: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable input path, e.g. a directory
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

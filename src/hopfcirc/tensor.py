@@ -88,8 +88,8 @@ class LinearMap:
             "d": self.base_dim,
             "wires_in": self.wires_in,
             "wires_out": self.wires_out,
-            "re": [[float(x) for x in row] for row in m.real],
-            "im": [[float(x) for x in row] for row in m.imag],
+            "re": m.real.tolist(),
+            "im": m.imag.tolist(),
         }
 
 

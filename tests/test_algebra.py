@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfcirc.algebra
 from hopfcirc.algebra import (
+    _AXIOM_CIRCUITS,
     AlgebraElement,
     GroupTableError,
     HopfAlgebra,
@@ -314,6 +316,56 @@ class TestCheckAxioms:
         doc = check_axioms(z2_algebra(), 1e-12).as_dict()
         assert doc["passed"] is True
         assert {a["name"] for a in doc["axioms"]} == set(AXIOM_NAMES)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Circuits passed to the algebra module's evaluate, in call order."""
+    calls = []
+    real = hopfcirc.algebra.evaluate
+
+    def counting(circuit):
+        calls.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(hopfcirc.algebra, "evaluate", counting)
+    return calls
+
+
+class TestAxiomsEvaluatedOnce:
+    def test_second_tolerance_reuses_deviations(self, evaluate_calls):
+        h = z2_algebra()
+        mul = h.mul.array.copy()
+        mul[1, 1, 0] = 0.0
+        bad = HopfAlgebra(h.basis_labels, Tensor(mul), h.comul, h.unit, h.counit, h.antipode)
+        strict = check_axioms(bad, 0.0)
+        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
+        loose = check_axioms(bad, 1.0)
+        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
+        assert [(c.name, c.deviation) for c in strict.checks] == [
+            (c.name, c.deviation) for c in loose.checks
+        ]
+        # bialgebra and antipode deviate by exactly 1.0
+        assert {c.name for c in strict.checks if not c.passed} == {"bialgebra", "antipode"}
+        assert not strict.passed and loose.passed
+        assert (strict.tol, loose.tol) == (0.0, 1.0)
+
+    def test_group_algebra_self_check_is_reused(self, evaluate_calls):
+        h = builtin_algebra("S3")
+        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
+        report = check_axioms(h, 0.0)
+        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
+        assert report.passed and not report.commutative and report.cocommutative
+
+    def test_each_algebra_object_evaluates_once(self, evaluate_calls):
+        check_axioms(z2_algebra(), 1e-12)
+        check_axioms(z2_algebra(), 1e-12)
+        assert len(evaluate_calls) == 4 * len(_AXIOM_CIRCUITS)
+
+    def test_bad_arguments_refused_before_evaluating(self, evaluate_calls):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_axioms(z2_algebra(), -1.0)
+        assert evaluate_calls == []
 
 
 class TestResolution:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -516,6 +517,14 @@ class TestPrimitives:
     def test_unitary_factory_rejects_nonunitary(self):
         with pytest.raises(CircuitError, match="not unitary"):
             unitary("bad", [[1, 0], [0, 2]])
+
+    @pytest.mark.parametrize("entry", [1e308, np.nan, np.inf])
+    def test_unitary_factory_rejects_overflow_and_nan_quietly(self, entry):
+        # the Gram matrix overflows or is nan: rejected, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CircuitError, match="not unitary"):
+                unitary("bad", [[entry, 0], [0, 1]])
 
     def test_unitary_factory_rejects_nonsquare(self):
         with pytest.raises(CircuitError, match="square"):

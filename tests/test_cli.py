@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from jsonschema import Draft7Validator
 
+import hopfcirc.algebra
 import hopfcirc.cli
 from hopfcirc.circuit import evaluate
 from hopfcirc.cli import cli_run
@@ -134,6 +138,17 @@ class TestCheckAxioms:
         code, out, _ = run(capsys, ["check-axioms", "--algebra", table, "--json"])
         payload = json.loads(out)
         assert code == 0 and payload["passed"] and payload["dim"] == 12
+
+    def test_axiom_circuits_run_once(self, capsys, tmp_path, monkeypatch):
+        # group_algebra's self-check and the command's own check share one
+        # evaluation of the 14 identities (two circuits each)
+        calls = []
+        real = hopfcirc.algebra.evaluate
+        monkeypatch.setattr(hopfcirc.algebra, "evaluate", lambda c: calls.append(c) or real(c))
+        table = self.cyclic_table_file(tmp_path, 4)
+        code, out, _ = run(capsys, ["check-axioms", "--algebra", table, "--json"])
+        assert code == 0 and json.loads(out)["passed"]
+        assert len(calls) == 28
 
     @pytest.mark.parametrize("n", [17, 300])
     def test_order_above_limit_refused_fast(self, capsys, tmp_path, n):
@@ -317,6 +332,16 @@ class TestCompile:
         assert code == 3
         assert payload["max_deviation"] == pytest.approx(CORRUPTION, rel=1e-6)
 
+    @pytest.mark.parametrize("wires,pair", [(3000, [0, 2999]), (10**20, [0, 1])])
+    def test_too_wide_refused_fast(self, capsys, tmp_path, wires, pair):
+        path = tmp_path / "gates.json"
+        path.write_text(json.dumps([{"cnot": pair}]))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["compile", "--wires", str(wires), "--gates", str(path)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: validate: circuit too wide") and err.count("\n") == 1
+
     def test_bad_gate_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[{"u1": {"wire": 0}}]')
@@ -436,6 +461,48 @@ class TestOracleCheck:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "DIR", "--input", "0"],
+            ["sample", "DIR", "--input", "0", "--shots", "1", "--seed", "1"],
+            ["matrix", "DIR"],
+            ["oracle-check", "DIR"],
+            ["check-axioms", "--algebra", "DIR"],
+            ["compile", "--wires", "2", "--gates", "DIR"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_directory_path_exits_1(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,name,text",
+        [
+            (["eval", "FILE", "--input", "0"], "big.hopf",
+             "algebra Z2\nin 1\nunitary u [1e308, 0; 0, 1]\nlayer U(u)\n"),
+            (["compile", "--wires", "1", "--gates", "FILE"], "big.json",
+             json.dumps([{"u1": {"wire": 0, "matrix": {"re": [[1e308, 0], [0, 1]]}}}])),
+        ],
+        ids=["hopf", "gate-list"],
+    )
+    def test_overflowing_unitary_gives_one_stderr_line(self, tmp_path, argv, name, text):
+        # numpy warnings go to stderr, which only a separate process shows
+        path = tmp_path / name
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        src = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfcirc.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: validate: matrix for 'u' is not unitary")
+        assert proc.stderr.count("\n") == 1
+
     def test_no_command(self, capsys):
         code, _, err = run(capsys, [])
         assert code == 1 and err.startswith("error: usage:")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,13 @@ class TestCompileBasics:
             compile_gate_circuit(Z2, 2, [Cnot(0, 2)])
         with pytest.raises(CircuitError, match="out of range"):
             compile_gate_circuit(Z2, 2, [U1(5, HADAMARD)])
+
+    @pytest.mark.parametrize("wires,gate", [(3000, Cnot(0, 2999)), (10**20, Cnot(0, 1))])
+    def test_width_refused_before_building_layers(self, wires, gate):
+        start = time.perf_counter()
+        with pytest.raises(CircuitError, match="too wide"):
+            compile_gate_circuit(Z2, wires, [gate])
+        assert time.perf_counter() - start < 2.0
 
     def test_control_equals_target_rejected(self):
         with pytest.raises(CircuitError, match="differ"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,3 +130,16 @@ class TestLinearMap:
         doc = LinearMap(2, 1, 1, Tensor(np.eye(2))).to_json()
         assert doc["d"] == 2 and doc["re"] == [[1.0, 0.0], [0.0, 1.0]]
         assert doc["im"] == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_to_json_matches_per_element_conversion(self):
+        # signed zeros and subnormals must come out exactly as float() gives them
+        tiny = np.nextafter(0.0, 1.0)
+        arr = np.empty((2, 2), dtype=complex)
+        arr.real = [[-0.0, tiny], [-3 * tiny, 2.2250738585072014e-308]]
+        arr.imag = [[0.5, -0.0], [-tiny, 0.0]]
+        doc = LinearMap(2, 1, 1, Tensor(arr)).to_json()
+        for part, array in (("re", arr.real), ("im", arr.imag)):
+            want = [[float(x) for x in row] for row in array]
+            assert all(type(x) is float for row in doc[part] for x in row)
+            assert json.dumps(doc[part]) == json.dumps(want)
+        assert json.dumps(doc["re"][0]) == "[-0.0, 5e-324]"
