@@ -43,6 +43,7 @@ from .circuit import (
     apply,
     basis_state,
     build_cnot,
+    circuit_is_unitary,
     compile_gate_circuit,
     direct_gate_map,
     evaluate,

@@ -403,6 +403,10 @@ def load_group_table(path: str | Path) -> HopfAlgebra:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "labels" not in doc or "table" not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'labels' and 'table'")
+    extra = sorted(set(doc) - {"labels", "table"})
+    if extra:
+        raise GroupTableError(f"{path}: unexpected key(s) {', '.join(map(repr, extra))}; "
+                              "only 'labels' and 'table' are allowed")
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(lbl, str) for lbl in labels):
         raise ValueError(f"{path}: 'labels' must be a list of strings")

@@ -19,6 +19,13 @@ per input, and each branch weight scales that vector elementwise, so no
 reshape, matrix multiplication or Kronecker product is involved.
 evaluate_bruteforce is the same sum on a batch of one input.  The engine
 and the brute force share no code path and are tested against each other.
+
+circuit_is_unitary answers is_unitary(evaluate(circuit)) without the map
+where the layers prove it: a map between different wire counts is not
+unitary, and a square circuit of Id/Swap/Unitary/Antipode layers and
+copy-then-multiply pairs (the paper's controlled shift) is certified from
+the Gram deviations its primitives and algebra blocks carry.  Any other
+circuit falls back to the full map.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ __all__ = [
     "apply",
     "measure",
     "is_unitary",
+    "circuit_is_unitary",
     "basis_state",
     "basis_label",
     "index_to_digits",
@@ -110,6 +118,14 @@ class AnnihilatedStateError(ValueError):
 UNITARY_TOL = 1e-10
 
 
+def _gram_deviation(m: np.ndarray) -> float:
+    """Largest entry of |m^H m - I|.  Huge entries overflow the Gram matrix
+    to inf or nan; that gives an inf or nan deviation, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.conj().T @ m
+        return float(np.max(np.abs(gram - np.eye(m.shape[1]))))
+
+
 @dataclass(frozen=True, eq=False)
 class Primitive:
     kind: str
@@ -119,6 +135,9 @@ class Primitive:
     # for every primitive of every layer
     wires_in: int = field(init=False)
     wires_out: int = field(init=False)
+    # largest entry of matrix^H matrix - I, kept for circuit_is_unitary;
+    # 0.0 for the structure maps, whose matrices belong to the algebra
+    deviation: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.kind not in PRIMITIVES:
@@ -132,15 +151,12 @@ class Primitive:
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise CircuitError(f"unitary {self.name!r} must be square, got shape {arr.shape}")
-        # huge entries overflow the Gram matrix to inf or nan; that is a
-        # rejection, not a warning, and a nan deviation must not pass
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = arr.conj().T @ arr
-            dev = float(np.max(np.abs(gram - np.eye(arr.shape[0]))))
-        if not dev <= UNITARY_TOL:
+        dev = _gram_deviation(arr)
+        if not dev <= UNITARY_TOL:  # a nan deviation must not pass
             raise CircuitError(f"matrix for {self.name!r} is not unitary (deviation {dev:.2e})")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "deviation", dev)
 
     def __repr__(self) -> str:
         if self.kind == "Unitary":
@@ -198,6 +214,17 @@ def _check_widths(widths: Sequence[int], d: int) -> None:
             )
 
 
+def _check_unitary_shape(name: str | None, shape: Sequence[int], d: int, where: str = "") -> None:
+    """Refuse a unitary whose matrix is not d x d; where prefixes the message.
+    Callers that build a Primitive check this first, so no Gram matrix of a
+    wrong size is formed."""
+    if tuple(shape) != (d, d):
+        raise CircuitError(
+            f"{where}unitary {name!r} is {'x'.join(map(str, shape))} "
+            f"but the algebra dimension is {d}"
+        )
+
+
 def validate(circuit: Circuit) -> list[int]:
     """Thread wire counts through the layers; the profile has one entry per
     layer boundary, starting at wires_in."""
@@ -211,11 +238,8 @@ def validate(circuit: Circuit) -> list[int]:
         if consumed != wires:
             raise CircuitError(f"layer {i} consumes {consumed} wires, {wires} available")
         for p in layer:
-            if p.kind == "Unitary" and p.matrix.shape != (d, d):
-                raise CircuitError(
-                    f"layer {i}: unitary {p.name!r} is {p.matrix.shape[0]}x{p.matrix.shape[1]} "
-                    f"but the algebra dimension is {d}"
-                )
+            if p.kind == "Unitary":
+                _check_unitary_shape(p.name, p.matrix.shape, d, f"layer {i}: ")
         wires = sum(p.wires_out for p in layer)
         profile.append(wires)
     _check_widths(profile, d)
@@ -483,7 +507,8 @@ def compile_gate_circuit(
     copy/multiply block; any other control/target pair is bracketed by
     ladders of adjacent swaps that move the control next to the target and
     unwind afterwards.  A width above the state limit is refused before
-    any layer is built.
+    any layer is built, and a unitary of the wrong size before its
+    unitarity is checked.
     """
     _check_widths([wires], algebra.dim)
     n = wires
@@ -492,6 +517,7 @@ def compile_gate_circuit(
         if isinstance(gate, U1):
             if not 0 <= gate.wire < n:
                 raise CircuitError(f"gate {gi}: wire {gate.wire} out of range for {n} wires")
+            _check_unitary_shape(gate.name, np.shape(gate.matrix), algebra.dim, f"gate {gi}: ")
             layers.append(_padded(n, gate.wire, [unitary(gate.name, gate.matrix)], 1))
             continue
         if not isinstance(gate, Cnot):
@@ -626,9 +652,93 @@ def is_unitary(linmap: LinearMap, tol: float = 1e-10) -> bool:
     """True iff the map is square and its Gram matrix is the identity."""
     if linmap.wires_in != linmap.wires_out:
         return False
-    m = linmap.matrix.array
-    gram = m.conj().T @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[1])))) <= tol
+    return _gram_deviation(linmap.matrix.array) <= tol
+
+
+# --- unitarity without the full map ----------------------------------------
+
+#: layer kinds whose layer map is a Kronecker product of one-wire maps and
+#: wire permutations
+_PASSIVE_KINDS = frozenset({"Id", "Swap", "Unitary", "Antipode"})
+
+#: rounding allowance per layer, added to the certified deviation bound:
+#: evaluate's rounding grows with depth, so a deep circuit needs a smaller
+#: bound to be certified
+_ROUNDING_PER_LAYER = 64 * np.finfo(float).eps
+
+
+def _lone_kind_at(layer: tuple[Primitive, ...], kind: str) -> int | None:
+    """Index of the one primitive of the given kind in a layer that is
+    otherwise all Id, else None."""
+    at = None
+    for i, prim in enumerate(layer):
+        if prim.kind == kind and at is None:
+            at = i
+        elif prim.kind != "Id":
+            return None
+    return at
+
+
+def _deviation_bound(circuit: Circuit) -> float | None:
+    """Upper bound on the spectral norm of M^H M - I for the circuit's map
+    M, read off its layers, or None when some layer fits no pattern.
+
+    A layer of Id, Swap, Unitary and Antipode is a Kronecker product of
+    k x k maps up to a wire permutation, and a Comul at wire p followed by
+    Ids and a Mul on wires p+1, p+2 is build_cnot's map on wires p, p+1.
+    A block whose Gram matrix is off by dev in its largest entry is off by
+    at most k * dev in spectral norm, and such bounds e_i combine over
+    Kronecker products and compositions as prod(1 + e_i) - 1.  The
+    deviations of the antipode and of build_cnot's map are computed only
+    when a layer needs them.
+    """
+    algebra = circuit.algebra
+    d = algebra.dim
+    antipode = cnot = None  # the algebra blocks' bounds, once needed
+    log_bound = 0.0  # sum of log(1 + e_i)
+    layers = circuit.layers
+    i = 0
+    while i < len(layers):
+        layer = layers[i]
+        if all(prim.kind in _PASSIVE_KINDS for prim in layer):
+            for prim in layer:
+                if prim.kind == "Unitary":
+                    log_bound += math.log1p(d * prim.deviation)
+                elif prim.kind == "Antipode":
+                    if antipode is None:
+                        antipode = d * _gram_deviation(algebra.antipode_map().matrix.array)
+                    log_bound += math.log1p(antipode)
+            i += 1
+            continue
+        p = _lone_kind_at(layer, "Comul")
+        if p is None or i + 1 == len(layers) or _lone_kind_at(layers[i + 1], "Mul") != p + 1:
+            return None
+        if cnot is None:
+            cnot = d * d * _gram_deviation(evaluate(build_cnot(algebra)).matrix.array)
+        log_bound += math.log1p(cnot)
+        i += 2
+    return math.expm1(log_bound)
+
+
+def circuit_is_unitary(circuit: Circuit) -> bool:
+    """is_unitary(evaluate(circuit)), without the map where the layer
+    structure proves the answer.
+
+    A circuit with wires_in != wires_out is not unitary.  A square circuit
+    built only of Id/Swap/Unitary/Antipode layers and copy-then-multiply
+    layer pairs is certified unitary when the bound of _deviation_bound,
+    plus a rounding allowance per layer, stays under UNITARY_TOL / 10: the
+    exact map is then that close to unitary, which leaves nine tenths of
+    UNITARY_TOL for the rounding of evaluate and is_unitary.  Every other
+    circuit falls back to the full map, and so to its size limit.
+    """
+    profile = validate(circuit)
+    if profile[0] != profile[-1]:
+        return False
+    bound = _deviation_bound(circuit)
+    if bound is not None and bound + len(circuit.layers) * _ROUNDING_PER_LAYER <= UNITARY_TOL / 10:
+        return True
+    return is_unitary(evaluate(circuit))
 
 
 # --- basis bookkeeping ------------------------------------------------------

@@ -12,6 +12,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,15 +26,15 @@ from .circuit import (
     CircuitError,
     Cnot,
     U1,
+    _check_map_entries,
     basis_label,
     basis_state,
+    circuit_is_unitary,
     compile_gate_circuit,
-    digits_to_index,
     direct_gate_map,
     evaluate,
     evaluate_bruteforce_map,
     index_to_digits,
-    is_unitary,
     measure,
     run,
     validate,
@@ -81,7 +82,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused: parsing
+    does not change it."""
     parser = _Parser(
         prog="hopfcirc",
         description="Circuits as compositions of Hopf-algebra structure maps. " + _BASIS_NOTE,
@@ -188,10 +192,13 @@ def _format_vector(vec: np.ndarray, d: int, wires: int) -> list[str]:
 def _cmd_eval(args) -> int:
     circuit = _load_circuit(args.file)
     d = circuit.algebra.dim
-    linmap = evaluate(circuit)
-    digits = _parse_input_digits(args.input, d, linmap.wires_in)
-    out = linmap.matrix.array[:, digits_to_index(digits, d)]
-    unitary = is_unitary(linmap)
+    profile = validate(circuit)
+    wires_in, wires_out = profile[0], profile[-1]
+    # no map is built, but eval keeps the same size limit as matrix
+    _check_map_entries(d, wires_in, max(profile))
+    digits = _parse_input_digits(args.input, d, wires_in)
+    out = run(circuit, basis_state(d, digits)[:, None])[:, 0]
+    unitary = circuit_is_unitary(circuit)
     distribution = None
     if args.json or not unitary:
         distribution = measure(out, d)
@@ -200,8 +207,8 @@ def _cmd_eval(args) -> int:
         payload = {
             "input": args.input,
             "d": d,
-            "wires_in": linmap.wires_in,
-            "wires_out": linmap.wires_out,
+            "wires_in": wires_in,
+            "wires_out": wires_out,
             "unitary": unitary,
             "vector": {"re": out.real.tolist(), "im": out.imag.tolist()},
             "distribution": distribution.as_dict(),
@@ -210,10 +217,10 @@ def _cmd_eval(args) -> int:
         return EXIT_OK
 
     print(f"input {args.input}")
-    print(f"map: {linmap.wires_in} -> {linmap.wires_out} wires (d={d}), "
+    print(f"map: {wires_in} -> {wires_out} wires (d={d}), "
           f"{'unitary' if unitary else 'not unitary'}")
     print("output vector:")
-    for line in _format_vector(out, d, linmap.wires_out):
+    for line in _format_vector(out, d, wires_out):
         print(line)
     if distribution is not None:
         print(f"distribution (norm_in={distribution.norm_in!r}):")
@@ -285,6 +292,8 @@ def _load_gates(path: str) -> list[Cnot | U1]:
 
 
 def _cmd_compile(args) -> int:
+    if args.wires < 0:
+        raise ValueError(f"--wires must be nonnegative, got {args.wires}")
     algebra = resolve_algebra("Z2")
     gates = _load_gates(args.gates)
     circuit = compile_gate_circuit(algebra, args.wires, gates)
@@ -309,6 +318,8 @@ def _cmd_compile(args) -> int:
 def _cmd_sample(args) -> int:
     if not 1 <= args.shots <= MAX_SHOTS:
         raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {args.shots}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     circuit = _load_circuit(args.file)
     d = circuit.algebra.dim
     validate(circuit)

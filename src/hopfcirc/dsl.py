@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import resolve_algebra
-from .circuit import PRIMITIVES, Circuit, CircuitError, Primitive, unitary
+from .circuit import PRIMITIVES, Circuit, CircuitError, Primitive, _check_unitary_shape, unitary
 
 __all__ = [
     "ParseError",
@@ -334,6 +334,9 @@ def to_circuit(doc: CircuitDocument) -> Circuit:
                 f"preset {udef.preset} defines a 2x2 matrix but algebra "
                 f"{doc.algebra_name!r} has dimension {algebra.dim}"
             )
+        if udef.rows is not None:  # before the Gram check, which is cubic in the size
+            shape = (len(udef.rows), len(udef.rows[0]) if udef.rows else 0)
+            _check_unitary_shape(name, shape, algebra.dim)
         prims[name] = unitary(name, udef.matrix())
     layers = tuple(
         tuple(_PRIMITIVE_BY_TOKEN[t] if isinstance(t, str) else prims[t[1]] for t in layer)

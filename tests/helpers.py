@@ -155,15 +155,73 @@ def random_circuit(rng: np.random.Generator, algebra, max_wires: int = 4, max_la
     return Circuit(algebra, wires_in, tuple(layers))
 
 
-def random_gate_list(rng: np.random.Generator, wires: int, n_gates: int) -> list:
+def random_gate_list(rng: np.random.Generator, wires: int, n_gates: int, d: int = 2) -> list:
     gates = []
     for _ in range(n_gates):
         if wires >= 2 and rng.random() < 0.5:
             c, t = rng.choice(wires, size=2, replace=False)
             gates.append(Cnot(int(c), int(t)))
         else:
-            gates.append(U1(int(rng.integers(wires)), haar_unitary(rng, 2), "u"))
+            gates.append(U1(int(rng.integers(wires)), haar_unitary(rng, d), "u"))
     return gates
+
+
+def near_unitary(rng: np.random.Generator, d: int, deviation: float) -> np.ndarray:
+    """Haar unitary scaled so that its Gram matrix is (1 + deviation) I."""
+    return haar_unitary(rng, d) * np.sqrt(1.0 + deviation)
+
+
+def _lone(n: int, at: int, prim) -> tuple:
+    """Layer of n primitives: prim at index at, Id elsewhere."""
+    return (ID,) * at + (prim,) + (ID,) * (n - at - 1)
+
+
+def certificate_circuit(rng: np.random.Generator, algebra, max_wires: int = 4, max_blocks: int = 8) -> Circuit:
+    """Random square circuit made of the layer patterns a structural
+    unitarity certificate reads, and of near misses to them.
+
+    Blocks: layers of Id/Swap/Unitary/Antipode; copy-then-multiply pairs
+    (Comul at wire p, then Mul on wires p+1, p+2); a Mul on any wires after
+    the Comul; a layer between the Comul and the Mul; Unit then Counit; and
+    one near-unitary matrix, with a Gram deviation from 1e-14 up to just
+    under 1e-10, repeated up to 40 times on one wire so that the product
+    may drift past 1e-10.  Every layer boundary stays within max_wires.
+    """
+    d = algebra.dim
+    n = int(rng.integers(1, max_wires))  # a pair adds one wire
+    deviation = 10.0 ** rng.uniform(-14, -10.0001)
+    near = unitary("near", near_unitary(rng, d, deviation))
+
+    def passive(width: int) -> tuple:
+        layer = []
+        while len(layer) < width:  # Swap takes two slots
+            pick = int(rng.integers(5 if width - len(layer) >= 2 else 4))
+            if pick == 4:
+                layer.append(SWAP)
+                layer.append(None)
+            else:
+                layer.append((ID, ANTIPODE, near, unitary("h", haar_unitary(rng, d)))[pick])
+        return tuple(p for p in layer if p is not None)
+
+    layers: list[tuple] = []
+    for _ in range(int(rng.integers(0, max_blocks + 1))):
+        block = rng.choice(["passive", "pair", "misplaced", "split", "unit", "repeat"])
+        if block == "passive":
+            layers.append(passive(n))
+        elif block == "pair" and n >= 2:
+            p = int(rng.integers(n - 1))
+            layers += [_lone(n, p, COMUL), _lone(n, p + 1, MUL)]
+        elif block == "misplaced":
+            layers += [_lone(n, int(rng.integers(n)), COMUL), _lone(n, int(rng.integers(n)), MUL)]
+        elif block == "split":
+            p = int(rng.integers(n))
+            layers += [_lone(n, p, COMUL), passive(n + 1), _lone(n, min(p + 1, n - 1), MUL)]
+        elif block == "unit":
+            layers += [(UNIT,) + (ID,) * n, _lone(n + 1, int(rng.integers(n + 1)), COUNIT)]
+        elif block == "repeat":
+            at = int(rng.integers(n))
+            layers += [_lone(n, at, near)] * int(rng.integers(1, 41))
+    return Circuit(algebra, n, tuple(layers))
 
 
 def simulate_gates_rowwise(wires: int, gates: list) -> np.ndarray:

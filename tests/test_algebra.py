@@ -389,6 +389,13 @@ class TestResolution:
         with pytest.raises(ValueError, match="labels"):
             load_group_table(path)
 
+    def test_load_rejects_extra_keys(self, tmp_path):
+        # schemas/group_table.schema.json: "additionalProperties": false
+        path = tmp_path / "extra.json"
+        path.write_text('{"labels": ["e", "x"], "table": [[0, 1], [1, 0]], "extra": 1}')
+        with pytest.raises(GroupTableError, match="unexpected key.*'extra'"):
+            load_group_table(path)
+
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"labels": ["e"]}')

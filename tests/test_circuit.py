@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcirc.algebra import builtin_algebra, group_algebra, z2_algebra
+import hopfcirc.circuit
+from hopfcirc.algebra import HopfAlgebra, builtin_algebra, group_algebra, z2_algebra
 from hopfcirc.circuit import (
     ANTIPODE,
     COMUL,
@@ -22,6 +23,8 @@ from hopfcirc.circuit import (
     apply,
     basis_state,
     build_cnot,
+    circuit_is_unitary,
+    compile_gate_circuit,
     digits_to_index,
     direct_gate_map,
     evaluate,
@@ -35,7 +38,9 @@ from hopfcirc.circuit import (
     validate,
 )
 
-from helpers import haar_unitary, random_circuit
+from hopfcirc.tensor import Tensor
+
+from helpers import certificate_circuit, haar_unitary, near_unitary, random_circuit, random_gate_list
 
 Z2 = z2_algebra()
 Z3 = builtin_algebra("Z3")
@@ -511,6 +516,123 @@ class TestIsUnitary:
         rng = np.random.default_rng(31)
         u = unitary("r", haar_unitary(rng, 2))
         assert is_unitary(one_layer_map(Z2, (u, ID)))
+
+
+def perturbed_z2(mul_scale: float, antipode_scale: float) -> HopfAlgebra:
+    """Z2 with its multiplication and antipode scaled, so that the CNOT
+    block and the antipode are off from unitary by about twice the excess
+    of each scale over 1."""
+    z2 = z2_algebra()
+    return HopfAlgebra(
+        z2.basis_labels,
+        mul=Tensor(z2.mul.array * mul_scale),
+        comul=z2.comul,
+        unit=z2.unit,
+        counit=z2.counit,
+        antipode=Tensor(z2.antipode.array * antipode_scale),
+    )
+
+
+#: widest layer boundary per algebra, so that the full map stays small
+CERTIFICATE_MAX_WIRES = {"Z2": 5, "Z3": 4, "S3": 3, "perturbed Z2": 5}
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.sampled_from(sorted(CERTIFICATE_MAX_WIRES)),
+    st.sampled_from(["random", "compiled", "structured"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_certificate_agrees_with_map(name, family, seed):
+    rng = np.random.default_rng(seed)
+    if name == "perturbed Z2":
+        algebra = perturbed_z2(1 + 10.0 ** rng.uniform(-15, -9), 1 + 10.0 ** rng.uniform(-15, -9))
+    else:
+        algebra = ENGINE_ALGEBRAS[name]
+    max_wires = CERTIFICATE_MAX_WIRES[name]
+    if family == "random":
+        c = random_circuit(rng, algebra, max_wires=max_wires)
+    elif family == "compiled":
+        wires = int(rng.integers(1, max_wires))
+        gates = random_gate_list(rng, wires, int(rng.integers(0, 12)), algebra.dim)
+        c = compile_gate_circuit(algebra, wires, gates)
+    else:
+        c = certificate_circuit(rng, algebra, max_wires=max_wires)
+    assert circuit_is_unitary(c) == is_unitary(evaluate(c))
+
+
+class TestCircuitIsUnitary:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Record the input width of every circuit whose full map is built."""
+        widths = []
+
+        def recording(circuit):
+            widths.append(circuit.wires_in)
+            return evaluate(circuit)
+
+        monkeypatch.setattr(hopfcirc.circuit, "evaluate", recording)
+        return widths
+
+    def test_compiled_circuit_certified_without_its_map(self, evaluated):
+        gates = random_gate_list(np.random.default_rng(5), 6, 40)
+        assert circuit_is_unitary(compile_gate_circuit(Z2, 6, gates))
+        assert evaluated == [2]  # only build_cnot's map, for its deviation
+
+    def test_wide_identity_certified_without_its_map(self, evaluated):
+        assert circuit_is_unitary(Circuit(Z2, 20, ((ID,) * 20,)))
+        assert circuit_is_unitary(Circuit(Z2, 3, ()))
+        assert evaluated == []
+
+    def test_non_square_is_false_without_its_map(self, evaluated):
+        assert not circuit_is_unitary(generalized_circuit(HADAMARD))
+        assert evaluated == []
+
+    def test_misplaced_multiply_falls_back(self, evaluated):
+        # copy wire 0, then multiply wires 0 and 1: (g, h) -> (g*g, h), which
+        # for Z2 forgets g
+        c = Circuit(Z2, 2, ((COMUL, ID), (MUL, ID)))
+        assert not circuit_is_unitary(c)
+        assert evaluated == [2]
+
+    def test_unit_counit_pair_falls_back(self, evaluated):
+        # x -> unit (x) x -> counit(unit) x = x
+        assert circuit_is_unitary(Circuit(Z2, 1, ((UNIT, ID), (COUNIT, ID))))
+        assert evaluated == [1]
+
+    @pytest.mark.parametrize("repeats,expected", [(1, True), (2, False)])
+    def test_near_edge_unitary_falls_back(self, evaluated, repeats, expected):
+        # each factor is accepted on its own; two of them drift past 1e-10
+        u = unitary("near", near_unitary(np.random.default_rng(9), 2, 0.99e-10))
+        c = Circuit(Z2, 1, ((u,),) * repeats)
+        assert circuit_is_unitary(c) is expected
+        assert evaluated == [1]
+
+    def test_small_deviations_certified_until_the_margin(self, evaluated):
+        u = unitary("near", near_unitary(np.random.default_rng(3), 2, 1e-13))
+        assert circuit_is_unitary(Circuit(Z2, 1, ((u,),) * 10))
+        assert evaluated == []
+        # 100 factors bound the deviation by about 2e-11, over the margin of
+        # 1e-11, so the map decides; its deviation is about 1e-11
+        assert circuit_is_unitary(Circuit(Z2, 1, ((u,),) * 100))
+        assert evaluated == [1]
+
+    def test_algebra_blocks_checked(self, evaluated):
+        # a CNOT block or an antipode off by ~2e-9 is no certificate: the map
+        # decides, after build_cnot's map gave the block's deviation
+        assert not circuit_is_unitary(build_cnot(perturbed_z2(1 + 1e-9, 1.0)))
+        assert evaluated == [2, 2]
+        assert not circuit_is_unitary(Circuit(perturbed_z2(1.0, 1 + 1e-9), 1, ((ANTIPODE,),)))
+        assert evaluated == [2, 2, 1]
+        assert circuit_is_unitary(Circuit(Z3, 2, ((ANTIPODE, ID), (COMUL, ID), (ID, MUL))))
+        assert evaluated == [2, 2, 1, 2]
+
+    def test_primitive_keeps_its_deviation(self):
+        assert unitary("h", HADAMARD).deviation <= 1e-15
+        assert unitary("near", near_unitary(np.random.default_rng(1), 2, 5e-11)).deviation == (
+            pytest.approx(5e-11, rel=1e-4)
+        )
+        assert ID.deviation == 0.0
 
 
 class TestPrimitives:

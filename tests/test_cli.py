@@ -1,20 +1,30 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 import hopfcirc.algebra
+import hopfcirc.circuit
 import hopfcirc.cli
-from hopfcirc.circuit import evaluate
+from hopfcirc.algebra import builtin_algebra
+from hopfcirc.circuit import compile_gate_circuit, evaluate, index_to_digits, is_unitary, measure
 from hopfcirc.cli import cli_run
+from hopfcirc.dsl import circuit_to_document, print_circuit
 from hopfcirc.tensor import LinearMap, Tensor
 
-from helpers import REPO_ROOT
+from helpers import REPO_ROOT, certificate_circuit, random_circuit, random_gate_list
 
 CNOT_FILE = str(REPO_ROOT / "circuits" / "cnot.hopf")
 FIG2_FILE = str(REPO_ROOT / "circuits" / "fig2.hopf")
@@ -32,6 +42,20 @@ def run(capsys, argv):
     code = cli_run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def gram_sizes(monkeypatch):
+    """Record the side of every matrix whose Gram deviation is computed."""
+    sizes = []
+    gram_deviation = hopfcirc.circuit._gram_deviation
+
+    def recording(m):
+        sizes.append(m.shape[1])
+        return gram_deviation(m)
+
+    monkeypatch.setattr(hopfcirc.circuit, "_gram_deviation", recording)
+    return sizes
 
 
 #: above both the 1e-12 oracle and the 1e-10 compile tolerance
@@ -81,6 +105,13 @@ class TestCheckAxioms:
         }))
         code, out, _ = run(capsys, ["check-axioms", "--algebra", str(table), "--json"])
         assert code == 0 and json.loads(out)["dim"] == 6
+
+    def test_extra_top_level_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({"labels": ["e", "x"], "table": [[0, 1], [1, 0]], "extra": 1}))
+        code, out, err = run(capsys, ["check-axioms", "--algebra", str(path)])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: validate:") and "'extra'" in err
 
     def test_non_group_table_exits_2(self, capsys, tmp_path):
         table = tmp_path / "bad.json"
@@ -259,6 +290,37 @@ class TestEval:
         code, _, err = run(capsys, ["eval", "nope.hopf", "--input", "0"])
         assert code == 1 and err.startswith("error: usage:")
 
+    def test_wide_identity_without_the_map(self, capsys, tmp_path):
+        # the full map would be 4096 x 4096 complex entries, 256 MiB
+        path = tmp_path / "id12.hopf"
+        path.write_text("algebra Z2\nin 12\nlayer " + ", ".join(["ID"] * 12) + "\n")
+        argv = ["eval", str(path), "--input", "101100111000", "--json"]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv)
+        assert time.perf_counter() - start < 0.1
+        payload = json.loads(out)
+        assert code == 0 and payload["unitary"] is True
+        assert (payload["wires_in"], payload["wires_out"]) == (12, 12)
+        assert payload["distribution"]["outcomes"] == {"101100111000": 1.0}
+        tracemalloc.start()
+        try:
+            assert run(capsys, argv)[1] == out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_oversized_unitary_refused_before_its_gram_matrix(self, capsys, tmp_path, gram_sizes):
+        rows = "; ".join(", ".join("1" if i == j else "0" for j in range(200)) for i in range(200))
+        path = tmp_path / "big.hopf"
+        path.write_text(f"algebra Z2\nin 1\nunitary big [{rows}]\nlayer ID\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["eval", str(path), "--input", "0"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err == "error: validate: unitary 'big' is 200x200 but the algebra dimension is 2\n"
+        assert gram_sizes == []
+
 
 class TestMatrix:
     def test_text_output(self, capsys):
@@ -342,6 +404,23 @@ class TestCompile:
         assert code == 2 and out == ""
         assert err.startswith("error: validate: circuit too wide") and err.count("\n") == 1
 
+    def test_oversized_unitary_refused_before_its_gram_matrix(self, capsys, tmp_path, gram_sizes):
+        n = 1000
+        identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([{"cnot": [0, 1]}, {"u1": {"wire": 1, "matrix": {"re": identity}}}]))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["compile", "--wires", "2", "--gates", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err == f"error: validate: gate 1: unitary 'u' is {n}x{n} but the algebra dimension is 2\n"
+        assert gram_sizes == []
+
+    def test_negative_wires_refused_before_reading(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["compile", "--wires", "-1", "--gates", str(tmp_path / "none.json")])
+        assert code == 2 and out == ""
+        assert err == "error: validate: --wires must be nonnegative, got -1\n"
+
     def test_bad_gate_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[{"u1": {"wire": 0}}]')
@@ -400,6 +479,12 @@ class TestSample:
     def test_bad_shots_exit_2(self, capsys):
         code, _, _ = run(capsys, ["sample", FIG2_FILE, "--input", "10", "--shots", "0", "--seed", "1"])
         assert code == 2
+
+    def test_negative_seed_refused_before_reading(self, capsys, tmp_path):
+        argv = ["sample", str(tmp_path / "none.hopf"), "--input", "10", "--shots", "5", "--seed", "-1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: validate: --seed must be nonnegative, got -1\n"
 
 
 class TestLimits:
@@ -514,3 +599,60 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, ["--help"])
         assert code == 0 and "leftmost" in out
+
+    def test_parser_reused_across_calls(self, capsys):
+        _, first, _ = run(capsys, ["--help"])
+        assert run(capsys, ["eval", CNOT_FILE])[0] == 1  # --input missing
+        assert run(capsys, ["eval", CNOT_FILE, "--input", "10"])[0] == 0
+        assert run(capsys, ["--help"])[1] == first
+        assert hopfcirc.cli._build_parser() is hopfcirc.cli._build_parser()
+
+
+#: built-in algebras and the widest layer boundary their circuits may reach
+EVAL_ALGEBRAS = {"Z2": 5, "Z3": 4, "S3": 3}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(EVAL_ALGEBRAS)),
+    st.sampled_from(["random", "compiled", "structured"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_eval_matches_map_column(name, family, seed):
+    """eval pushes one state and reads the flag off the layers where it
+    can; the full map's column, flag and wire counts must agree."""
+    rng = np.random.default_rng(seed)
+    algebra = builtin_algebra(name)
+    d, max_wires = algebra.dim, EVAL_ALGEBRAS[name]
+    if family == "random":
+        c = random_circuit(rng, algebra, max_wires=max_wires)
+    elif family == "compiled":
+        wires = int(rng.integers(1, max_wires))
+        c = compile_gate_circuit(algebra, wires, random_gate_list(rng, wires, int(rng.integers(0, 12)), d))
+    else:
+        c = certificate_circuit(rng, algebra, max_wires=max_wires)
+    linmap = evaluate(c)
+    index = int(rng.integers(d**c.wires_in))
+    digits = index_to_digits(index, d, c.wires_in)
+    column = linmap.matrix.array[:, index]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.hopf"
+        path.write_text(print_circuit(circuit_to_document(c, name)))
+        stdout = io.StringIO()  # hypothesis rules out function-scoped fixtures like capsys
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_run(["eval", str(path), "--input", ",".join(map(str, digits)), "--json"])
+    if code == 4:  # annihilated
+        assert np.max(np.abs(column)) <= 1e-12
+        return
+    assert code == 0
+    payload = json.loads(stdout.getvalue())
+    assert payload["unitary"] == is_unitary(linmap)
+    assert (payload["wires_in"], payload["wires_out"]) == (linmap.wires_in, linmap.wires_out)
+    vector = np.array(payload["vector"]["re"]) + 1j * np.array(payload["vector"]["im"])
+    assert np.max(np.abs(vector - column)) <= 1e-12
+    want = measure(column, d)
+    got = payload["distribution"]
+    assert abs(got["norm_in"] - want.norm_in) <= 1e-12
+    want_outcomes = dict(want.entries)
+    for label in set(got["outcomes"]) | set(want_outcomes):
+        assert abs(got["outcomes"].get(label, 0.0) - want_outcomes.get(label, 0.0)) <= 1e-12
