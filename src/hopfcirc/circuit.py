@@ -20,6 +20,13 @@ reshape, matrix multiplication or Kronecker product is involved.
 evaluate_bruteforce is the same sum on a batch of one input.  The engine
 and the brute force share no code path and are tested against each other.
 
+The engine runs a plan, compiled once per circuit on first use and kept on
+the (immutable) circuit, so run, evaluate and circuit_is_unitary share one
+validation and one walk over the layers.  The plan has one step per
+primitive that does arithmetic: Ids give no step, and each run of Swaps
+folds into one axis permutation applied before the next step (or at the
+end).
+
 circuit_is_unitary answers is_unitary(evaluate(circuit)) without the map
 where the layers prove it: a map between different wire counts is not
 unitary, and a square circuit of Id/Swap/Unitary/Antipode layers and
@@ -184,6 +191,9 @@ class Circuit:
     algebra: HopfAlgebra
     wires_in: int
     layers: tuple[tuple[Primitive, ...], ...] = field(default=())
+    # the engine plan, built by _plan on first use; the circuit is immutable,
+    # so the plan never goes stale
+    _cached_plan: _Plan | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(tuple(layer) for layer in self.layers))
@@ -234,13 +244,13 @@ def validate(circuit: Circuit) -> list[int]:
     for i, layer in enumerate(circuit.layers):
         if not layer:
             raise CircuitError(f"layer {i} is empty")
-        consumed = sum(p.wires_in for p in layer)
+        consumed = sum([p.wires_in for p in layer])
         if consumed != wires:
             raise CircuitError(f"layer {i} consumes {consumed} wires, {wires} available")
         for p in layer:
             if p.kind == "Unitary":
                 _check_unitary_shape(p.name, p.matrix.shape, d, f"layer {i}: ")
-        wires = sum(p.wires_out for p in layer)
+        wires = sum([p.wires_out for p in layer])
         profile.append(wires)
     _check_widths(profile, d)
     return profile
@@ -257,42 +267,110 @@ def _check_map_entries(d: int, wires_in: int, widest: int) -> None:
         )
 
 
-def _push(circuit: Circuit, columns: np.ndarray) -> np.ndarray:
-    """run without validation: columns is (d^wires_in, batch).
+class _Step(NamedTuple):
+    """One primitive of the plan that does arithmetic: matrix acts on wires
+    pos..pos+wires_in-1 of the state after perm (None: no reordering)."""
+
+    perm: tuple[int, ...] | None  # perm[i] is the state axis holding wire i
+    pos: int
+    wires_in: int
+    wires_out: int
+    matrix: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """A validated circuit compiled for the engine."""
+
+    dim: int
+    profile: tuple[int, ...]
+    steps: tuple[_Step, ...]
+    final_perm: tuple[int, ...] | None
+
+
+def _perm_or_none(axes: list[int] | None) -> tuple[int, ...] | None:
+    """axes as a permutation, or None when the Swaps left every wire in place."""
+    if axes is None:
+        return None
+    perm = tuple(axes)
+    return None if perm == tuple(range(len(perm))) else perm
+
+
+def _build_plan(circuit: Circuit) -> _Plan:
+    """Validate once, then walk the layers once.
 
     Within a layer the primitives act on disjoint wires, so their order is
     free: the shrinking and width-preserving ones go first and Comul/Unit
-    second, and the state is never wider than the wider layer boundary.
+    after them, and the state is never wider than the wider layer boundary.
+    Id gives no step, and the Swaps before a step fold into its permutation.
     """
-    d = circuit.algebra.dim
-    matrices = {
-        kind: getattr(circuit.algebra, spec.map_method)().matrix.array
-        for kind, spec in PRIMITIVES.items()
-        if spec.map_method
-    }
-    batch = columns.shape[1]
-    state = columns.reshape((d,) * circuit.wires_in + (batch,))
+    profile = validate(circuit)
+    algebra = circuit.algebra
+    matrices: dict[str, np.ndarray] = {}  # the algebra's structure maps, fetched when first met
+    steps = []
+    width = circuit.wires_in
+    axes = None  # axes[i]: the state axis holding wire i, once a Swap moved one
+
+    def step(pos: int, prim: Primitive) -> None:
+        nonlocal axes, width
+        matrix = prim.matrix if prim.kind == "Unitary" else matrices.get(prim.kind)
+        if matrix is None:
+            matrix = getattr(algebra, PRIMITIVES[prim.kind].map_method)().matrix.array
+            matrices[prim.kind] = matrix
+        steps.append(_Step(_perm_or_none(axes), pos, prim.wires_in, prim.wires_out, matrix))
+        axes = None
+        width += prim.wires_out - prim.wires_in
+
     for layer in circuit.layers:
-        for growing in (False, True):
-            pos = 0  # axis of the next primitive's first wire
-            for prim in layer:
-                if (prim.wires_out > prim.wires_in) != growing:
-                    # not applied in this pass: still unapplied in the first,
-                    # already applied in the second
-                    pos += prim.wires_out if growing else prim.wires_in
-                elif prim.kind == "Id":
-                    pos += 1
-                elif prim.kind == "Swap":
-                    state = np.swapaxes(state, pos, pos + 1)
-                    pos += 2
-                else:
-                    k_in, k_out = prim.wires_in, prim.wires_out
-                    tail = state.shape[pos + k_in :]
-                    flat = state.reshape(d**pos, d**k_in, math.prod(tail))
-                    matrix = prim.matrix if prim.kind == "Unitary" else matrices[prim.kind]
-                    state = np.matmul(matrix, flat).reshape((d,) * (pos + k_out) + tail)
-                    pos += k_out
-    return state.reshape(math.prod(state.shape[:-1]), batch)
+        pos = 0  # first wire of the next primitive, the growing ones still unapplied
+        grown = 0  # the same once every primitive is applied
+        growing = []
+        for prim in layer:
+            if prim.wires_out > prim.wires_in:
+                growing.append((grown, prim))
+                pos += prim.wires_in
+            elif prim.kind == "Id":
+                pos += 1
+            elif prim.kind == "Swap":
+                if axes is None:
+                    axes = list(range(width))
+                axes[pos], axes[pos + 1] = axes[pos + 1], axes[pos]
+                pos += 2
+            else:
+                step(pos, prim)
+                pos += prim.wires_out
+            grown += prim.wires_out
+        for pos, prim in growing:
+            step(pos, prim)
+    return _Plan(algebra.dim, tuple(profile), tuple(steps), _perm_or_none(axes))
+
+
+def _plan(circuit: Circuit) -> _Plan:
+    """The circuit's plan, built on first use and kept on the circuit."""
+    plan = circuit._cached_plan
+    if plan is None:
+        plan = _build_plan(circuit)
+        object.__setattr__(circuit, "_cached_plan", plan)
+    return plan
+
+
+def _push(plan: _Plan, columns: np.ndarray) -> np.ndarray:
+    """Run a plan on a contiguous (d^wires_in, batch) array of columns.
+
+    The state is kept as a contiguous array in wire order; a step reorders
+    its axes only when Swaps came before it, then multiplies its matrix into
+    the (d^pos, d^wires_in, rest) view.
+    """
+    d = plan.dim
+    batch = columns.shape[1]
+    state = columns
+    for perm, pos, wires_in, _, matrix in plan.steps:
+        if perm is not None:
+            state = state.reshape((d,) * len(perm) + (batch,)).transpose(perm + (len(perm),))
+        state = np.matmul(matrix, state.reshape(d**pos, d**wires_in, -1))
+    perm = plan.final_perm
+    if perm is not None:
+        state = state.reshape((d,) * len(perm) + (batch,)).transpose(perm + (len(perm),))
+    return state.reshape(d ** plan.profile[-1], batch)
 
 
 def run(circuit: Circuit, states) -> np.ndarray:
@@ -302,24 +380,24 @@ def run(circuit: Circuit, states) -> np.ndarray:
     evaluate(circuit).matrix.array @ states, without forming any layer
     matrix or the map itself.  The result never shares memory with states.
     """
-    validate(circuit)
-    d = circuit.algebra.dim
+    plan = _plan(circuit)
+    d = plan.dim
     columns = np.asarray(states, dtype=complex)
     if columns.ndim != 2 or columns.shape[0] != d**circuit.wires_in:
         raise ValueError(
             f"states must be a (d^wires_in, batch) = ({d**circuit.wires_in}, batch) array, "
             f"got shape {columns.shape}"
         )
-    return np.array(_push(circuit, columns))
+    return np.array(_push(plan, np.ascontiguousarray(columns)))
 
 
 def evaluate(circuit: Circuit) -> LinearMap:
     """The circuit's full linear map: run on the identity batch."""
-    profile = validate(circuit)
-    d = circuit.algebra.dim
-    _check_map_entries(d, circuit.wires_in, max(profile))
-    out = _push(circuit, np.eye(d**circuit.wires_in, dtype=complex))
-    return LinearMap(d, circuit.wires_in, profile[-1], Tensor(out))
+    plan = _plan(circuit)
+    d = plan.dim
+    _check_map_entries(d, circuit.wires_in, max(plan.profile))
+    out = _push(plan, np.eye(d**circuit.wires_in, dtype=complex))
+    return LinearMap(d, circuit.wires_in, plan.profile[-1], Tensor(out))
 
 
 # --- brute-force evaluator -------------------------------------------------
@@ -606,7 +684,8 @@ class OutcomeDistribution:
     norm_in: float
 
     def __post_init__(self):
-        total = sum(p for _, p in self.entries)
+        # a plain running sum of 2^20 probabilities drifts by about 1e-11
+        total = math.fsum(p for _, p in self.entries)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if any(not 0.0 <= p <= 1.0 for _, p in self.entries):
@@ -640,11 +719,8 @@ def measure(state: Sequence[complex], base_dim: int) -> OutcomeDistribution:
         )
     weights = np.abs(vec) ** 2
     norm_in = float(weights.sum())
-    entries = tuple(
-        (basis_label(index_to_digits(i, base_dim, wires), base_dim), float(w / norm_in))
-        for i, w in enumerate(weights)
-        if w > 0.0
-    )
+    nz = np.flatnonzero(weights > 0.0)
+    entries = tuple(zip(_basis_labels(nz, base_dim, wires), (weights[nz] / norm_in).tolist()))
     return OutcomeDistribution(entries=entries, norm_in=norm_in)
 
 
@@ -732,7 +808,7 @@ def circuit_is_unitary(circuit: Circuit) -> bool:
     UNITARY_TOL for the rounding of evaluate and is_unitary.  Every other
     circuit falls back to the full map, and so to its size limit.
     """
-    profile = validate(circuit)
+    profile = _plan(circuit).profile
     if profile[0] != profile[-1]:
         return False
     bound = _deviation_bound(circuit)
@@ -762,6 +838,23 @@ def basis_label(digits: Sequence[int], base_dim: int) -> str:
     if base_dim <= 10:
         return "".join(str(dgt) for dgt in digits)
     return ",".join(str(dgt) for dgt in digits)
+
+
+def _basis_labels(indices: np.ndarray, base_dim: int, wires: int) -> list[str]:
+    """basis_label(index_to_digits(i, base_dim, wires), base_dim) for each
+    i of an integer array, one digit position at a time over all indices."""
+    if wires == 0:
+        return [""] * len(indices)
+    digits = np.empty((len(indices), wires), dtype=np.uint8 if base_dim <= 10 else np.int64)
+    rest = np.asarray(indices, dtype=np.int64)
+    for k in range(wires - 1, -1, -1):
+        rest, digits[:, k] = np.divmod(rest, base_dim)
+    if base_dim <= 10:  # one ASCII digit per wire: each row holds a label's bytes
+        digits += ord("0")
+        text = digits.tobytes().decode("ascii")
+        return [text[i : i + wires] for i in range(0, len(text), wires)]
+    names = [str(dgt) for dgt in range(base_dim)]
+    return [",".join([names[dgt] for dgt in row]) for row in digits.tolist()]
 
 
 def basis_state(base_dim: int, digits: Sequence[int]) -> np.ndarray:

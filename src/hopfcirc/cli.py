@@ -26,18 +26,17 @@ from .circuit import (
     CircuitError,
     Cnot,
     U1,
+    _basis_labels,
     _check_map_entries,
-    basis_label,
+    _plan,
     basis_state,
     circuit_is_unitary,
     compile_gate_circuit,
     direct_gate_map,
     evaluate,
     evaluate_bruteforce_map,
-    index_to_digits,
     measure,
     run,
-    validate,
 )
 from .dsl import ParseError, _format_complex, circuit_to_document, parse_circuit, print_circuit, to_circuit
 
@@ -180,10 +179,11 @@ def _cmd_check_axioms(args) -> int:
 
 
 def _format_vector(vec: np.ndarray, d: int, wires: int) -> list[str]:
-    lines = []
-    for i, z in enumerate(vec):
-        if z != 0:
-            lines.append(f"  {basis_label(index_to_digits(i, d, wires), d)}  {_format_complex(complex(z))}")
+    nz = np.flatnonzero(vec)
+    lines = [
+        f"  {label}  {_format_complex(z)}"
+        for label, z in zip(_basis_labels(nz, d, wires), vec[nz].tolist())
+    ]
     if not lines:
         lines.append("  (zero vector)")
     return lines
@@ -192,7 +192,7 @@ def _format_vector(vec: np.ndarray, d: int, wires: int) -> list[str]:
 def _cmd_eval(args) -> int:
     circuit = _load_circuit(args.file)
     d = circuit.algebra.dim
-    profile = validate(circuit)
+    profile = _plan(circuit).profile  # validates once for run and circuit_is_unitary too
     wires_in, wires_out = profile[0], profile[-1]
     # no map is built, but eval keeps the same size limit as matrix
     _check_map_entries(d, wires_in, max(profile))
@@ -322,7 +322,7 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     circuit = _load_circuit(args.file)
     d = circuit.algebra.dim
-    validate(circuit)
+    _plan(circuit)  # validate before the input is parsed; run reuses the plan
     digits = _parse_input_digits(args.input, d, circuit.wires_in)
     out = run(circuit, basis_state(d, digits)[:, None])[:, 0]
     distribution = measure(out, d)

@@ -52,6 +52,7 @@ _PRIMITIVE_BY_TOKEN = {
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _UREF_RE = re.compile(r"^[Uu]\s*\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)$")
 _PRESET_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([^()]*)\))?$")
+_STATEMENT_RE = re.compile(r"^(\s*)(\S+)(\s*)")
 
 
 class ParseError(ValueError):
@@ -170,7 +171,7 @@ def _split_statement(raw: str) -> tuple[str, str, int] | None:
     line = raw if hash_pos < 0 else raw[:hash_pos]
     if not line.strip():
         return None
-    match = re.match(r"^(\s*)(\S+)(\s*)", line)
+    match = _STATEMENT_RE.match(line)
     keyword = match.group(2)
     rest_col = match.end() + 1
     return keyword.lower(), line[match.end():].strip(), rest_col
@@ -280,23 +281,24 @@ def _parse_layer(
     if not rest:
         raise ParseError("empty layer", lineno, rest_col)
     tokens: list[str | tuple[str, str]] = []
-    offset = 0
-    for piece in rest.split(","):
+    pieces = rest.split(",")
+    for i, piece in enumerate(pieces):
         token = piece.strip()
-        column = rest_col + offset + piece.find(token) if token else rest_col + offset
-        offset += len(piece) + 1
+        upper = token.upper()
+        if upper in _PRIMITIVE_BY_TOKEN:
+            tokens.append(upper)
+            continue
+        uref = _UREF_RE.match(token)
+        if uref and uref.group(1) in unitary_names:
+            tokens.append(("U", uref.group(1)))
+            continue
+        # the token's column is needed only for the error
+        column = rest_col + sum(len(p) + 1 for p in pieces[:i]) + piece.find(token)
         if not token:
             raise ParseError("empty primitive between commas", lineno, column)
-        uref = _UREF_RE.match(token)
         if uref:
-            name = uref.group(1)
-            if name not in unitary_names:
-                raise ParseError(f"unknown unitary name {name!r}", lineno, column)
-            tokens.append(("U", name))
-        elif token.upper() in _PRIMITIVE_BY_TOKEN:
-            tokens.append(token.upper())
-        else:
-            raise ParseError(f"unknown primitive {token!r}", lineno, column)
+            raise ParseError(f"unknown unitary name {uref.group(1)!r}", lineno, column)
+        raise ParseError(f"unknown primitive {token!r}", lineno, column)
     return tuple(tokens)
 
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the
 contraction oracle uses explicit index loops, the axiom oracle sums over
-raw tensor entries, and the gate simulator propagates matrix rows by index
-arithmetic instead of Kronecker products or layer maps.
+raw tensor entries, the gate simulator propagates matrix rows by index
+arithmetic instead of Kronecker products or layer maps, and the measure
+oracle labels one basis index at a time.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from hopfcirc.circuit import (
     Circuit,
     Cnot,
     U1,
+    basis_label,
+    index_to_digits,
     unitary,
 )
+from hopfcirc.dsl import _format_complex
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,6 +57,33 @@ def loop_contract(a: np.ndarray, axes_a, b: np.ndarray, axes_b) -> np.ndarray:
             total += a[tuple(ia)] * b[tuple(ib)]
         out[out_idx] = total
     return out
+
+
+def loop_measure(state, base_dim: int) -> tuple[tuple[tuple[str, float], ...], float]:
+    """measure's entries and norm_in, one basis index at a time: each label
+    is built with index_to_digits and basis_label."""
+    vec = np.asarray(state, dtype=complex).reshape(-1)
+    wires = 0
+    while base_dim > 1 and base_dim**wires < vec.shape[0]:
+        wires += 1
+    weights = np.abs(vec) ** 2
+    norm_in = float(weights.sum())
+    entries = tuple(
+        (basis_label(index_to_digits(i, base_dim, wires), base_dim), float(w / norm_in))
+        for i, w in enumerate(weights)
+        if w > 0.0
+    )
+    return entries, norm_in
+
+
+def loop_vector_lines(vec: np.ndarray, d: int, wires: int) -> list[str]:
+    """eval's text lines for an output vector, one basis index at a time."""
+    lines = [
+        f"  {basis_label(index_to_digits(i, d, wires), d)}  {_format_complex(complex(z))}"
+        for i, z in enumerate(vec)
+        if z != 0
+    ]
+    return lines or ["  (zero vector)"]
 
 
 def loop_axiom_deviations(algebra) -> dict[str, float]:

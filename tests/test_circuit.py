@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -20,6 +21,7 @@ from hopfcirc.circuit import (
     AnnihilatedStateError,
     Circuit,
     CircuitError,
+    Cnot,
     apply,
     basis_state,
     build_cnot,
@@ -40,7 +42,14 @@ from hopfcirc.circuit import (
 
 from hopfcirc.tensor import Tensor
 
-from helpers import certificate_circuit, haar_unitary, near_unitary, random_circuit, random_gate_list
+from helpers import (
+    certificate_circuit,
+    haar_unitary,
+    loop_measure,
+    near_unitary,
+    random_circuit,
+    random_gate_list,
+)
 
 Z2 = z2_algebra()
 Z3 = builtin_algebra("Z3")
@@ -635,6 +644,43 @@ class TestCircuitIsUnitary:
         assert ID.deviation == 0.0
 
 
+class TestPlan:
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            compile_gate_circuit(Z2, 5, [Cnot(0, 4), Cnot(3, 1)]),
+            generalized_circuit(HADAMARD),
+            Circuit(Z2, 2, ((COMUL, ID), (MUL, ID))),  # falls back to the full map
+            Circuit(Z3, 2, ((ANTIPODE, ID), (COMUL, ID), (ID, MUL))),
+        ],
+        ids=["compiled", "non-square", "fallback", "antipode"],
+    )
+    def test_one_plan_per_circuit(self, validated, circuit):
+        d = circuit.algebra.dim
+        column = basis_state(d, [1] * circuit.wires_in)[:, None]
+        first = run(circuit, column)
+        evaluate(circuit)
+        circuit_is_unitary(circuit)
+        assert np.array_equal(run(circuit, column), first)
+        assert sum(c is circuit for c in validated) == 1
+
+    def test_invalid_circuit_refused_on_every_call(self):
+        c = Circuit(Z2, 2, ((ID,),))
+        for _ in range(2):
+            with pytest.raises(CircuitError, match="consumes 1 wires, 2 available"):
+                run(c, np.eye(4))
+
+    def test_ids_skipped_and_swap_runs_folded(self):
+        # each CNOT is a Comul and a Mul between two ladders of Swaps
+        c = compile_gate_circuit(Z2, 5, [Cnot(0, 4), Cnot(3, 1)])
+        plan = hopfcirc.circuit._plan(c)
+        assert [step.matrix.shape for step in plan.steps] == [(4, 2), (2, 4)] * 2
+        assert [step.perm is not None for step in plan.steps] == [True, False, True, False]
+        assert plan.final_perm is not None
+        assert plan.profile == tuple(validate(c))
+        assert np.max(np.abs(evaluate(c).matrix.array - evaluate_bruteforce_map(c).matrix.array)) <= 1e-12
+
+
 class TestPrimitives:
     def test_unitary_factory_rejects_nonunitary(self):
         with pytest.raises(CircuitError, match="not unitary"):
@@ -660,6 +706,50 @@ class TestPrimitives:
         assert (COUNIT.wires_in, COUNIT.wires_out) == (1, 0)
         assert (ANTIPODE.wires_in, ANTIPODE.wires_out) == (1, 1)
         assert (SWAP.wires_in, SWAP.wires_out) == (2, 2)
+
+
+#: the widest vector per base dimension the label property draws
+LABEL_MAX_ENTRIES = 4096
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 16).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.integers(0, 0 if d == 1 else int(math.log(LABEL_MAX_ENTRIES, d) + 1e-9)),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_measure_matches_per_entry_labels(dim_wires, seed):
+    """Labels (comma-separated above d = 10), entries and probabilities are
+    exactly the per-entry loop's, zeros and underflowing weights skipped."""
+    d, wires = dim_wires
+    rng = np.random.default_rng(seed)
+    n = d**wires
+    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vec[rng.random(n) < rng.random()] = 0.0
+    vec[rng.random(n) < 0.1] *= 1e-170  # squares to zero
+    vec[rng.integers(n)] = 1.0  # never annihilated
+    got = measure(vec, d)
+    entries, norm_in = loop_measure(vec, d)
+    assert got.entries == entries
+    assert got.norm_in == norm_in
+
+
+class TestWideDistribution:
+    @pytest.mark.parametrize("wires", [19, 20])
+    def test_product_state_probabilities_sum_to_one(self, wires):
+        # a running sum of the 2^20 probabilities drifts past 1e-12
+        half = 0.25
+        ry = unitary("r", [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
+        c = Circuit(Z2, wires, ((ry,) * wires,))
+        distribution = measure(run(c, basis_state(2, [0] * wires)[:, None])[:, 0], 2)
+        assert len(distribution.entries) == 2**wires
+        assert distribution.entries[0][0] == "0" * wires
+        assert distribution.entries[-1][0] == "1" * wires
+        assert abs(math.fsum(p for _, p in distribution.entries) - 1.0) <= 1e-12
 
 
 class TestBasisBookkeeping:

@@ -19,17 +19,38 @@ import hopfcirc.algebra
 import hopfcirc.circuit
 import hopfcirc.cli
 from hopfcirc.algebra import builtin_algebra
-from hopfcirc.circuit import compile_gate_circuit, evaluate, index_to_digits, is_unitary, measure
+from hopfcirc.circuit import (
+    basis_state,
+    compile_gate_circuit,
+    evaluate,
+    index_to_digits,
+    is_unitary,
+    measure,
+    run as run_circuit,
+)
 from hopfcirc.cli import cli_run
 from hopfcirc.dsl import circuit_to_document, print_circuit
 from hopfcirc.tensor import LinearMap, Tensor
 
-from helpers import REPO_ROOT, certificate_circuit, random_circuit, random_gate_list
+from helpers import (
+    REPO_ROOT,
+    certificate_circuit,
+    loop_measure,
+    loop_vector_lines,
+    random_circuit,
+    random_gate_list,
+)
 
 CNOT_FILE = str(REPO_ROOT / "circuits" / "cnot.hopf")
 FIG2_FILE = str(REPO_ROOT / "circuits" / "fig2.hopf")
 
 ANNIHILATING_SRC = "algebra Z2\nin 1\nunitary h H\nlayer U(h)\nlayer COUNIT\n"
+
+#: a non-unitary Z3 circuit with an explicit unitary, for the text output
+Z3_SRC = (
+    "algebra Z3\nin 2\nunitary r [0.6, -0.8, 0; 0.8, 0.6, 0; 0, 0, 1]\n"
+    "layer U(r), U(r)\nlayer DELTA, DELTA\nlayer ID, M, ID\n"
+)
 
 
 def check_schema(payload: dict | list, name: str) -> None:
@@ -206,6 +227,59 @@ class TestEval:
         assert payload["unitary"] is True
         assert payload["vector"]["re"] == [0.0, 0.0, 0.0, 1.0]
         assert payload["distribution"]["outcomes"] == {"11": 1.0}
+
+    def test_text_output_pinned(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["eval", FIG2_FILE, "--input", "10"])
+        assert code == 0 and out == (
+            "input 10\nmap: 2 -> 3 wires (d=2), not unitary\noutput vector:\n"
+            "  100  -0.7071067811865475+0.0i\n  110  0.7071067811865475+0.0i\n"
+            "distribution (norm_in=0.9999999999999998):\n  100  0.5\n  110  0.5\n"
+        )
+        path = tmp_path / "z3.hopf"
+        path.write_text(Z3_SRC)
+        code, out, _ = run(capsys, ["eval", str(path), "--input", "01"])
+        assert code == 0 and out == (
+            "input 01\nmap: 2 -> 3 wires (d=3), not unitary\noutput vector:\n"
+            "  000  -0.48+0.0i\n  011  0.36+0.0i\n  110  -0.6400000000000001+0.0i\n"
+            "  121  0.48+0.0i\n"
+            "distribution (norm_in=1.0):\n"
+            "  000  0.2304\n  011  0.1296\n  110  0.4096000000000002\n  121  0.2304\n"
+        )
+
+    @pytest.mark.parametrize("name", ["cnot.hopf", "fig2.hopf", "z3.hopf"])
+    def test_text_output_matches_per_entry_reference(self, capsys, tmp_path, name):
+        path = REPO_ROOT / "circuits" / name
+        if name == "z3.hopf":
+            path = tmp_path / name
+            path.write_text(Z3_SRC)
+        circuit = hopfcirc.cli._load_circuit(str(path))
+        d, wires_in = circuit.algebra.dim, circuit.wires_in
+        unitary = is_unitary(evaluate(circuit))
+        for index in range(d**wires_in):
+            digits = "".join(map(str, index_to_digits(index, d, wires_in)))
+            vec = run_circuit(circuit, basis_state(d, index_to_digits(index, d, wires_in))[:, None])[:, 0]
+            wires_out = evaluate(circuit).wires_out
+            want = [
+                f"input {digits}",
+                f"map: {wires_in} -> {wires_out} wires (d={d}), {'unitary' if unitary else 'not unitary'}",
+                "output vector:",
+                *loop_vector_lines(vec, d, wires_out),
+            ]
+            if not unitary:
+                entries, norm_in = loop_measure(vec, d)
+                want.append(f"distribution (norm_in={norm_in!r}):")
+                want.extend(f"  {label}  {prob!r}" for label, prob in entries)
+            code, out, _ = run(capsys, ["eval", str(path), "--input", digits])
+            assert code == 0 and out == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize("path,calls", [(FIG2_FILE, 1), (CNOT_FILE, 2)], ids=["fig2", "cnot"])
+    def test_circuit_validated_once(self, capsys, validated, path, calls):
+        # the CNOT's certificate also validates build_cnot's own circuit, once
+        for extra in ([], ["--json"]):
+            validated.clear()
+            assert run(capsys, ["eval", path, "--input", "10", *extra])[0] == 0
+            assert len(validated) == calls
+            assert len({id(c) for c in validated}) == calls
 
     def test_fig2_distribution_printed_when_nonunitary(self, capsys):
         code, out, _ = run(capsys, ["eval", FIG2_FILE, "--input", "10"])
@@ -479,6 +553,25 @@ class TestSample:
     def test_bad_shots_exit_2(self, capsys):
         code, _, _ = run(capsys, ["sample", FIG2_FILE, "--input", "10", "--shots", "0", "--seed", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("path", [FIG2_FILE, CNOT_FILE], ids=["fig2", "cnot"])
+    def test_circuit_validated_once(self, capsys, validated, path):
+        args = ["sample", path, "--input", "10", "--shots", "10", "--seed", "1"]
+        assert run(capsys, args)[0] == 0
+        assert len(validated) == 1
+
+    @pytest.mark.parametrize("wires", [19, 20])
+    def test_wide_product_state(self, capsys, tmp_path, wires):
+        # every wire rotated by RY(0.5), so all 2^wires outcomes are possible; a
+        # running sum of their probabilities drifted past 1e-12 here
+        path = tmp_path / "ry.hopf"
+        path.write_text(f"algebra Z2\nin {wires}\nunitary r RY(0.5)\nlayer " + ", ".join(["U(r)"] * wires) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["sample", str(path), "--input", "0" * wires, "--shots", "10", "--seed", "1", "--json"])
+        assert time.perf_counter() - start < 30.0
+        assert code == 0, err
+        counts = json.loads(out)["counts"]
+        assert sum(counts.values()) == 10 and all(len(label) == wires for label in counts)
 
     def test_negative_seed_refused_before_reading(self, capsys, tmp_path):
         argv = ["sample", str(tmp_path / "none.hopf"), "--input", "10", "--shots", "5", "--seed", "-1"]

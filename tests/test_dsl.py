@@ -1,6 +1,13 @@
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcirc.circuit import (
     ANTIPODE,
@@ -28,6 +35,8 @@ from hopfcirc.dsl import (
     print_circuit,
     to_circuit,
 )
+
+from hopfcirc.cli import cli_run
 
 from helpers import REPO_ROOT, document_strategy
 
@@ -76,8 +85,24 @@ class TestParse:
         assert err.value.line == 3 and err.value.column == 11
 
     def test_unknown_unitary_reference(self):
-        with pytest.raises(ParseError, match="unknown unitary name 'u9'"):
+        with pytest.raises(ParseError, match="unknown unitary name 'u9'") as err:
             parse_circuit("algebra Z2\nin 1\nlayer U(u9)")
+        assert err.value.line == 3 and err.value.column == 7
+
+    @pytest.mark.parametrize(
+        "layer,message,column",
+        [
+            ("layer ID,  U ( nope ) , ID", "unknown unitary name 'nope'", 12),
+            ("  LAYER id ,u(a), bogus", "unknown primitive 'bogus'", 19),
+            ("layer ID, , M", "empty primitive between commas", 10),
+            ("layer ID,M,", "empty primitive between commas", 12),
+            ("layer U(a)x", "unknown primitive 'U(a)x'", 7),
+        ],
+    )
+    def test_layer_error_columns(self, layer, message, column):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_circuit(f"algebra Z2\nin 2\nunitary a H\n{layer}")
+        assert err.value.line == 4 and err.value.column == column
 
     def test_duplicate_unitary_definition(self):
         with pytest.raises(ParseError, match="duplicate unitary definition"):
@@ -225,3 +250,55 @@ class TestCircuitToDocument:
         assert [[p.kind for p in layer] for layer in rebuilt.layers] == [
             [p.kind for p in layer] for layer in circuit.layers
         ]
+
+
+#: pieces of layer lines: every primitive token, unitary references, and junk
+_LAYER_PIECES = st.one_of(
+    st.sampled_from(["ID", "M", "DELTA", "UNIT", "COUNIT", "S", "SWAP"]).flatmap(
+        lambda token: st.lists(st.booleans(), min_size=len(token), max_size=len(token)).map(
+            lambda upper: "".join(c if up else c.lower() for c, up in zip(token, upper))
+        )
+    ),
+    st.tuples(
+        st.sampled_from(["U", "u"]),
+        st.sampled_from(["", " ", "  "]),
+        st.sampled_from(["a", "b", "nope", "1a", ""]),
+        st.sampled_from(["", " "]),
+    ).map(lambda t: f"{t[0]}{t[1]}({t[3]}{t[2]}{t[3]})"),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True),
+    st.sampled_from(["", " ", "\t"]),
+    st.text(alphabet="()[];:.!@$%^&*-+=#\t abcU0", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["layer", "LAYER", "Layer"]),
+    st.sampled_from([" ", "  ", "\t"]),
+    st.lists(
+        st.tuples(st.sampled_from(["", " ", "  "]), _LAYER_PIECES, st.sampled_from(["", " "])).map("".join),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_layer_line_fuzz(keyword, gap, pieces):
+    """A layer line either parses to a document that prints back to itself,
+    or fails with a position inside the text, and the CLI exits 2 with one
+    error line."""
+    text = f"algebra Z2\nin 2\nunitary a H\nunitary b X\n{keyword}{gap}{','.join(pieces)}\n"
+    try:
+        doc = parse_circuit(text)
+    except ParseError as exc:
+        lines = text.splitlines()
+        assert 1 <= exc.line <= len(lines)
+        assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.hopf"
+            path.write_text(text)
+            stderr = io.StringIO()  # hypothesis rules out function-scoped fixtures like capsys
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli_run(["matrix", str(path)])
+        assert code == 2
+        assert stderr.getvalue().startswith("error: parse: ") and stderr.getvalue().count("\n") == 1
+        return
+    assert parse_circuit(print_circuit(doc)) == doc
