@@ -10,19 +10,13 @@ circuit maps.
 """
 
 from .algebra import (
-    AlgebraElement,
     AxiomReport,
     GroupTableError,
     HopfAlgebra,
-    antipode_apply,
-    basis_element,
     builtin_algebra,
     check_axioms,
-    comultiply,
-    counit_value,
     group_algebra,
     load_group_table,
-    multiply,
     resolve_algebra,
     z2_algebra,
 )
@@ -56,6 +50,6 @@ from .circuit import (
     validate,
 )
 from .dsl import CircuitDocument, ParseError, parse_circuit, print_circuit, to_circuit
-from .tensor import LinearMap, Tensor, as_linear_map, permute_axes
+from .tensor import LinearMap
 
 __version__ = "0.1.0"

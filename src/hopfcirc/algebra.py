@@ -32,11 +32,10 @@ from .circuit import (
     Circuit,
     evaluate,
 )
-from .tensor import LinearMap, Tensor, as_linear_map, permute_axes
+from .tensor import LinearMap
 
 __all__ = [
     "HopfAlgebra",
-    "AlgebraElement",
     "AxiomCheck",
     "AxiomReport",
     "GroupTableError",
@@ -47,11 +46,6 @@ __all__ = [
     "builtin_algebra",
     "load_group_table",
     "resolve_algebra",
-    "basis_element",
-    "multiply",
-    "comultiply",
-    "counit_value",
-    "antipode_apply",
     "check_axioms",
     "BUILTIN_ALGEBRAS",
 ]
@@ -67,7 +61,9 @@ class GroupTableError(ValueError):
 class HopfAlgebra:
     """Bundle of structure tensors over a d-dimensional basis.
 
-    Direct construction only checks shapes; use z2_algebra, group_algebra
+    The structure tensors are given as array-likes, each converted once to
+    a read-only complex ndarray.  Direct construction only checks their
+    shapes and that their entries are finite; use z2_algebra, group_algebra
     or builtin_algebra to obtain instances whose axioms are verified.
     """
 
@@ -75,47 +71,39 @@ class HopfAlgebra:
         "dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode", "_maps", "_deviations"
     )
 
-    def __init__(
-        self,
-        basis_labels: Sequence[str],
-        mul: Tensor,
-        comul: Tensor,
-        unit: Tensor,
-        counit: Tensor,
-        antipode: Tensor,
-    ):
+    def __init__(self, basis_labels: Sequence[str], mul, comul, unit, counit, antipode):
         d = len(basis_labels)
         if d < 1:
             raise ValueError("algebra needs at least one basis element")
         if len(set(basis_labels)) != d:
             raise ValueError("basis labels must be distinct")
-        for name, t, dims in (
+        for name, data, shape in (
             ("mul", mul, (d, d, d)),
             ("comul", comul, (d, d, d)),
             ("unit", unit, (d,)),
             ("counit", counit, (d,)),
             ("antipode", antipode, (d, d)),
         ):
-            if t.dims != dims:
-                raise ValueError(f"{name} tensor has dims {t.dims}, expected {dims}")
+            arr = np.array(data, dtype=complex)
+            if arr.shape != shape:
+                raise ValueError(f"{name} tensor has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} tensor entries must be finite")
+            arr.setflags(write=False)
+            setattr(self, name, arr)
         self.dim = d
         self.basis_labels = tuple(basis_labels)
-        self.mul = mul
-        self.comul = comul
-        self.unit = unit
-        self.counit = counit
-        self.antipode = antipode
         # Structure tensors reshaped into composable maps (see tensor.py for
         # the wire conventions), built once: the algebra is immutable and the
         # circuit engine asks for them on every run.  Output axes must precede
         # input axes, so mul (in,in,out) is permuted to (out,in,in) and comul
         # (in,out,out) to (out,out,in) before reshaping.
         self._maps = {
-            "mul": as_linear_map(permute_axes(mul, (2, 0, 1)), d, 1, 2),
-            "comul": as_linear_map(permute_axes(comul, (1, 2, 0)), d, 2, 1),
-            "unit": as_linear_map(unit, d, 1, 0),
-            "counit": as_linear_map(counit, d, 0, 1),
-            "antipode": as_linear_map(permute_axes(antipode, (1, 0)), d, 1, 1),
+            "mul": LinearMap(d, 2, 1, np.transpose(self.mul, (2, 0, 1)).reshape(d, d * d)),
+            "comul": LinearMap(d, 1, 2, np.transpose(self.comul, (1, 2, 0)).reshape(d * d, d)),
+            "unit": LinearMap(d, 0, 1, self.unit.reshape(d, 1)),
+            "counit": LinearMap(d, 1, 0, self.counit.reshape(1, d)),
+            "antipode": LinearMap(d, 1, 1, np.transpose(self.antipode)),
         }
         # raw per-family axiom deviations, filled by the first check_axioms
         # call; they do not depend on its tolerance
@@ -126,11 +114,11 @@ class HopfAlgebra:
             return NotImplemented
         return (
             self.basis_labels == other.basis_labels
-            and np.array_equal(self.mul.array, other.mul.array)
-            and np.array_equal(self.comul.array, other.comul.array)
-            and np.array_equal(self.unit.array, other.unit.array)
-            and np.array_equal(self.counit.array, other.counit.array)
-            and np.array_equal(self.antipode.array, other.antipode.array)
+            and np.array_equal(self.mul, other.mul)
+            and np.array_equal(self.comul, other.comul)
+            and np.array_equal(self.unit, other.unit)
+            and np.array_equal(self.counit, other.counit)
+            and np.array_equal(self.antipode, other.antipode)
         )
 
     def __hash__(self):
@@ -252,8 +240,8 @@ def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
     if deviations is None:
         deviations = {}
         for family, wires, left, right in _AXIOM_CIRCUITS:
-            lhs = evaluate(Circuit(algebra, wires, left)).matrix.array
-            rhs = evaluate(Circuit(algebra, wires, right)).matrix.array
+            lhs = evaluate(Circuit(algebra, wires, left)).matrix
+            rhs = evaluate(Circuit(algebra, wires, right)).matrix
             deviation = float(np.max(np.abs(lhs - rhs)))
             deviations[family] = max(deviations.get(family, 0.0), deviation)
         algebra._deviations = deviations
@@ -278,11 +266,11 @@ def z2_algebra() -> HopfAlgebra:
     comul[0, 0, 0] = comul[1, 1, 1] = 1.0
     return HopfAlgebra(
         ("f0", "f1"),
-        mul=Tensor(mul),
-        comul=Tensor(comul),
-        unit=Tensor([1.0, 0.0]),
-        counit=Tensor([1.0, 1.0]),
-        antipode=Tensor(np.eye(2)),
+        mul=mul,
+        comul=comul,
+        unit=[1.0, 0.0],
+        counit=[1.0, 1.0],
+        antipode=np.eye(2),
     )
 
 
@@ -352,11 +340,11 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
 
     algebra = HopfAlgebra(
         tuple(labels),
-        mul=Tensor(mul),
-        comul=Tensor(comul),
-        unit=Tensor(unit),
-        counit=Tensor(np.ones(d)),
-        antipode=Tensor(antipode),
+        mul=mul,
+        comul=comul,
+        unit=unit,
+        counit=np.ones(d),
+        antipode=antipode,
     )
     report = check_axioms(algebra, 1e-12)
     if not report.passed:  # cannot happen for a valid group table
@@ -424,68 +412,3 @@ def resolve_algebra(name: str) -> HopfAlgebra:
         return load_group_table(name)
     raise ValueError(f"unknown algebra {name!r}: not a built-in name and not a file")
 
-
-class AlgebraElement:
-    """Complex coefficient vector c^a over the algebra basis."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: HopfAlgebra, coeffs):
-        arr = np.array(coeffs, dtype=complex).reshape(-1)
-        if arr.shape != (algebra.dim,):
-            raise ValueError(f"expected {algebra.dim} coefficients, got {arr.shape}")
-        arr.setflags(write=False)
-        self.algebra = algebra
-        self.coeffs = arr
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        terms = " + ".join(
-            f"({c:.3g})*{lbl}"
-            for c, lbl in zip(self.coeffs, self.algebra.basis_labels)
-            if c != 0
-        )
-        return f"AlgebraElement({terms or '0'})"
-
-
-def _require_same_algebra(x: AlgebraElement, y: AlgebraElement) -> None:
-    if x.algebra is not y.algebra and x.algebra != y.algebra:
-        raise ValueError("elements belong to different algebras")
-
-
-def basis_element(algebra: HopfAlgebra, index: int) -> AlgebraElement:
-    coeffs = np.zeros(algebra.dim, dtype=complex)
-    coeffs[index] = 1.0
-    return AlgebraElement(algebra, coeffs)
-
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear product: result_c = sum_ab x_a y_b mul[a,b,c]."""
-    _require_same_algebra(x, y)
-    out = np.einsum("a,b,abc->c", x.coeffs, y.coeffs, x.algebra.mul.array)
-    return AlgebraElement(x.algebra, out)
-
-
-def comultiply(x: AlgebraElement) -> Tensor:
-    """Coefficients of the image of x in the tensor-square basis."""
-    return Tensor(np.einsum("a,abc->bc", x.coeffs, x.algebra.comul.array))
-
-
-def counit_value(x: AlgebraElement) -> complex:
-    return complex(np.dot(x.algebra.counit.array, x.coeffs))
-
-
-def antipode_apply(x: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(x.algebra, np.einsum("a,ab->b", x.coeffs, x.algebra.antipode.array))

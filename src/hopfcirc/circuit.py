@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .tensor import LinearMap, Tensor
+from .tensor import LinearMap
 
 if TYPE_CHECKING:
     from .algebra import HopfAlgebra
@@ -130,7 +130,8 @@ def _gram_deviation(m: np.ndarray) -> float:
     to inf or nan; that gives an inf or nan deviation, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = m.conj().T @ m
-        return float(np.max(np.abs(gram - np.eye(m.shape[1]))))
+        gram.flat[:: m.shape[1] + 1] -= 1  # gram - I, without an identity matrix
+        return float(np.max(np.abs(gram)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +315,7 @@ def _build_plan(circuit: Circuit) -> _Plan:
         nonlocal axes, width
         matrix = prim.matrix if prim.kind == "Unitary" else matrices.get(prim.kind)
         if matrix is None:
-            matrix = getattr(algebra, PRIMITIVES[prim.kind].map_method)().matrix.array
+            matrix = getattr(algebra, PRIMITIVES[prim.kind].map_method)().matrix
             matrices[prim.kind] = matrix
         steps.append(_Step(_perm_or_none(axes), pos, prim.wires_in, prim.wires_out, matrix))
         axes = None
@@ -377,7 +378,7 @@ def run(circuit: Circuit, states) -> np.ndarray:
     """Push a (d^wires_in, batch) array of input columns through the layers.
 
     Returns the (d^wires_out, batch) array of output columns, i.e.
-    evaluate(circuit).matrix.array @ states, without forming any layer
+    evaluate(circuit).matrix @ states, without forming any layer
     matrix or the map itself.  The result never shares memory with states.
     """
     plan = _plan(circuit)
@@ -397,7 +398,7 @@ def evaluate(circuit: Circuit) -> LinearMap:
     d = plan.dim
     _check_map_entries(d, circuit.wires_in, max(plan.profile))
     out = _push(plan, np.eye(d**circuit.wires_in, dtype=complex))
-    return LinearMap(d, circuit.wires_in, plan.profile[-1], Tensor(out))
+    return LinearMap(d, circuit.wires_in, plan.profile[-1], out)
 
 
 # --- brute-force evaluator -------------------------------------------------
@@ -411,31 +412,31 @@ def _transitions(algebra: HopfAlgebra, prim: Primitive):
         for a in range(d):
             out.append(((a,), (a,), 1.0 + 0j))
     elif prim.kind == "Mul":
-        arr = algebra.mul.array
+        arr = algebra.mul
         for a in range(d):
             for b in range(d):
                 for c in range(d):
                     if arr[a, b, c] != 0:
                         out.append(((a, b), (c,), complex(arr[a, b, c])))
     elif prim.kind == "Comul":
-        arr = algebra.comul.array
+        arr = algebra.comul
         for a in range(d):
             for b in range(d):
                 for c in range(d):
                     if arr[a, b, c] != 0:
                         out.append(((a,), (b, c), complex(arr[a, b, c])))
     elif prim.kind == "Unit":
-        arr = algebra.unit.array
+        arr = algebra.unit
         for a in range(d):
             if arr[a] != 0:
                 out.append(((), (a,), complex(arr[a])))
     elif prim.kind == "Counit":
-        arr = algebra.counit.array
+        arr = algebra.counit
         for a in range(d):
             if arr[a] != 0:
                 out.append(((a,), (), complex(arr[a])))
     elif prim.kind == "Antipode":
-        arr = algebra.antipode.array
+        arr = algebra.antipode
         for a in range(d):
             for b in range(d):
                 if arr[a, b] != 0:
@@ -539,7 +540,7 @@ def evaluate_bruteforce_map(circuit: Circuit) -> LinearMap:
     d = circuit.algebra.dim
     _check_map_entries(d, circuit.wires_in, max(profile))
     columns = _bruteforce_columns(circuit, profile[-1], range(d**circuit.wires_in))
-    return LinearMap(d, circuit.wires_in, profile[-1], Tensor(columns))
+    return LinearMap(d, circuit.wires_in, profile[-1], columns)
 
 
 # --- controlled-NOT and gate-list compilation ------------------------------
@@ -636,7 +637,7 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
     _check_map_entries(d, wires, wires)
     dim = d**wires
     total = np.eye(dim, dtype=complex)
-    product = np.argmax(algebra.mul.array, axis=2)  # product[a, b] = a * b
+    product = np.argmax(algebra.mul, axis=2)  # product[a, b] = a * b
     index = np.arange(dim)
     digits = np.indices((d,) * wires).reshape(wires, dim)  # digits[k, i]: digit k of index i
     for gi, gate in enumerate(gates):
@@ -658,7 +659,7 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
             moved = np.zeros_like(total)
             moved[rows] = total
             total = moved
-    return LinearMap(d, wires, wires, Tensor(total))
+    return LinearMap(d, wires, wires, total)
 
 
 # --- applying maps and reading out results ---------------------------------
@@ -668,7 +669,7 @@ def apply(linmap: LinearMap, state: Sequence[complex]) -> np.ndarray:
     expected = linmap.base_dim**linmap.wires_in
     if vec.shape != (expected,):
         raise ValueError(f"state has length {vec.shape[0]}, map consumes {expected}")
-    return linmap.matrix.array @ vec
+    return linmap.matrix @ vec
 
 
 @dataclass(frozen=True)
@@ -728,7 +729,7 @@ def is_unitary(linmap: LinearMap, tol: float = 1e-10) -> bool:
     """True iff the map is square and its Gram matrix is the identity."""
     if linmap.wires_in != linmap.wires_out:
         return False
-    return _gram_deviation(linmap.matrix.array) <= tol
+    return _gram_deviation(linmap.matrix) <= tol
 
 
 # --- unitarity without the full map ----------------------------------------
@@ -782,7 +783,7 @@ def _deviation_bound(circuit: Circuit) -> float | None:
                     log_bound += math.log1p(d * prim.deviation)
                 elif prim.kind == "Antipode":
                     if antipode is None:
-                        antipode = d * _gram_deviation(algebra.antipode_map().matrix.array)
+                        antipode = d * _gram_deviation(algebra.antipode_map().matrix)
                     log_bound += math.log1p(antipode)
             i += 1
             continue
@@ -790,7 +791,7 @@ def _deviation_bound(circuit: Circuit) -> float | None:
         if p is None or i + 1 == len(layers) or _lone_kind_at(layers[i + 1], "Mul") != p + 1:
             return None
         if cnot is None:
-            cnot = d * d * _gram_deviation(evaluate(build_cnot(algebra)).matrix.array)
+            cnot = d * d * _gram_deviation(evaluate(build_cnot(algebra)).matrix)
         log_bound += math.log1p(cnot)
         i += 2
     return math.expm1(log_bound)

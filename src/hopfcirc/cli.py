@@ -158,9 +158,9 @@ def _parse_input_digits(text: str, d: int, wires: int) -> list[int]:
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_check_axioms(args) -> int:
-    algebra = resolve_algebra(args.algebra)
     if args.tol < 0:
         raise ValueError("tolerance must be nonnegative")
+    algebra = resolve_algebra(args.algebra)
     report = check_axioms(algebra, args.tol)
     payload = {"algebra": args.algebra, "dim": algebra.dim, **report.as_dict()}
     if not args.json:
@@ -235,10 +235,10 @@ def _cmd_matrix(args) -> int:
     if args.json:
         print(_dump_json(linmap.to_json()))
         return EXIT_OK
-    rows, cols = linmap.matrix.dims
+    rows, cols = linmap.matrix.shape
     print(f"map: {linmap.wires_in} -> {linmap.wires_out} wires (d={linmap.base_dim}), "
           f"matrix {rows}x{cols}")
-    for row in linmap.matrix.array:
+    for row in linmap.matrix:
         print("  " + "  ".join(_format_complex(complex(z)) for z in row))
     return EXIT_OK
 
@@ -300,7 +300,7 @@ def _cmd_compile(args) -> int:
     text = print_circuit(circuit_to_document(circuit, "Z2"))
     compiled = evaluate(circuit)
     direct = direct_gate_map(algebra, args.wires, gates)
-    deviation = float(np.max(np.abs(compiled.matrix.array - direct.matrix.array)))
+    deviation = float(np.max(np.abs(compiled.matrix - direct.matrix)))
     if args.json:
         payload = {
             "wires": args.wires,
@@ -347,7 +347,7 @@ def _cmd_oracle_check(args) -> int:
     linmap = evaluate(circuit)
     n_inputs = d**linmap.wires_in
     reference = evaluate_bruteforce_map(circuit)
-    deviation = float(np.max(np.abs(reference.matrix.array - linmap.matrix.array)))
+    deviation = float(np.max(np.abs(reference.matrix - linmap.matrix)))
     passed = deviation <= ORACLE_TOL
     if args.json:
         print(_dump_json({"inputs": n_inputs, "max_deviation": deviation, "passed": passed}))

@@ -89,11 +89,11 @@ def loop_vector_lines(vec: np.ndarray, d: int, wires: int) -> list[str]:
 def loop_axiom_deviations(algebra) -> dict[str, float]:
     """Hopf-axiom deviations summed over all index tuples with plain loops."""
     d = algebra.dim
-    M = algebra.mul.array
-    D = algebra.comul.array
-    u = algebra.unit.array
-    eps = algebra.counit.array
-    S = algebra.antipode.array
+    M = algebra.mul
+    D = algebra.comul
+    u = algebra.unit
+    eps = algebra.counit
+    S = algebra.antipode
     rng_d = range(d)
     dev = dict.fromkeys(
         ["associativity", "unit", "coassociativity", "counit", "bialgebra", "antipode"], 0.0

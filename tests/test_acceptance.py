@@ -29,7 +29,6 @@ from hopfcirc.circuit import (
     unitary,
 )
 from hopfcirc.dsl import parse_circuit, print_circuit, to_circuit
-from hopfcirc.tensor import Tensor
 
 from helpers import (
     REPO_ROOT,
@@ -73,7 +72,7 @@ def test_criterion_1_hopf_axiom_suite():
 
 
 def test_criterion_2_cnot_identity():
-    m = evaluate(build_cnot(z2_algebra())).matrix.array
+    m = evaluate(build_cnot(z2_algebra())).matrix
     ok = np.array_equal(m, CNOT_TABLE)
     ok = ok and np.array_equal(m @ m, np.eye(4))
     report(2, "copy-multiply circuit equals the CNOT permutation, entry-exact; squares to identity", ok)
@@ -89,7 +88,7 @@ def test_criterion_3_oracle_equivalence_200_circuits():
             dense = evaluate(circuit)
             for idx in range(dense.base_dim**dense.wires_in):
                 column = evaluate_bruteforce(circuit, idx)
-                diff = float(np.max(np.abs(column - dense.matrix.array[:, idx])))
+                diff = float(np.max(np.abs(column - dense.matrix[:, idx])))
                 worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 30.0
@@ -110,7 +109,7 @@ def test_criterion_4_compiler_equivalence_30_gate_lists():
         gates = random_gate_list(rng, wires, int(rng.integers(0, 31)))
         compiled = evaluate(compile_gate_circuit(algebra, wires, gates))
         direct = simulate_gates_rowwise(wires, gates)
-        worst = max(worst, float(np.max(np.abs(compiled.matrix.array - direct))))
+        worst = max(worst, float(np.max(np.abs(compiled.matrix - direct))))
         all_unitary = all_unitary and is_unitary(compiled, 1e-10)
     ok = worst <= 1e-10 and all_unitary
     report(4, f"30 random gate lists: max deviation {worst:.3e}, all compiled maps unitary", ok)
@@ -118,29 +117,29 @@ def test_criterion_4_compiler_equivalence_30_gate_lists():
 
 def test_criterion_5_generalized_circuit_reproduction():
     with_id = evaluate(generalized_example(np.eye(2)))
-    ok = with_id.matrix.dims == (8, 4)
+    ok = with_id.matrix.shape == (8, 4)
     for a in range(2):
         for b in range(2):
             idx = digits_to_index([a, b], 2)
             want = basis_state(2, [a, b, b])
-            ok = ok and np.array_equal(with_id.matrix.array[:, idx], want)
+            ok = ok and np.array_equal(with_id.matrix[:, idx], want)
             ok = ok and np.array_equal(evaluate_bruteforce(generalized_example(np.eye(2)), idx), want)
 
     with_h = generalized_example(HADAMARD)
     dense = evaluate(with_h)
-    ok = ok and dense.matrix.dims == (8, 4) and not is_unitary(dense)
+    ok = ok and dense.matrix.shape == (8, 4) and not is_unitary(dense)
     for idx in range(4):
         column = evaluate_bruteforce(with_h, idx)
-        ok = ok and float(np.max(np.abs(column - dense.matrix.array[:, idx]))) <= 1e-12
+        ok = ok and float(np.max(np.abs(column - dense.matrix[:, idx]))) <= 1e-12
     report(5, "generalized circuit: identity case maps (a,b)->(a,b,b) exactly; "
               "rotated case agrees with oracle and is non-unitary (8x4)", ok)
 
 
 def test_criterion_6_degenerate_handling():
     h = z2_algebra()
-    mul = h.mul.array.copy()
+    mul = h.mul.copy()
     mul[1, 1, 0] = 0.0
-    corrupted = HopfAlgebra(h.basis_labels, Tensor(mul), h.comul, h.unit, h.counit, h.antipode)
+    corrupted = HopfAlgebra(h.basis_labels, mul, h.comul, h.unit, h.counit, h.antipode)
     ok = not check_axioms(corrupted, 1e-12).passed
 
     annihilating = Circuit(
@@ -171,11 +170,11 @@ def test_criterion_7_dsl_round_trip_and_goldens():
     ok = ok and print_circuit(parse_circuit(fig2_src)) == fig2_src
 
     cnot_map = evaluate(to_circuit(parse_circuit(cnot_src)))
-    ok = ok and np.array_equal(cnot_map.matrix.array, CNOT_TABLE)
+    ok = ok and np.array_equal(cnot_map.matrix, CNOT_TABLE)
 
     fig2_map = evaluate(to_circuit(parse_circuit(fig2_src)))
     want = evaluate(generalized_example(HADAMARD))
-    ok = ok and fig2_map.matrix.dims == (8, 4)
-    ok = ok and float(np.max(np.abs(fig2_map.matrix.array - want.matrix.array))) == 0.0
+    ok = ok and fig2_map.matrix.shape == (8, 4)
+    ok = ok and float(np.max(np.abs(fig2_map.matrix - want.matrix))) == 0.0
     report(7, "parse/print identity over 100 random documents; golden files evaluate "
               "to the criterion-2 and criterion-5 matrices", ok)

@@ -11,24 +11,18 @@ from hypothesis import strategies as st
 import hopfcirc.algebra
 from hopfcirc.algebra import (
     _AXIOM_CIRCUITS,
-    AlgebraElement,
     GroupTableError,
     HopfAlgebra,
-    antipode_apply,
-    basis_element,
     builtin_algebra,
     check_axioms,
-    comultiply,
-    counit_value,
     cyclic_group_table,
     group_algebra,
     load_group_table,
-    multiply,
     resolve_algebra,
     symmetric_group_3_table,
     z2_algebra,
 )
-from hopfcirc.tensor import Tensor
+from hopfcirc.circuit import ANTIPODE, COMUL, COUNIT, MUL, Circuit, run
 
 from helpers import REPO_ROOT, loop_axiom_deviations
 
@@ -37,23 +31,23 @@ AXIOM_NAMES = ["associativity", "unit", "coassociativity", "counit", "bialgebra"
 
 class TestZ2Structure:
     def test_multiplication_table_is_xor(self):
-        mul = z2_algebra().mul.array
+        mul = z2_algebra().mul
         for a in range(2):
             for b in range(2):
                 for c in range(2):
                     assert mul[a, b, c] == (1.0 if c == a ^ b else 0.0)
 
     def test_comultiplication_is_copy(self):
-        comul = z2_algebra().comul.array
+        comul = z2_algebra().comul
         assert comul[0, 0, 0] == 1.0 and comul[1, 1, 1] == 1.0
         assert comul[0, 0, 1] == 0.0
         assert np.count_nonzero(comul) == 2
 
     def test_unit_counit_antipode(self):
         h = z2_algebra()
-        assert np.array_equal(h.unit.array, [1.0, 0.0])
-        assert np.array_equal(h.counit.array, [1.0, 1.0])
-        assert np.array_equal(h.antipode.array, np.eye(2))
+        assert np.array_equal(h.unit, [1.0, 0.0])
+        assert np.array_equal(h.counit, [1.0, 1.0])
+        assert np.array_equal(h.antipode, np.eye(2))
 
     def test_axioms_pass_with_zero_deviation(self):
         report = check_axioms(z2_algebra(), 0.0)
@@ -63,82 +57,121 @@ class TestZ2Structure:
         assert report.commutative and report.cocommutative
 
 
+class TestDirectConstruction:
+    STRUCTURE = {"mul": np.zeros((2, 2, 2)), "comul": np.zeros((2, 2, 2)), "unit": [1.0, 0.0],
+                 "counit": [1.0, 1.0], "antipode": np.eye(2)}
+
+    def test_rejects_nonfinite(self):
+        for field in self.STRUCTURE:
+            for bad in (np.nan, np.inf):
+                structure = {k: np.array(v, dtype=complex) for k, v in self.STRUCTURE.items()}
+                structure[field].flat[0] = bad
+                with pytest.raises(ValueError, match=f"{field} tensor entries must be finite"):
+                    HopfAlgebra(("f0", "f1"), **structure)
+
+    def test_structure_tensors_read_only(self):
+        h = z2_algebra()
+        for field in self.STRUCTURE:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(h, field).flat[0] = 2.0
+
+    def test_caller_arrays_are_copied(self):
+        mul = z2_algebra().mul.copy()
+        h = HopfAlgebra(("f0", "f1"), mul, **{k: v for k, v in self.STRUCTURE.items() if k != "mul"})
+        mul[0, 0, 0] = 5.0
+        assert h.mul[0, 0, 0] == 1.0
+
+
+def _act(h, prim, *elements):
+    """An operation on algebra elements as a one-primitive circuit: prim run
+    on the tensor product of the elements (one wire each)."""
+    state = np.ones(1)
+    for x in elements:
+        state = np.kron(state, x)
+    return run(Circuit(h, len(elements), ((prim,),)), state[:, None])[:, 0]
+
+
+def _basis(h, index):
+    return np.eye(h.dim)[index]
+
+
 class TestElementOps:
+    """Product, coproduct, counit and antipode of algebra elements, i.e. of
+    one-wire states, through the engine."""
+
     def test_basis_products_match_xor(self):
         h = z2_algebra()
-        f0, f1 = basis_element(h, 0), basis_element(h, 1)
-        assert np.array_equal(multiply(f1, f1).coeffs, f0.coeffs)
-        assert np.array_equal(multiply(f0, f1).coeffs, f1.coeffs)
-        assert np.array_equal(multiply(f1, f0).coeffs, f1.coeffs)
-        assert np.array_equal(multiply(f0, f0).coeffs, f0.coeffs)
+        f0, f1 = _basis(h, 0), _basis(h, 1)
+        assert np.array_equal(_act(h, MUL, f1, f1), f0)
+        assert np.array_equal(_act(h, MUL, f0, f1), f1)
+        assert np.array_equal(_act(h, MUL, f1, f0), f1)
+        assert np.array_equal(_act(h, MUL, f0, f0), f0)
 
     def test_unit_law(self):
         h = z2_algebra()
-        f0 = basis_element(h, 0)
-        x = AlgebraElement(h, [0.3 + 0.1j, -2.0])
-        assert np.array_equal(multiply(f0, x).coeffs, x.coeffs)
-        assert np.array_equal(multiply(x, f0).coeffs, x.coeffs)
+        f0 = _basis(h, 0)
+        x = np.array([0.3 + 0.1j, -2.0])
+        assert np.array_equal(_act(h, MUL, f0, x), x)
+        assert np.array_equal(_act(h, MUL, x, f0), x)
 
     def test_bilinear_expansion_cancels(self):
         h = z2_algebra()
-        f0, f1 = basis_element(h, 0), basis_element(h, 1)
-        out = multiply(f0 + f1, f0 - f1)
-        assert np.array_equal(out.coeffs, [0.0, 0.0])
+        f0, f1 = _basis(h, 0), _basis(h, 1)
+        assert np.array_equal(_act(h, MUL, f0 + f1, f0 - f1), [0.0, 0.0])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31), st.integers(0, 2**31))
     def test_multiply_bilinear(self, seed1, seed2):
         h = builtin_algebra("Z3")
         rng = np.random.default_rng([seed1, seed2])
-        x, y, z = (AlgebraElement(h, rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in range(3))
+        x, y, z = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3))
         alpha, beta = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-        left = multiply(alpha * x + beta * y, z)
-        right = alpha * multiply(x, z) + beta * multiply(y, z)
-        assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-13
-        left = multiply(z, alpha * x + beta * y)
-        right = alpha * multiply(z, x) + beta * multiply(z, y)
-        assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-13
+        left = _act(h, MUL, alpha * x + beta * y, z)
+        right = alpha * _act(h, MUL, x, z) + beta * _act(h, MUL, y, z)
+        assert np.max(np.abs(left - right)) <= 1e-13
+        left = _act(h, MUL, z, alpha * x + beta * y)
+        right = alpha * _act(h, MUL, z, x) + beta * _act(h, MUL, z, y)
+        assert np.max(np.abs(left - right)) <= 1e-13
 
     def test_algebra_mismatch(self):
-        with pytest.raises(ValueError, match="different algebras"):
-            multiply(basis_element(z2_algebra(), 0), basis_element(builtin_algebra("Z3"), 0))
+        # an element of Z3 has three coefficients: no wire of Z2 takes it
+        with pytest.raises(ValueError, match="states must be"):
+            _act(z2_algebra(), MUL, _basis(z2_algebra(), 0), _basis(builtin_algebra("Z3"), 0))
 
     def test_comultiply_basis_and_linearity(self):
         h = z2_algebra()
-        d1 = comultiply(basis_element(h, 1))
-        assert d1[1, 1] == 1.0 and np.count_nonzero(d1.array) == 1
-        zero = comultiply(AlgebraElement(h, [0.0, 0.0]))
-        assert np.count_nonzero(zero.array) == 0
-        both = comultiply(basis_element(h, 0) + basis_element(h, 1))
-        assert both[0, 0] == 1.0 and both[1, 1] == 1.0 and np.count_nonzero(both.array) == 2
+        d1 = _act(h, COMUL, _basis(h, 1)).reshape(2, 2)
+        assert d1[1, 1] == 1.0 and np.count_nonzero(d1) == 1
+        zero = _act(h, COMUL, [0.0, 0.0])
+        assert np.count_nonzero(zero) == 0
+        both = _act(h, COMUL, _basis(h, 0) + _basis(h, 1)).reshape(2, 2)
+        assert both[0, 0] == 1.0 and both[1, 1] == 1.0 and np.count_nonzero(both) == 2
 
     def test_counit_values(self):
         h = z2_algebra()
-        f0, f1 = basis_element(h, 0), basis_element(h, 1)
-        assert counit_value(f0) == 1.0
-        assert counit_value(f0 - f1) == 0.0
+        f0, f1 = _basis(h, 0), _basis(h, 1)
+        assert np.array_equal(_act(h, COUNIT, f0), [1.0])
+        assert np.array_equal(_act(h, COUNIT, f0 - f1), [0.0])
         z3 = builtin_algebra("Z3")
-        total = basis_element(z3, 0) + basis_element(z3, 1) + basis_element(z3, 2)
-        assert counit_value(total) == 3.0
+        assert np.array_equal(_act(z3, COUNIT, np.ones(3)), [3.0])
 
     def test_antipode_values(self):
         h = z2_algebra()
-        f1 = basis_element(h, 1)
-        assert np.array_equal(antipode_apply(f1).coeffs, f1.coeffs)
+        f1 = _basis(h, 1)
+        assert np.array_equal(_act(h, ANTIPODE, f1), f1)
         z3 = builtin_algebra("Z3")
-        g1 = basis_element(z3, 1)
-        assert np.array_equal(antipode_apply(g1).coeffs, basis_element(z3, 2).coeffs)
+        assert np.array_equal(_act(z3, ANTIPODE, _basis(z3, 1)), _basis(z3, 2))
 
     def test_antipode_is_involution(self):
         for name in ("Z2", "Z3", "Z4", "Z5", "S3"):
             h = builtin_algebra(name)
             rng = np.random.default_rng(5)
-            x = AlgebraElement(h, rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim))
-            assert np.array_equal(antipode_apply(antipode_apply(x)).coeffs, x.coeffs)
+            x = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+            assert np.array_equal(_act(h, ANTIPODE, _act(h, ANTIPODE, x)), x)
 
     def test_coeff_length_checked(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            AlgebraElement(z2_algebra(), [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="states must be"):
+            _act(z2_algebra(), ANTIPODE, [1.0, 0.0, 0.0])
 
 
 class TestGroupAlgebra:
@@ -149,7 +182,7 @@ class TestGroupAlgebra:
     def test_z3_antipode_swaps_inverses(self):
         labels, table = cyclic_group_table(3)
         h = group_algebra(labels, table)
-        s = h.antipode.array
+        s = h.antipode
         assert s[0, 0] == 1.0 and s[1, 2] == 1.0 and s[2, 1] == 1.0
         assert check_axioms(h, 1e-12).passed
 
@@ -164,12 +197,12 @@ class TestGroupAlgebra:
     def test_comul_of_basis_is_rank_one_diagonal(self):
         h = builtin_algebra("Z5")
         for g in range(h.dim):
-            d = comultiply(basis_element(h, g)).array
+            d = h.comul[g]  # the image of basis element g in the tensor square
             assert d[g, g] == 1.0 and np.count_nonzero(d) == 1
 
     def test_antipode_is_permutation_matrix(self):
         for name in ("Z2", "Z3", "Z4", "Z5", "S3"):
-            s = builtin_algebra(name).antipode.array
+            s = builtin_algebra(name).antipode
             assert np.array_equal(np.sort(s.real, axis=1)[:, -1], np.ones(s.shape[0]))
             assert np.array_equal(s.real.sum(axis=0), np.ones(s.shape[0]))
             assert np.array_equal(s @ s, np.eye(s.shape[0]))
@@ -253,9 +286,9 @@ class TestGroupAlgebra:
 class TestCheckAxioms:
     def test_corrupted_mul_fails(self):
         h = z2_algebra()
-        mul = h.mul.array.copy()
+        mul = h.mul.copy()
         mul[1, 1, 0] = 0.0
-        bad = HopfAlgebra(h.basis_labels, Tensor(mul), h.comul, h.unit, h.counit, h.antipode)
+        bad = HopfAlgebra(h.basis_labels, mul, h.comul, h.unit, h.counit, h.antipode)
         report = check_axioms(bad, 1e-12)
         assert not report.passed
         failing = {c.name for c in report.checks if not c.passed}
@@ -281,7 +314,7 @@ class TestCheckAxioms:
             comul = (comul + comul.swapaxes(1, 2)) / 2
         h = HopfAlgebra(
             [f"b{i}" for i in range(d)],
-            Tensor(mul), Tensor(comul), Tensor(rand(d)), Tensor(rand(d)), Tensor(rand(d, d)),
+            mul, comul, rand(d), rand(d), rand(d, d),
         )
         tol = 1e-12
         report = check_axioms(h, tol)
@@ -295,10 +328,10 @@ class TestCheckAxioms:
 
     def test_order_above_limit_refused(self):
         d = 17
-        zeros = Tensor(np.zeros((d, d, d)))
+        zeros = np.zeros((d, d, d))
         h = HopfAlgebra(
             [str(i) for i in range(d)], zeros, zeros,
-            Tensor(np.zeros(d)), Tensor(np.zeros(d)), Tensor(np.zeros((d, d))),
+            np.zeros(d), np.zeros(d), np.zeros((d, d)),
         )
         with pytest.raises(ValueError, match="order 17 .*order at most 16"):
             check_axioms(h, 1e-12)
@@ -335,9 +368,9 @@ def evaluate_calls(monkeypatch):
 class TestAxiomsEvaluatedOnce:
     def test_second_tolerance_reuses_deviations(self, evaluate_calls):
         h = z2_algebra()
-        mul = h.mul.array.copy()
+        mul = h.mul.copy()
         mul[1, 1, 0] = 0.0
-        bad = HopfAlgebra(h.basis_labels, Tensor(mul), h.comul, h.unit, h.counit, h.antipode)
+        bad = HopfAlgebra(h.basis_labels, mul, h.comul, h.unit, h.counit, h.antipode)
         strict = check_axioms(bad, 0.0)
         assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
         loose = check_axioms(bad, 1.0)

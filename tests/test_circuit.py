@@ -40,7 +40,6 @@ from hopfcirc.circuit import (
     validate,
 )
 
-from hopfcirc.tensor import Tensor
 
 from helpers import (
     certificate_circuit,
@@ -116,21 +115,21 @@ def one_layer_map(algebra, layer):
 class TestLayerMap:
     def test_two_identities(self):
         m = one_layer_map(Z2, (ID, ID))
-        assert np.array_equal(m.matrix.array, np.eye(4))
+        assert np.array_equal(m.matrix, np.eye(4))
 
     def test_copy_extended_by_identity(self):
         m = one_layer_map(Z2, (COMUL, ID))
-        assert m.matrix.dims == (8, 4)
+        assert m.matrix.shape == (8, 4)
         for a in range(2):
             for b in range(2):
-                col = m.matrix.array[:, digits_to_index([a, b], 2)]
+                col = m.matrix[:, digits_to_index([a, b], 2)]
                 expect = basis_state(2, [a, a, b])
                 assert np.array_equal(col, expect)
 
     def test_swap_exchanges_basis(self):
         m = one_layer_map(Z2, (SWAP,))
         want = np.eye(4)[:, [0, 2, 1, 3]]
-        assert np.array_equal(m.matrix.array, want)
+        assert np.array_equal(m.matrix, want)
 
     def test_empty_layer_rejected(self):
         with pytest.raises(CircuitError, match="layer 0 is empty"):
@@ -140,23 +139,41 @@ class TestLayerMap:
 class TestEvaluate:
     def test_cnot_matches_truth_table(self):
         m = evaluate(build_cnot(Z2))
-        assert np.array_equal(m.matrix.array, CNOT_TABLE)
+        assert np.array_equal(m.matrix, CNOT_TABLE)
 
     def test_empty_circuit_is_identity(self):
         m = evaluate(Circuit(Z2, wires_in=3, layers=()))
-        assert np.array_equal(m.matrix.array, np.eye(8))
+        assert np.array_equal(m.matrix, np.eye(8))
 
     def test_generalized_identity_copies_target(self):
         m = evaluate(generalized_circuit(np.eye(2)))
-        assert m.matrix.dims == (8, 4)
+        assert m.matrix.shape == (8, 4)
         for a in range(2):
             for b in range(2):
-                col = m.matrix.array[:, digits_to_index([a, b], 2)]
+                col = m.matrix[:, digits_to_index([a, b], 2)]
                 assert np.array_equal(col, basis_state(2, [a, b, b]))
 
     def test_validation_error_propagates(self):
         with pytest.raises(CircuitError):
             evaluate(Circuit(Z2, wires_in=1, layers=((MUL,),)))
+
+    def test_peak_memory_is_one_map(self):
+        # the map owns the array the engine built: no second copy of it
+        c = Circuit(Z2, wires_in=10, layers=((ID,) * 10,))
+        tracemalloc.start()
+        try:
+            m = evaluate(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.matrix.shape == (2**10, 2**10)
+        assert peak <= 1.1 * m.matrix.nbytes
+
+    def test_maps_are_read_only(self):
+        c = build_cnot(Z2)
+        for m in (evaluate(c), evaluate_bruteforce_map(c), direct_gate_map(Z2, 2, [Cnot(0, 1)])):
+            with pytest.raises(ValueError, match="read-only"):
+                m.matrix[0, 0] = 2.0
 
 
 class TestLimits:
@@ -216,7 +233,7 @@ class TestRun:
         c = generalized_circuit(HADAMARD)
         batch = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
         assert run(c, batch).shape == (8, 3)
-        assert np.max(np.abs(run(c, batch) - evaluate(c).matrix.array @ batch)) <= 1e-12
+        assert np.max(np.abs(run(c, batch) - evaluate(c).matrix @ batch)) <= 1e-12
 
     def test_swap_chain_moves_wire(self):
         # three adjacent swaps in one layer carry wire 0 to the far end
@@ -255,7 +272,7 @@ class TestLayerWidth:
     @pytest.mark.parametrize("algebra", [Z2, Z3], ids=["Z2", "Z3"])
     def test_reordered_layer_matches_bruteforce(self, algebra, layer):
         c = Circuit(algebra, wires_in=sum(p.wires_in for p in layer), layers=(layer,))
-        m = evaluate(c).matrix.array
+        m = evaluate(c).matrix
         for idx in range(m.shape[1]):
             assert np.max(np.abs(evaluate_bruteforce(c, idx) - m[:, idx])) <= 1e-12
 
@@ -342,7 +359,7 @@ def engine_circuits(draw):
 @settings(max_examples=150, deadline=None)
 @given(engine_circuits(), st.integers(0, 2**32 - 1))
 def test_engine_matches_bruteforce_and_map(circuit, seed):
-    m = evaluate(circuit).matrix.array
+    m = evaluate(circuit).matrix
     for idx in range(m.shape[1]):
         assert np.max(np.abs(evaluate_bruteforce(circuit, idx) - m[:, idx])) <= 1e-12
     rng = np.random.default_rng(seed)
@@ -375,11 +392,11 @@ def test_bruteforce_map_matches_columns_and_engine(name, seed, annihilate):
     got = evaluate_bruteforce_map(c)
     want = evaluate(c)
     assert (got.base_dim, got.wires_in, got.wires_out) == (want.base_dim, want.wires_in, want.wires_out)
-    m = got.matrix.array
-    assert m.shape == want.matrix.array.shape
+    m = got.matrix
+    assert m.shape == want.matrix.shape
     for idx in range(m.shape[1]):
         assert np.max(np.abs(m[:, idx] - evaluate_bruteforce(c, idx))) <= 1e-12
-    assert np.max(np.abs(m - want.matrix.array)) <= 1e-12
+    assert np.max(np.abs(m - want.matrix)) <= 1e-12
     if annihilate:
         d = algebra.dim
         zero = [i for i in range(m.shape[1]) if index_to_digits(i, d, c.wires_in)[0] != 0]
@@ -388,7 +405,7 @@ def test_bruteforce_map_matches_columns_and_engine(name, seed, annihilate):
 
 class TestBruteForce:
     def test_map_of_cnot_is_its_table(self):
-        assert np.array_equal(evaluate_bruteforce_map(build_cnot(Z2)).matrix.array, CNOT_TABLE)
+        assert np.array_equal(evaluate_bruteforce_map(build_cnot(Z2)).matrix, CNOT_TABLE)
 
     def test_cnot_flips_target_of_input_two(self):
         col = evaluate_bruteforce(build_cnot(Z2), 2)
@@ -413,7 +430,7 @@ class TestBruteForce:
             n_in = dense.base_dim**dense.wires_in
             for idx in range(n_in):
                 column = evaluate_bruteforce(circuit, idx)
-                assert np.max(np.abs(column - dense.matrix.array[:, idx])) <= 1e-12
+                assert np.max(np.abs(column - dense.matrix[:, idx])) <= 1e-12
 
     def test_unit_and_counit_edges(self):
         # produce a wire from nothing, then absorb one
@@ -421,7 +438,7 @@ class TestBruteForce:
         dense = evaluate(c)
         for idx in range(2):
             column = evaluate_bruteforce(c, idx)
-            assert np.array_equal(column, dense.matrix.array[:, idx])
+            assert np.array_equal(column, dense.matrix[:, idx])
 
 
 class TestBuildCnot:
@@ -430,10 +447,10 @@ class TestBuildCnot:
         ones = {(0, 0), (1, 1), (3, 2), (2, 3)}
         for r in range(4):
             for c in range(4):
-                assert m.matrix.array[r, c] == (1.0 if (r, c) in ones else 0.0)
+                assert m.matrix[r, c] == (1.0 if (r, c) in ones else 0.0)
 
     def test_self_inverse(self):
-        m = evaluate(build_cnot(Z2)).matrix.array
+        m = evaluate(build_cnot(Z2)).matrix
         assert np.array_equal(m @ m, np.eye(4))
 
     def test_z3_controlled_shift(self):
@@ -443,7 +460,7 @@ class TestBuildCnot:
     @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "S3"])
     def test_group_cnot_is_permutation(self, name):
         algebra = builtin_algebra(name)
-        m = evaluate(build_cnot(algebra)).matrix.array
+        m = evaluate(build_cnot(algebra)).matrix
         for col in m.T:
             assert np.count_nonzero(col) == 1 and np.max(col.real) == 1.0
         assert is_unitary(evaluate(build_cnot(algebra)))
@@ -526,6 +543,33 @@ class TestIsUnitary:
         u = unitary("r", haar_unitary(rng, 2))
         assert is_unitary(one_layer_map(Z2, (u, ID)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.7071067811865476, 3e-200,
+                                  1e308, -1e308, np.inf, np.nan]), min_size=32, max_size=32),
+    )
+    def test_gram_deviation_matches_identity_subtraction(self, rows, cols, values):
+        m = np.empty((rows, cols), dtype=complex)
+        m.real.flat, m.imag.flat = values[: rows * cols], values[16 : 16 + rows * cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = m.conj().T @ m
+            want = float(np.max(np.abs(gram - np.eye(cols))))
+        got = hopfcirc.circuit._gram_deviation(m)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_peak_memory(self):
+        # m^H, the Gram matrix and its absolute values; no identity matrix
+        m = evaluate(Circuit(Z2, wires_in=10, layers=((ID,) * 10,)))
+        tracemalloc.start()
+        try:
+            assert is_unitary(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * m.matrix.nbytes
+
 
 def perturbed_z2(mul_scale: float, antipode_scale: float) -> HopfAlgebra:
     """Z2 with its multiplication and antipode scaled, so that the CNOT
@@ -534,11 +578,11 @@ def perturbed_z2(mul_scale: float, antipode_scale: float) -> HopfAlgebra:
     z2 = z2_algebra()
     return HopfAlgebra(
         z2.basis_labels,
-        mul=Tensor(z2.mul.array * mul_scale),
+        mul=z2.mul * mul_scale,
         comul=z2.comul,
         unit=z2.unit,
         counit=z2.counit,
-        antipode=Tensor(z2.antipode.array * antipode_scale),
+        antipode=z2.antipode * antipode_scale,
     )
 
 
@@ -678,7 +722,7 @@ class TestPlan:
         assert [step.perm is not None for step in plan.steps] == [True, False, True, False]
         assert plan.final_perm is not None
         assert plan.profile == tuple(validate(c))
-        assert np.max(np.abs(evaluate(c).matrix.array - evaluate_bruteforce_map(c).matrix.array)) <= 1e-12
+        assert np.max(np.abs(evaluate(c).matrix - evaluate_bruteforce_map(c).matrix)) <= 1e-12
 
 
 class TestPrimitives:

@@ -30,7 +30,7 @@ from hopfcirc.circuit import (
 )
 from hopfcirc.cli import cli_run
 from hopfcirc.dsl import circuit_to_document, print_circuit
-from hopfcirc.tensor import LinearMap, Tensor
+from hopfcirc.tensor import LinearMap
 
 from helpers import (
     REPO_ROOT,
@@ -90,9 +90,9 @@ def corrupt_evaluate(monkeypatch):
 
     def corrupted(circuit):
         good = evaluate(circuit)
-        array = good.matrix.array.copy()
+        array = good.matrix.copy()
         array[0, 1] += CORRUPTION
-        return LinearMap(good.base_dim, good.wires_in, good.wires_out, Tensor(array))
+        return LinearMap(good.base_dim, good.wires_in, good.wires_out, array)
 
     monkeypatch.setattr(hopfcirc.cli, "evaluate", corrupted)
 
@@ -155,6 +155,20 @@ class TestCheckAxioms:
         code, out, err = run(capsys, ["check-axioms", "--algebra", "Z2", "--tol", "-1"])
         assert code == 2 and out == ""
         assert err == "error: validate: tolerance must be nonnegative\n"
+
+    @pytest.mark.parametrize("algebra", ["nope", "table"])
+    def test_negative_tolerance_refused_before_algebra(self, capsys, tmp_path, monkeypatch, algebra):
+        # neither an unknown name nor a valid table file is looked at first
+        if algebra == "table":
+            algebra = tmp_path / "z3.json"
+            algebra.write_text(json.dumps({"labels": ["a", "b", "c"],
+                                           "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+        built = []
+        monkeypatch.setattr(hopfcirc.algebra, "group_algebra", lambda *a: built.append(a))
+        code, out, err = run(capsys, ["check-axioms", "--algebra", str(algebra), "--tol", "-1"])
+        assert code == 2 and out == ""
+        assert err == "error: validate: tolerance must be nonnegative\n"
+        assert built == []
 
     @pytest.mark.parametrize(
         "doc",
@@ -727,7 +741,7 @@ def test_eval_matches_map_column(name, family, seed):
     linmap = evaluate(c)
     index = int(rng.integers(d**c.wires_in))
     digits = index_to_digits(index, d, c.wires_in)
-    column = linmap.matrix.array[:, index]
+    column = linmap.matrix[:, index]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.hopf"
         path.write_text(print_circuit(circuit_to_document(c, name)))

@@ -30,12 +30,12 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 class TestCompileBasics:
     def test_single_adjacent_cnot(self):
         circuit = compile_gate_circuit(Z2, 2, [Cnot(0, 1)])
-        assert np.array_equal(evaluate(circuit).matrix.array, CNOT_TABLE)
+        assert np.array_equal(evaluate(circuit).matrix, CNOT_TABLE)
 
     def test_empty_gate_list_is_identity(self):
         for n in (1, 3):
             m = evaluate(compile_gate_circuit(Z2, n, []))
-            assert np.array_equal(m.matrix.array, np.eye(2**n))
+            assert np.array_equal(m.matrix, np.eye(2**n))
 
     def test_bell_state(self):
         circuit = compile_gate_circuit(Z2, 2, [U1(0, HADAMARD, "h"), Cnot(0, 1)])
@@ -51,7 +51,7 @@ class TestCompileBasics:
 
     def test_reversed_adjacent_cnot(self):
         circuit = compile_gate_circuit(Z2, 2, [Cnot(1, 0)])
-        got = evaluate(circuit).matrix.array
+        got = evaluate(circuit).matrix
         want = simulate_gates_rowwise(2, [Cnot(1, 0)])
         assert np.array_equal(got, want)
         # target is wire 0: |01> -> |11>
@@ -60,7 +60,7 @@ class TestCompileBasics:
     @pytest.mark.parametrize("control,target", [(0, 2), (2, 0), (0, 3), (3, 1), (1, 3)])
     def test_distant_cnot_pairs(self, control, target):
         gates = [Cnot(control, target)]
-        got = evaluate(compile_gate_circuit(Z2, 4, gates)).matrix.array
+        got = evaluate(compile_gate_circuit(Z2, 4, gates)).matrix
         want = simulate_gates_rowwise(4, gates)
         assert np.array_equal(got, want)
 
@@ -90,7 +90,7 @@ class TestCompileEquivalence:
             gates = random_gate_list(rng, wires, int(rng.integers(0, 16)))
             compiled = evaluate(compile_gate_circuit(Z2, wires, gates))
             want = simulate_gates_rowwise(wires, gates)
-            assert np.max(np.abs(compiled.matrix.array - want)) <= 1e-10
+            assert np.max(np.abs(compiled.matrix - want)) <= 1e-10
             assert is_unitary(compiled, 1e-10)
 
     def test_direct_gate_map_matches_row_oracle(self):
@@ -98,7 +98,7 @@ class TestCompileEquivalence:
         for _ in range(10):
             wires = int(rng.integers(1, 5))
             gates = random_gate_list(rng, wires, int(rng.integers(0, 10)))
-            got = direct_gate_map(Z2, wires, gates).matrix.array
+            got = direct_gate_map(Z2, wires, gates).matrix
             want = simulate_gates_rowwise(wires, gates)
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -108,5 +108,5 @@ class TestCompileEquivalence:
         gates = [Cnot(1, 0), U1(2, haar_unitary(rng, 3)), Cnot(0, 2)]
         compiled = evaluate(compile_gate_circuit(z3, 3, gates))
         direct = direct_gate_map(z3, 3, gates)
-        assert np.max(np.abs(compiled.matrix.array - direct.matrix.array)) <= 1e-12
+        assert np.max(np.abs(compiled.matrix - direct.matrix)) <= 1e-12
         assert is_unitary(compiled, 1e-10)

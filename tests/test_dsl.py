@@ -60,7 +60,7 @@ class TestParse:
             layers=(("DELTA", "ID"), ("ID", "M")),
         )
         m = evaluate(to_circuit(doc))
-        assert np.array_equal(m.matrix.array, CNOT_TABLE)
+        assert np.array_equal(m.matrix, CNOT_TABLE)
 
     def test_fig2_document(self):
         doc = parse_circuit(FIG2_SRC)
@@ -211,7 +211,7 @@ class TestToCircuit:
         circuit = to_circuit(parse_circuit(f"algebra Z2\nin 1\n{defs}{layers}"))
         validate(circuit)
         m = evaluate(circuit)
-        gram = m.matrix.array.conj().T @ m.matrix.array
+        gram = m.matrix.conj().T @ m.matrix
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
 
     def test_nonunitary_matrix_rejected_at_build(self):
@@ -232,8 +232,8 @@ class TestCircuitToDocument:
         # identical matrices share one definition
         assert [name for name, _ in doc.unitaries] == ["u0"]
         rebuilt = to_circuit(parse_circuit(print_circuit(doc)))
-        got = evaluate(rebuilt).matrix.array
-        want = evaluate(circuit).matrix.array
+        got = evaluate(rebuilt).matrix
+        want = evaluate(circuit).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_every_structure_primitive_round_trips(self):

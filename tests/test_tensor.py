@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcirc.tensor import LinearMap, Tensor, as_linear_map, permute_axes
+from hopfcirc.algebra import HopfAlgebra, z2_algebra
+from hopfcirc.circuit import ID, SWAP, Circuit, CircuitError, run
+from hopfcirc.tensor import LinearMap
 
 # structure tensors of the two-element algebra, written out longhand so the
-# tensor tests do not depend on the algebra module
+# map tests do not depend on the algebra's constructors
 C_MUL = np.zeros((2, 2, 2))
 C_MUL[0, 0, 0] = C_MUL[0, 1, 1] = C_MUL[1, 0, 1] = C_MUL[1, 1, 0] = 1.0
 C_COMUL = np.zeros((2, 2, 2))
@@ -18,116 +20,133 @@ CNOT_TABLE = np.zeros((4, 4))
 CNOT_TABLE[0, 0] = CNOT_TABLE[1, 1] = CNOT_TABLE[3, 2] = CNOT_TABLE[2, 3] = 1.0
 
 
-def small_tensors(max_order=4, max_extent=3):
-    def build(dims_and_seed):
-        dims, seed = dims_and_seed
-        rng = np.random.default_rng(seed)
-        data = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-        return Tensor(data)
-
-    dims = st.lists(st.integers(1, max_extent), min_size=0, max_size=max_order).map(tuple)
-    return st.tuples(dims, st.integers(0, 2**31)).map(build)
+def longhand_z2() -> HopfAlgebra:
+    return HopfAlgebra(("f0", "f1"), C_MUL, C_COMUL, [1.0, 0.0], [1.0, 1.0], np.eye(2))
 
 
-class TestTensor:
-    def test_scalar_has_empty_dims(self):
-        t = Tensor(2.5 + 1j)
-        assert t.dims == () and t.order == 0
+def swap_layer(wires: int, pos: int) -> tuple:
+    return (ID,) * pos + (SWAP,) + (ID,) * (wires - pos - 2)
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            Tensor([1.0, np.nan])
-        with pytest.raises(ValueError, match="finite"):
-            Tensor([np.inf, 0.0])
 
-    def test_rejects_zero_extent(self):
-        with pytest.raises(ValueError, match="positive"):
-            Tensor(np.zeros((2, 0)))
+def permuted(state: np.ndarray, wires: int, layers) -> np.ndarray:
+    return run(Circuit(z2_algebra(), wires, tuple(layers)), state[:, None])[:, 0]
 
-    def test_entries_read_only(self):
-        t = Tensor([1.0, 2.0])
-        with pytest.raises(ValueError):
-            t.array[0] = 5.0
+
+def random_state(seed: int, wires: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=2**wires) + 1j * rng.normal(size=2**wires)
 
 
 class TestPermuteAxes:
+    """Swap layers permute the axes of the state tensor, one axis per wire."""
+
     def test_identity_permutation(self):
-        t = Tensor(np.arange(8).reshape(2, 2, 2))
-        assert np.array_equal(permute_axes(t, (0, 1, 2)).array, t.array)
+        state = random_state(3, 3)
+        assert np.array_equal(permuted(state, 3, [(ID, ID, ID)] * 2), state)
 
     def test_swap_exchanges_factors(self):
-        ket01 = Tensor([0, 1, 0, 0], dims=(2, 2))
-        swapped = permute_axes(ket01, (1, 0))
-        assert np.array_equal(swapped.array.reshape(-1), [0, 0, 1, 0])
+        ket01 = np.array([0, 1, 0, 0], dtype=complex)
+        assert np.array_equal(permuted(ket01, 2, [(SWAP,)]), [0, 0, 1, 0])
 
     def test_double_application_composes(self):
-        rng = np.random.default_rng(11)
-        t = Tensor(rng.normal(size=(2, 2, 2)))
-        twice = permute_axes(permute_axes(t, (1, 2, 0)), (1, 2, 0))
-        once = permute_axes(t, (2, 0, 1))
-        assert np.array_equal(twice.array, once.array)
+        # two swaps carry wire 0 to the end: output axes (1, 2, 0) of the input
+        state = random_state(11, 3)
+        cycle = [swap_layer(3, 0), swap_layer(3, 1)]
+        once = np.transpose(state.reshape(2, 2, 2), (1, 2, 0))
+        assert np.array_equal(permuted(state, 3, cycle), once.reshape(-1))
+        twice = np.transpose(once, (1, 2, 0))
+        assert np.array_equal(permuted(state, 3, cycle * 2), twice.reshape(-1))
 
     @settings(max_examples=50, deadline=None)
-    @given(small_tensors(), st.randoms(use_true_random=False))
-    def test_inverse_restores_exactly(self, t, rnd):
-        perm = list(range(t.order))
-        rnd.shuffle(perm)
-        inverse = [perm.index(i) for i in range(t.order)]
-        back = permute_axes(permute_axes(t, perm), inverse)
-        assert back.dims == t.dims
-        assert np.array_equal(back.array, t.array)
+    @given(st.integers(2, 5), st.lists(st.integers(0, 3), max_size=8), st.integers(0, 2**31))
+    def test_inverse_restores_exactly(self, wires, positions, seed):
+        layers = [swap_layer(wires, p % (wires - 1)) for p in positions]
+        state = random_state(seed, wires)
+        assert np.array_equal(permuted(state, wires, layers + layers[::-1]), state)
 
     def test_invalid_permutation(self):
-        t = Tensor(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="permutation"):
-            permute_axes(t, (0, 0))
-        with pytest.raises(ValueError, match="permutation"):
-            permute_axes(t, (0,))
+        with pytest.raises(CircuitError, match="consumes"):
+            permuted(np.ones(8), 3, [(ID, SWAP, ID)])
 
 
 class TestAsLinearMap:
+    """The algebra reads its structure tensors as maps, output axes first."""
+
     def test_cnot_tensor_reshapes_to_table(self):
-        # comul's second output axis against mul's first input axis gives the
-        # four-index controlled-NOT tensor; axes come out (i_c, o_c, i_t, o_t)
-        h = Tensor(np.tensordot(C_COMUL, C_MUL, axes=([2], [0])))
-        ordered = permute_axes(h, (1, 3, 0, 2))  # (o_c, o_t, i_c, i_t)
-        m = as_linear_map(ordered, 2, 2, 2)
-        assert m.matrix.dims == (4, 4)
-        assert np.array_equal(m.matrix.array, CNOT_TABLE)
+        # copy the control, then multiply the copy into the target, as plain
+        # Kronecker products of the algebra's maps
+        h = longhand_z2()
+        eye = np.eye(2)
+        cnot = np.kron(eye, h.mul_map().matrix) @ np.kron(h.comul_map().matrix, eye)
+        assert cnot.shape == (4, 4)
+        assert np.array_equal(cnot, CNOT_TABLE)
 
     def test_identity_tensor(self):
-        m = as_linear_map(Tensor(np.eye(2)), 2, 1, 1)
-        assert np.array_equal(m.matrix.array, np.eye(2))
+        assert np.array_equal(longhand_z2().antipode_map().matrix, np.eye(2))
 
     def test_round_trip_restores_tensor(self):
         rng = np.random.default_rng(13)
-        t = Tensor(rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
-        m = as_linear_map(t, 2, 2, 1)
-        assert np.array_equal(m.matrix.array.reshape(t.dims), t.array)
+        d = 3
+
+        def rand(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        mul, comul, unit, counit, antipode = rand(d, d, d), rand(d, d, d), rand(d), rand(d), rand(d, d)
+        h = HopfAlgebra(("a", "b", "c"), mul, comul, unit, counit, antipode)
+        # mul (in,in,out) became (out,in,in), comul (in,out,out) (out,out,in)
+        assert np.array_equal(h.mul_map().matrix.reshape(d, d, d).transpose(1, 2, 0), mul)
+        assert np.array_equal(h.comul_map().matrix.reshape(d, d, d).transpose(2, 0, 1), comul)
+        assert np.array_equal(h.unit_map().matrix[:, 0], unit)
+        assert np.array_equal(h.counit_map().matrix[0], counit)
+        assert np.array_equal(h.antipode_map().matrix.T, antipode)
 
     def test_scalar_map(self):
-        m = as_linear_map(Tensor(2.0), 3, 0, 0)
-        assert m.matrix.dims == (1, 1)
+        m = LinearMap(3, 0, 0, [[2.0]])
+        assert m.matrix.shape == (1, 1) and m.matrix[0, 0] == 2.0
 
     def test_order_and_extent_errors(self):
-        with pytest.raises(ValueError, match="order"):
-            as_linear_map(Tensor(np.zeros((2, 2))), 2, 2, 1)
-        with pytest.raises(ValueError, match="extent"):
-            as_linear_map(Tensor(np.zeros((2, 3))), 2, 1, 1)
+        for field, bad in (
+            ("mul", np.zeros((2, 2))),
+            ("comul", np.zeros((2, 2, 3))),
+            ("unit", np.zeros(3)),
+            ("counit", 1.0),
+            ("antipode", np.zeros((2, 2, 1))),
+        ):
+            structure = {"mul": C_MUL, "comul": C_COMUL, "unit": [1.0, 0.0],
+                         "counit": [1.0, 1.0], "antipode": np.eye(2)}
+            structure[field] = bad
+            with pytest.raises(ValueError, match=f"{field} tensor has shape"):
+                HopfAlgebra(("f0", "f1"), **structure)
 
 
 class TestLinearMap:
     def test_extent_validation(self):
-        with pytest.raises(ValueError, match="extents"):
-            LinearMap(2, 1, 1, Tensor(np.zeros((2, 3))))
+        for shape in ((2, 3), (2, 0), (4,), (2, 2, 1)):
+            with pytest.raises(ValueError, match="extents"):
+                LinearMap(2, 1, 1, np.zeros(shape))
+
+    def test_rejects_nonfinite(self):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            matrix = np.eye(2, dtype=complex)
+            matrix[1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                LinearMap(2, 1, 1, matrix)
+
+    def test_entries_read_only(self):
+        # the map keeps the complex array it is given, without a copy
+        matrix = np.eye(2, dtype=complex)
+        m = LinearMap(2, 1, 1, matrix)
+        assert m.matrix is matrix
+        with pytest.raises(ValueError, match="read-only"):
+            m.matrix[0, 0] = 5.0
 
     def test_zero_wire_sides_are_legal(self):
-        col = LinearMap(2, 0, 1, Tensor(np.zeros((2, 1))))
-        row = LinearMap(2, 1, 0, Tensor(np.zeros((1, 2))))
-        assert col.matrix.dims == (2, 1) and row.matrix.dims == (1, 2)
+        col = LinearMap(2, 0, 1, np.zeros((2, 1)))
+        row = LinearMap(2, 1, 0, np.zeros((1, 2)))
+        assert col.matrix.shape == (2, 1) and row.matrix.shape == (1, 2)
 
     def test_to_json_shape(self):
-        doc = LinearMap(2, 1, 1, Tensor(np.eye(2))).to_json()
+        doc = LinearMap(2, 1, 1, np.eye(2)).to_json()
         assert doc["d"] == 2 and doc["re"] == [[1.0, 0.0], [0.0, 1.0]]
         assert doc["im"] == [[0.0, 0.0], [0.0, 0.0]]
 
@@ -137,7 +156,7 @@ class TestLinearMap:
         arr = np.empty((2, 2), dtype=complex)
         arr.real = [[-0.0, tiny], [-3 * tiny, 2.2250738585072014e-308]]
         arr.imag = [[0.5, -0.0], [-tiny, 0.0]]
-        doc = LinearMap(2, 1, 1, Tensor(arr)).to_json()
+        doc = LinearMap(2, 1, 1, arr).to_json()
         for part, array in (("re", arr.real), ("im", arr.imag)):
             want = [[float(x) for x in row] for row in array]
             assert all(type(x) is float for row in doc[part] for x in row)
