@@ -32,7 +32,6 @@ from .circuit import (
     Circuit,
     evaluate,
 )
-from .tensor import LinearMap
 
 __all__ = [
     "HopfAlgebra",
@@ -62,14 +61,14 @@ class HopfAlgebra:
     """Bundle of structure tensors over a d-dimensional basis.
 
     The structure tensors are given as array-likes, each converted once to
-    a read-only complex ndarray.  Direct construction only checks their
-    shapes and that their entries are finite; use z2_algebra, group_algebra
-    or builtin_algebra to obtain instances whose axioms are verified.
+    a read-only complex ndarray; maps holds them as read-only d^out x d^in
+    matrices keyed by primitive kind ("Mul", "Comul", "Unit", "Counit",
+    "Antipode") for the circuit engine.  Direct construction only checks
+    shapes and finiteness.  The algebras of z2_algebra, group_algebra and
+    builtin_algebra come from a validated group table and are Hopf exactly.
     """
 
-    __slots__ = (
-        "dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode", "_maps", "_deviations"
-    )
+    __slots__ = ("dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode", "maps")
 
     def __init__(self, basis_labels: Sequence[str], mul, comul, unit, counit, antipode):
         d = len(basis_labels)
@@ -93,21 +92,19 @@ class HopfAlgebra:
             setattr(self, name, arr)
         self.dim = d
         self.basis_labels = tuple(basis_labels)
-        # Structure tensors reshaped into composable maps (see tensor.py for
-        # the wire conventions), built once: the algebra is immutable and the
-        # circuit engine asks for them on every run.  Output axes must precede
-        # input axes, so mul (in,in,out) is permuted to (out,in,in) and comul
-        # (in,out,out) to (out,out,in) before reshaping.
-        self._maps = {
-            "mul": LinearMap(d, 2, 1, np.transpose(self.mul, (2, 0, 1)).reshape(d, d * d)),
-            "comul": LinearMap(d, 1, 2, np.transpose(self.comul, (1, 2, 0)).reshape(d * d, d)),
-            "unit": LinearMap(d, 0, 1, self.unit.reshape(d, 1)),
-            "counit": LinearMap(d, 1, 0, self.counit.reshape(1, d)),
-            "antipode": LinearMap(d, 1, 1, np.transpose(self.antipode)),
+        # The structure tensors as d^out x d^in matrices, keyed by primitive
+        # kind (see tensor.py for the wire conventions).  Output axes must
+        # precede input axes, so mul (in,in,out) is permuted to (out,in,in)
+        # and comul (in,out,out) to (out,out,in) before reshaping.  Each
+        # reshape merges axes that stay contiguous, so every map is a view
+        # of a read-only tensor, and read-only itself.
+        self.maps = {
+            "Mul": np.transpose(self.mul, (2, 0, 1)).reshape(d, d * d),
+            "Comul": np.transpose(self.comul, (1, 2, 0)).reshape(d * d, d),
+            "Unit": self.unit.reshape(d, 1),
+            "Counit": self.counit.reshape(1, d),
+            "Antipode": np.transpose(self.antipode),
         }
-        # raw per-family axiom deviations, filled by the first check_axioms
-        # call; they do not depend on its tolerance
-        self._deviations: dict[str, float] | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HopfAlgebra):
@@ -126,21 +123,6 @@ class HopfAlgebra:
 
     def __repr__(self) -> str:
         return f"HopfAlgebra(dim={self.dim}, labels={list(self.basis_labels)})"
-
-    def mul_map(self) -> LinearMap:
-        return self._maps["mul"]
-
-    def comul_map(self) -> LinearMap:
-        return self._maps["comul"]
-
-    def unit_map(self) -> LinearMap:
-        return self._maps["unit"]
-
-    def counit_map(self) -> LinearMap:
-        return self._maps["counit"]
-
-    def antipode_map(self) -> LinearMap:
-        return self._maps["antipode"]
 
 
 @dataclass(frozen=True)
@@ -226,25 +208,18 @@ def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
     deviation is the largest entry of the difference of their maps.
     Families: associativity, unit, coassociativity, counit, the four
     bialgebra compatibility identities (reported as one family by their
-    max deviation), and the antipode identity.
-
-    The circuits run only on the first call for a given algebra object: the
-    deviations do not depend on tol, so they are kept on the (immutable)
-    algebra and every call compares them with its own tol.  An algebra
-    from group_algebra has already been checked once at construction.
+    max deviation), and the antipode identity.  Every call evaluates the
+    14 identities, i.e. 28 circuits.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     _check_order(algebra.dim)
-    deviations = algebra._deviations
-    if deviations is None:
-        deviations = {}
-        for family, wires, left, right in _AXIOM_CIRCUITS:
-            lhs = evaluate(Circuit(algebra, wires, left)).matrix
-            rhs = evaluate(Circuit(algebra, wires, right)).matrix
-            deviation = float(np.max(np.abs(lhs - rhs)))
-            deviations[family] = max(deviations.get(family, 0.0), deviation)
-        algebra._deviations = deviations
+    deviations: dict[str, float] = {}
+    for family, wires, left, right in _AXIOM_CIRCUITS:
+        lhs = evaluate(Circuit(algebra, wires, left)).matrix
+        rhs = evaluate(Circuit(algebra, wires, right)).matrix
+        deviation = float(np.max(np.abs(lhs - rhs)))
+        deviations[family] = max(deviations.get(family, 0.0), deviation)
     checks = tuple(
         AxiomCheck(name, dev, dev <= tol)
         for name, dev in deviations.items()
@@ -260,18 +235,7 @@ def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
 
 def z2_algebra() -> HopfAlgebra:
     """The two-element algebra whose multiplication table is XOR."""
-    mul = np.zeros((2, 2, 2))
-    mul[0, 0, 0] = mul[0, 1, 1] = mul[1, 0, 1] = mul[1, 1, 0] = 1.0
-    comul = np.zeros((2, 2, 2))
-    comul[0, 0, 0] = comul[1, 1, 1] = 1.0
-    return HopfAlgebra(
-        ("f0", "f1"),
-        mul=mul,
-        comul=comul,
-        unit=[1.0, 0.0],
-        counit=[1.0, 1.0],
-        antipode=np.eye(2),
-    )
+    return group_algebra(("f0", "f1"), [[0, 1], [1, 0]])
 
 
 def _validate_group_table(table: Sequence[Sequence[int]]) -> int:
@@ -314,9 +278,12 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
     table[i][j] is the index of (element i) * (element j).  The table is
     validated exhaustively (permutation rows/columns, identity,
     associativity, inverses) before any tensor is built.  Orders too large
-    for check_axioms are refused first, before the O(d^3) validation.  The
-    algebra's axioms are then checked once at 1e-12; a later check_axioms
-    call on the returned object reuses those deviations.
+    for check_axioms are refused first, before the O(d^3) validation.
+
+    Nothing is checked after the table: the group laws make the Hopf
+    axioms hold exactly.  Every tensor entry is 0 or 1, and each side of
+    every axiom sends a basis input to a single basis output, so
+    check_axioms finds every deviation to be exactly 0.0.
     """
     _check_order(len(table))
     identity = _validate_group_table(table)
@@ -338,7 +305,7 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
         inv = next(h for h in range(d) if table[g][h] == identity)
         antipode[g, inv] = 1.0
 
-    algebra = HopfAlgebra(
+    return HopfAlgebra(
         tuple(labels),
         mul=mul,
         comul=comul,
@@ -346,10 +313,6 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
         counit=np.ones(d),
         antipode=antipode,
     )
-    report = check_axioms(algebra, 1e-12)
-    if not report.passed:  # cannot happen for a valid group table
-        raise GroupTableError("group table produced an algebra violating the Hopf axioms")
-    return algebra
 
 
 def cyclic_group_table(n: int) -> tuple[list[str], list[list[int]]]:
@@ -385,10 +348,19 @@ def builtin_algebra(name: str) -> HopfAlgebra:
     raise ValueError(f"unknown built-in algebra {name!r} (expected one of {', '.join(BUILTIN_ALGEBRAS)})")
 
 
+def _read_json(path: str | Path):
+    """The document in a JSON file.  Nesting too deep for the parser is
+    refused like any other malformed document, with a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def load_group_table(path: str | Path) -> HopfAlgebra:
     """Load a group algebra from a JSON file {"labels": [...], "table": [[...]]}."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "labels" not in doc or "table" not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'labels' and 'table'")
     extra = sorted(set(doc) - {"labels", "table"})

@@ -91,19 +91,18 @@ class PrimitiveSpec(NamedTuple):
     wires_in: int
     wires_out: int
     token: str | None  # DSL token; a unitary is written U(name) instead
-    map_method: str | None  # HopfAlgebra method giving the (d^out, d^in) matrix
 
 
 #: the primitive set, listed once: kind -> spec
 PRIMITIVES = {
-    "Id": PrimitiveSpec(1, 1, "ID", None),
-    "Mul": PrimitiveSpec(2, 1, "M", "mul_map"),
-    "Comul": PrimitiveSpec(1, 2, "DELTA", "comul_map"),
-    "Unit": PrimitiveSpec(0, 1, "UNIT", "unit_map"),
-    "Counit": PrimitiveSpec(1, 0, "COUNIT", "counit_map"),
-    "Antipode": PrimitiveSpec(1, 1, "S", "antipode_map"),
-    "Swap": PrimitiveSpec(2, 2, "SWAP", None),
-    "Unitary": PrimitiveSpec(1, 1, None, None),
+    "Id": PrimitiveSpec(1, 1, "ID"),
+    "Mul": PrimitiveSpec(2, 1, "M"),
+    "Comul": PrimitiveSpec(1, 2, "DELTA"),
+    "Unit": PrimitiveSpec(0, 1, "UNIT"),
+    "Counit": PrimitiveSpec(1, 0, "COUNIT"),
+    "Antipode": PrimitiveSpec(1, 1, "S"),
+    "Swap": PrimitiveSpec(2, 2, "SWAP"),
+    "Unitary": PrimitiveSpec(1, 1, None),
 }
 
 #: states wider than this many entries are refused outright
@@ -306,17 +305,13 @@ def _build_plan(circuit: Circuit) -> _Plan:
     """
     profile = validate(circuit)
     algebra = circuit.algebra
-    matrices: dict[str, np.ndarray] = {}  # the algebra's structure maps, fetched when first met
     steps = []
     width = circuit.wires_in
     axes = None  # axes[i]: the state axis holding wire i, once a Swap moved one
 
     def step(pos: int, prim: Primitive) -> None:
         nonlocal axes, width
-        matrix = prim.matrix if prim.kind == "Unitary" else matrices.get(prim.kind)
-        if matrix is None:
-            matrix = getattr(algebra, PRIMITIVES[prim.kind].map_method)().matrix
-            matrices[prim.kind] = matrix
+        matrix = prim.matrix if prim.kind == "Unitary" else algebra.maps[prim.kind]
         steps.append(_Step(_perm_or_none(axes), pos, prim.wires_in, prim.wires_out, matrix))
         axes = None
         width += prim.wires_out - prim.wires_in
@@ -704,7 +699,8 @@ def measure(state: Sequence[complex], base_dim: int) -> OutcomeDistribution:
 
     Raises AnnihilatedStateError when every amplitude magnitude is at most
     1e-14: the circuit destroyed this input, and inventing a distribution
-    would be worse than failing.
+    would be worse than failing.  Raises ValueError when the squared norm
+    overflows, as no distribution can be read off such amplitudes.
     """
     vec = np.asarray(state, dtype=complex).reshape(-1)
     if base_dim < 1 or (base_dim == 1 and vec.shape[0] != 1):
@@ -720,6 +716,8 @@ def measure(state: Sequence[complex], base_dim: int) -> OutcomeDistribution:
         )
     weights = np.abs(vec) ** 2
     norm_in = float(weights.sum())
+    if not math.isfinite(norm_in):
+        raise ValueError(f"output amplitudes overflow: their squared norm is {norm_in}")
     nz = np.flatnonzero(weights > 0.0)
     entries = tuple(zip(_basis_labels(nz, base_dim, wires), (weights[nz] / norm_in).tolist()))
     return OutcomeDistribution(entries=entries, norm_in=norm_in)
@@ -783,7 +781,7 @@ def _deviation_bound(circuit: Circuit) -> float | None:
                     log_bound += math.log1p(d * prim.deviation)
                 elif prim.kind == "Antipode":
                     if antipode is None:
-                        antipode = d * _gram_deviation(algebra.antipode_map().matrix)
+                        antipode = d * _gram_deviation(algebra.maps["Antipode"])
                     log_bound += math.log1p(antipode)
             i += 1
             continue

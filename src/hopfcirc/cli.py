@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import GroupTableError, check_axioms, resolve_algebra
+from .algebra import GroupTableError, _read_json, check_axioms, resolve_algebra
 from .circuit import (
     AnnihilatedStateError,
     CircuitError,
@@ -246,8 +246,11 @@ def _cmd_matrix(args) -> int:
 def _matrix_from_json(obj, where: str) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{where}: matrix must be an object with 're' (and optional 'im') rows")
-    re_part = np.array(obj["re"], dtype=float)
-    im_part = np.array(obj.get("im", np.zeros_like(re_part)), dtype=float)
+    try:
+        re_part = np.array(obj["re"], dtype=float)
+        im_part = np.array(obj.get("im", np.zeros_like(re_part)), dtype=float)
+    except TypeError:  # an object or null among the entries; a string is a ValueError
+        raise ValueError(f"{where}: matrix entries must be numbers") from None
     if re_part.shape != im_part.shape or re_part.ndim != 2:
         raise ValueError(f"{where}: 're' and 'im' must be equal-shaped 2-d arrays")
     return re_part + 1j * im_part
@@ -261,8 +264,7 @@ def _wire(value, where: str) -> int:
 
 
 def _load_gates(path: str) -> list[Cnot | U1]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise ValueError(f"{path}: gate list must be a JSON array")
     gates: list[Cnot | U1] = []
@@ -371,7 +373,10 @@ def cli_run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # amplitudes that overflow reach a check that refuses them with one
+        # error line; numpy's warnings on the way there would add more lines
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import hopfcirc.algebra
 from hopfcirc.algebra import (
     _AXIOM_CIRCUITS,
+    BUILTIN_ALGEBRAS,
     GroupTableError,
     HopfAlgebra,
     builtin_algebra,
@@ -176,8 +177,15 @@ class TestElementOps:
 
 class TestGroupAlgebra:
     def test_z2_table_reproduces_z2_algebra(self):
-        built = group_algebra(["f0", "f1"], [[0, 1], [1, 0]])
-        assert built == z2_algebra()
+        # z2_algebra is built from this table, so compare both with the XOR
+        # tensors written out by hand
+        mul = np.zeros((2, 2, 2))
+        mul[0, 0, 0] = mul[0, 1, 1] = mul[1, 0, 1] = mul[1, 1, 0] = 1.0
+        comul = np.zeros((2, 2, 2))
+        comul[0, 0, 0] = comul[1, 1, 1] = 1.0
+        longhand = HopfAlgebra(("f0", "f1"), mul, comul, [1.0, 0.0], [1.0, 1.0], np.eye(2))
+        assert group_algebra(["f0", "f1"], [[0, 1], [1, 0]]) == longhand
+        assert z2_algebra() == longhand
 
     def test_z3_antipode_swaps_inverses(self):
         labels, table = cyclic_group_table(3)
@@ -366,15 +374,18 @@ def evaluate_calls(monkeypatch):
 
 
 class TestAxiomsEvaluatedOnce:
-    def test_second_tolerance_reuses_deviations(self, evaluate_calls):
+    """Each check_axioms call evaluates the 14 identities, 28 circuits, once;
+    building or loading an algebra evaluates none."""
+
+    def test_second_tolerance_evaluates_again(self, evaluate_calls):
         h = z2_algebra()
         mul = h.mul.copy()
         mul[1, 1, 0] = 0.0
         bad = HopfAlgebra(h.basis_labels, mul, h.comul, h.unit, h.counit, h.antipode)
         strict = check_axioms(bad, 0.0)
-        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
+        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS) == 28
         loose = check_axioms(bad, 1.0)
-        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
+        assert len(evaluate_calls) == 4 * len(_AXIOM_CIRCUITS)
         assert [(c.name, c.deviation) for c in strict.checks] == [
             (c.name, c.deviation) for c in loose.checks
         ]
@@ -383,12 +394,18 @@ class TestAxiomsEvaluatedOnce:
         assert not strict.passed and loose.passed
         assert (strict.tol, loose.tol) == (0.0, 1.0)
 
-    def test_group_algebra_self_check_is_reused(self, evaluate_calls):
-        h = builtin_algebra("S3")
-        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
+    def test_loading_evaluates_nothing(self, evaluate_calls, tmp_path):
+        for name in BUILTIN_ALGEBRAS:
+            builtin_algebra(name)
+        group_algebra(*cyclic_group_table(8))
+        path = tmp_path / "z2xz4.json"
+        table = [[(a // 4 + b // 4) % 2 * 4 + (a + b) % 4 for b in range(8)] for a in range(8)]
+        path.write_text(json.dumps({"labels": [f"g{i}" for i in range(8)], "table": table}))
+        h = load_group_table(path)
+        assert h.dim == 8 and evaluate_calls == []
         report = check_axioms(h, 0.0)
-        assert len(evaluate_calls) == 2 * len(_AXIOM_CIRCUITS)
-        assert report.passed and not report.commutative and report.cocommutative
+        assert len(evaluate_calls) == 28
+        assert report.passed and report.max_deviation == 0.0
 
     def test_each_algebra_object_evaluates_once(self, evaluate_calls):
         check_axioms(z2_algebra(), 1e-12)

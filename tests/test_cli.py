@@ -65,6 +65,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_process(argv) -> subprocess.CompletedProcess:
+    """The command in a fresh interpreter: numpy warnings reach its stderr,
+    where capsys and pytest's warning capture would not see them."""
+    src = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hopfcirc.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+
+
 @pytest.fixture
 def gram_sizes(monkeypatch):
     """Record the side of every matrix whose Gram deviation is computed."""
@@ -206,8 +216,8 @@ class TestCheckAxioms:
         assert code == 0 and payload["passed"] and payload["dim"] == 12
 
     def test_axiom_circuits_run_once(self, capsys, tmp_path, monkeypatch):
-        # group_algebra's self-check and the command's own check share one
-        # evaluation of the 14 identities (two circuits each)
+        # loading the table evaluates nothing; the command evaluates the 14
+        # identities (two circuits each) once
         calls = []
         real = hopfcirc.algebra.evaluate
         monkeypatch.setattr(hopfcirc.algebra, "evaluate", lambda c: calls.append(c) or real(c))
@@ -475,6 +485,17 @@ class TestCompile:
         assert err.startswith("error: validate:") and err.count("\n") == 1
         assert "wire must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "matrix", [{"re": [[{}, 0], [0, 1]]}, {"re": [[1, 0], [0, 1]], "im": [[0, {"a": 1}], [0, 0]]}],
+        ids=["object-re", "object-im"],
+    )
+    def test_non_numeric_matrix_entry_exits_2(self, capsys, tmp_path, matrix):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"u1": {"wire": 0, "matrix": matrix}}]))
+        code, out, err = run(capsys, ["compile", "--wires", "2", "--gates", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: validate: {path}: gate 0: matrix entries must be numbers\n"
+
     def test_one_corrupted_entry_exits_3(self, capsys, gatefile, corrupt_evaluate):
         code, out, _ = run(capsys, ["compile", "--wires", "3", "--gates", gatefile, "--json"])
         payload = json.loads(out)
@@ -685,15 +706,52 @@ class TestUsage:
         # numpy warnings go to stderr, which only a separate process shows
         path = tmp_path / name
         path.write_text(text)
-        argv = [str(path) if a == "FILE" else a for a in argv]
-        src = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hopfcirc.cli", *argv],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_process([str(path) if a == "FILE" else a for a in argv])
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: validate: matrix for 'u' is not unitary")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("repeats", [1030, 2200])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--input", "0"],
+            ["eval", "--input", "0", "--json"],
+            ["sample", "--input", "0", "--shots", "5", "--seed", "1"],
+            ["matrix"],
+            ["oracle-check"],
+        ],
+        ids=["eval", "eval-json", "sample", "matrix", "oracle-check"],
+    )
+    def test_overflowing_amplitudes_give_one_stderr_line(self, tmp_path, argv, repeats):
+        # each repeat multiplies the map's one nonzero entry by sqrt(2):
+        # 2^515 at 1030 repeats, whose square overflows, and inf at 2200
+        path = tmp_path / "grow.hopf"
+        path.write_text("algebra Z2\nin 1\nunitary h H\n" + "layer U(h)\nlayer DELTA\nlayer M\n" * repeats)
+        proc = run_process([argv[0], str(path)] + argv[1:])
+        if repeats == 1030 and argv[0] in ("matrix", "oracle-check"):
+            # every entry is finite, so the map prints; still no warning
+            assert proc.returncode == 0 and proc.stderr == ""
+            return
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: validate: ") and proc.stderr.count("\n") == 1
+        if argv[0] == "sample" or repeats == 1030:
+            assert "output amplitudes overflow" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["check-axioms", "--algebra", "FILE"], '{"labels": ["a"], "table": %s}'),
+            (["compile", "--wires", "2", "--gates", "FILE"], "%s"),
+        ],
+        ids=["group-table", "gate-list"],
+    )
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "deep.json"
+        path.write_text(doc % ("[" * 200_000 + "]" * 200_000))
+        code, out, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
+        assert code == 2 and out == ""
+        assert err == f"error: validate: {path}: JSON nested too deeply to parse\n"
 
     def test_no_command(self, capsys):
         code, _, err = run(capsys, [])

@@ -70,19 +70,19 @@ class TestPermuteAxes:
 
 
 class TestAsLinearMap:
-    """The algebra reads its structure tensors as maps, output axes first."""
+    """algebra.maps holds the structure tensors as matrices, output axes first."""
 
     def test_cnot_tensor_reshapes_to_table(self):
         # copy the control, then multiply the copy into the target, as plain
         # Kronecker products of the algebra's maps
         h = longhand_z2()
         eye = np.eye(2)
-        cnot = np.kron(eye, h.mul_map().matrix) @ np.kron(h.comul_map().matrix, eye)
+        cnot = np.kron(eye, h.maps["Mul"]) @ np.kron(h.maps["Comul"], eye)
         assert cnot.shape == (4, 4)
         assert np.array_equal(cnot, CNOT_TABLE)
 
     def test_identity_tensor(self):
-        assert np.array_equal(longhand_z2().antipode_map().matrix, np.eye(2))
+        assert np.array_equal(longhand_z2().maps["Antipode"], np.eye(2))
 
     def test_round_trip_restores_tensor(self):
         rng = np.random.default_rng(13)
@@ -94,11 +94,16 @@ class TestAsLinearMap:
         mul, comul, unit, counit, antipode = rand(d, d, d), rand(d, d, d), rand(d), rand(d), rand(d, d)
         h = HopfAlgebra(("a", "b", "c"), mul, comul, unit, counit, antipode)
         # mul (in,in,out) became (out,in,in), comul (in,out,out) (out,out,in)
-        assert np.array_equal(h.mul_map().matrix.reshape(d, d, d).transpose(1, 2, 0), mul)
-        assert np.array_equal(h.comul_map().matrix.reshape(d, d, d).transpose(2, 0, 1), comul)
-        assert np.array_equal(h.unit_map().matrix[:, 0], unit)
-        assert np.array_equal(h.counit_map().matrix[0], counit)
-        assert np.array_equal(h.antipode_map().matrix.T, antipode)
+        assert np.array_equal(h.maps["Mul"].reshape(d, d, d).transpose(1, 2, 0), mul)
+        assert np.array_equal(h.maps["Comul"].reshape(d, d, d).transpose(2, 0, 1), comul)
+        assert np.array_equal(h.maps["Unit"][:, 0], unit)
+        assert np.array_equal(h.maps["Counit"][0], counit)
+        assert np.array_equal(h.maps["Antipode"].T, antipode)
+        # each map is a view of its read-only tensor, not a copy
+        for kind, matrix in h.maps.items():
+            assert np.shares_memory(matrix, getattr(h, kind.lower()))
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.flat[0] = 0.0
 
     def test_scalar_map(self):
         m = LinearMap(3, 0, 0, [[2.0]])
