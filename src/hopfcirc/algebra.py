@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -55,6 +56,25 @@ BUILTIN_ALGEBRAS = ("Z2", "Z3", "Z4", "Z5", "S3")
 
 class GroupTableError(ValueError):
     """A multiplication table failed one of the group laws."""
+
+
+#: longest echo of an input value in an error message, the "…" included
+_ECHO_CHARS = 60
+
+# reprlib bounds the work as well as the text: at most a few items per
+# level and two levels deep, so a huge or deeply nested value is not
+# rendered in full first
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = 4
+_ECHO.maxstring = _ECHO.maxother = _ECHO.maxlong = _ECHO_CHARS
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message, cut to _ECHO_CHARS characters with
+    a trailing "…"; short values come out as repr gives them."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 1] + "…"
 
 
 class HopfAlgebra:
@@ -248,7 +268,7 @@ def _validate_group_table(table: Sequence[Sequence[int]]) -> int:
             # bool is an int subclass, but True/False are not element indices
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < d:
                 raise GroupTableError(
-                    f"not a group: table entries must be indices in 0..{d - 1}, got {v!r}"
+                    f"not a group: table entries must be indices in 0..{d - 1}, got {_echo(v)}"
                 )
     for i, row in enumerate(table):
         if sorted(row) != list(range(d)):
@@ -345,7 +365,7 @@ def builtin_algebra(name: str) -> HopfAlgebra:
         return group_algebra(*cyclic_group_table(int(key[1])))
     if key == "S3":
         return group_algebra(*symmetric_group_3_table())
-    raise ValueError(f"unknown built-in algebra {name!r} (expected one of {', '.join(BUILTIN_ALGEBRAS)})")
+    raise ValueError(f"unknown built-in algebra {_echo(name)} (expected one of {', '.join(BUILTIN_ALGEBRAS)})")
 
 
 def _read_json(path: str | Path):
@@ -365,7 +385,7 @@ def load_group_table(path: str | Path) -> HopfAlgebra:
         raise ValueError(f"{path}: expected a JSON object with 'labels' and 'table'")
     extra = sorted(set(doc) - {"labels", "table"})
     if extra:
-        raise GroupTableError(f"{path}: unexpected key(s) {', '.join(map(repr, extra))}; "
+        raise GroupTableError(f"{path}: unexpected key(s) {', '.join(map(_echo, extra))}; "
                               "only 'labels' and 'table' are allowed")
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(lbl, str) for lbl in labels):
@@ -380,7 +400,11 @@ def resolve_algebra(name: str) -> HopfAlgebra:
     """Resolve a built-in algebra name, or else a path to a group-table file."""
     if name.upper() in BUILTIN_ALGEBRAS:
         return builtin_algebra(name)
-    if Path(name).exists():
+    try:
+        exists = Path(name).exists()
+    except OSError:  # e.g. a name too long to be a path
+        exists = False
+    if exists:
         return load_group_table(name)
-    raise ValueError(f"unknown algebra {name!r}: not a built-in name and not a file")
+    raise ValueError(f"unknown algebra {_echo(name)}: not a built-in name and not a file")
 

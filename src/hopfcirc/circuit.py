@@ -16,9 +16,14 @@ evaluate_bruteforce_map propagates a batch of basis inputs through an
 explicit sum over all intermediate basis assignments, reading
 structure-tensor entries directly: each assignment carries one amplitude
 per input, and each branch weight scales that vector elementwise, so no
-reshape, matrix multiplication or Kronecker product is involved.
+reshape, matrix multiplication or Kronecker product is involved; a run of
+adjacent Ids in a layer copies its digits, with no table and no weight.
 evaluate_bruteforce is the same sum on a batch of one input.  The engine
 and the brute force share no code path and are tested against each other.
+
+direct_gate_map is the third, independent path for gate lists: the plain
+product of the gates, each one-wire gate multiplied into the rows along
+its own wire and each controlled-NOT applied as a row permutation.
 
 The engine runs a plan, compiled once per circuit on first use and kept on
 the (immutable) circuit, so run, evaluate and circuit_is_unitary share one
@@ -400,13 +405,11 @@ def evaluate(circuit: Circuit) -> LinearMap:
 
 def _transitions(algebra: HopfAlgebra, prim: Primitive):
     """List of (input digits, output digits, coefficient) read entry by entry
-    from the structure tensors, zeros skipped."""
+    from the structure tensors, zeros skipped.  Not for Id, whose digits the
+    brute force copies."""
     d = algebra.dim
     out = []
-    if prim.kind == "Id":
-        for a in range(d):
-            out.append(((a,), (a,), 1.0 + 0j))
-    elif prim.kind == "Mul":
+    if prim.kind == "Mul":
         arr = algebra.mul
         for a in range(d):
             for b in range(d):
@@ -457,7 +460,9 @@ def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int])
     Every assignment holds a vector of amplitudes, one per input.  A layer's
     transition tables are built once, each (assignment, primitive) branch is
     walked once for the whole batch, and the product of a path's branch
-    coefficients scales the assignment's vector elementwise.
+    coefficients scales the assignment's vector elementwise.  A run of
+    adjacent Ids copies its digits into every branch, with no table and no
+    coefficient.
     """
     d = circuit.algebra.dim
     one_hot = np.eye(len(inputs), dtype=complex)
@@ -466,8 +471,14 @@ def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int])
         for j, index in enumerate(inputs)
     }
     for layer in circuit.layers:
-        tables = []
+        tables = []  # (wires consumed, branches by input digits, or None for an Id run)
         for prim in layer:
+            if prim.kind == "Id":
+                if tables and tables[-1][1] is None:
+                    tables[-1] = (tables[-1][0] + 1, None)
+                else:
+                    tables.append((1, None))
+                continue
             by_input = defaultdict(list)
             for digits_in, digits_out, coeff in _transitions(circuit.algebra, prim):
                 by_input[digits_in].append((digits_out, coeff))
@@ -480,6 +491,9 @@ def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int])
             for n_cons, by_input in tables:
                 digits_in = assignment[pos : pos + n_cons]
                 pos += n_cons
+                if by_input is None:
+                    partial = [(prefix + digits_in, weight) for prefix, weight in partial]
+                    continue
                 branches = by_input.get(digits_in, ())
                 partial = [
                     (prefix + digits_out, weight * coeff)
@@ -618,13 +632,15 @@ def compile_gate_circuit(
 
 
 def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]) -> LinearMap:
-    """Plain matrix product of the gate list, for checking compiled circuits.
+    """Plain product of the gate list, for checking compiled circuits.
 
+    A one-wire gate multiplies its d x d matrix into the total's rows along
+    its own wire, O(d^(2n+1)) work on n wires, with no Kronecker product.
     Controlled-NOT acts as a basis permutation read off the group table:
     the target digit of every basis index is replaced by the product of the
     control and target digits, and the rows of the total move accordingly.
-    No comultiplication is involved, so this shares nothing with the
-    compiled evaluation path.
+    No comultiplication is involved, and none of the engine's plan or
+    state code, so this shares nothing with the compiled evaluation path.
     """
     d = algebra.dim
     if wires > _max_wires(d):
@@ -639,11 +655,9 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
         if isinstance(gate, U1):
             if not 0 <= gate.wire < wires:
                 raise CircuitError(f"gate {gi}: wire {gate.wire} out of range for {wires} wires")
-            m = np.kron(
-                np.kron(np.eye(d**gate.wire), np.asarray(gate.matrix, dtype=complex)),
-                np.eye(d ** (wires - gate.wire - 1)),
-            )
-            total = m @ total
+            # the gate's wire is the middle axis of (wires before, d, the rest)
+            u = np.asarray(gate.matrix, dtype=complex)
+            total = np.matmul(u, total.reshape(d**gate.wire, d, -1)).reshape(dim, dim)
         else:
             c, t = gate.control, gate.target
             if not (0 <= c < wires and 0 <= t < wires) or c == t:

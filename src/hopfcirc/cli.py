@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import GroupTableError, _read_json, check_axioms, resolve_algebra
+from .algebra import GroupTableError, _echo, _read_json, check_axioms, resolve_algebra
 from .circuit import (
     AnnihilatedStateError,
     CircuitError,
@@ -233,7 +233,7 @@ def _cmd_matrix(args) -> int:
     circuit = _load_circuit(args.file)
     linmap = evaluate(circuit)
     if args.json:
-        print(_dump_json(linmap.to_json()))
+        linmap.write_json(sys.stdout)
         return EXIT_OK
     rows, cols = linmap.matrix.shape
     print(f"map: {linmap.wires_in} -> {linmap.wires_out} wires (d={linmap.base_dim}), "
@@ -246,11 +246,17 @@ def _cmd_matrix(args) -> int:
 def _matrix_from_json(obj, where: str) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{where}: matrix must be an object with 're' (and optional 'im') rows")
+    for rows in (obj["re"], obj.get("im")):
+        if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+            if len({len(row) for row in rows}) > 1:
+                raise ValueError(f"{where}: matrix rows must have equal lengths")
     try:
         re_part = np.array(obj["re"], dtype=float)
         im_part = np.array(obj.get("im", np.zeros_like(re_part)), dtype=float)
-    except TypeError:  # an object or null among the entries; a string is a ValueError
+    except (TypeError, ValueError):  # an object, null, string or list among the entries
         raise ValueError(f"{where}: matrix entries must be numbers") from None
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{where}: matrix entries must fit in a float") from None
     if re_part.shape != im_part.shape or re_part.ndim != 2:
         raise ValueError(f"{where}: 're' and 'im' must be equal-shaped 2-d arrays")
     return re_part + 1j * im_part
@@ -259,7 +265,7 @@ def _matrix_from_json(obj, where: str) -> np.ndarray:
 def _wire(value, where: str) -> int:
     # bool is an int subclass, but true/false are not wire indices
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: wire must be an integer, got {json.dumps(value)}")
+        raise ValueError(f"{where}: wire must be an integer, got {_echo(value)}")
     return value
 
 
@@ -289,7 +295,7 @@ def _load_gates(path: str) -> list[Cnot | U1]:
                 )
             )
         else:
-            raise ValueError(f"{where}: unknown gate kind {list(item)!r}")
+            raise ValueError(f"{where}: unknown gate kind {_echo(list(item))}")
     return gates
 
 

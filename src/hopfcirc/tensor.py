@@ -4,7 +4,9 @@ Every array in the package is a read-only complex ndarray: the algebra's
 structure tensors and the matrix of every LinearMap.  A LinearMap takes the
 array the engine (or the brute force, or the gate product) built and keeps
 it, without a copy, as a d^wires_out x d^wires_in matrix.  All composition
-happens in the state engine of circuit.py.
+happens in the state engine of circuit.py.  LinearMap.write_json streams a
+map as the JSON document of `hopfcirc matrix --json`, one row block at a
+time, formatting each distinct value of a block once.
 
 Convention used everywhere in this package: entries are stored row-major
 with the leftmost index varying slowest.  When a tensor is reshaped into a
@@ -52,11 +54,47 @@ class LinearMap:
     def __repr__(self) -> str:
         return f"LinearMap(d={self.base_dim}, {self.wires_in}->{self.wires_out})"
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.base_dim,
-            "wires_in": self.wires_in,
-            "wires_out": self.wires_out,
-            "re": self.matrix.real.tolist(),
-            "im": self.matrix.imag.tolist(),
-        }
+    def write_json(self, stream) -> None:
+        """Write the map to a text stream as one line of JSON,
+
+            {"d":2,"im":[[0.0,0.0],[0.0,0.0]],"re":[[1.0,0.0],[0.0,1.0]],"wires_in":1,"wires_out":1}
+
+        and a newline: byte for byte what json.dumps(doc, sort_keys=True,
+        separators=(",", ":")) gives for the document whose "re" and "im"
+        are the rows as lists of Python floats.  The entries go out one row
+        block at a time, so no list of the whole map is ever built.
+        """
+        stream.write(f'{{"d":{self.base_dim},"im":')
+        _write_rows(stream, self.matrix.imag)
+        stream.write(',"re":')
+        _write_rows(stream, self.matrix.real)
+        stream.write(f',"wires_in":{self.wires_in},"wires_out":{self.wires_out}}}\n')
+
+
+#: entries per row block of write_json (whole rows, at least one): the
+#: writer's memory beyond the map is a small multiple of this
+_JSON_BLOCK_ENTRIES = 2**16
+
+
+def _write_rows(stream, part: np.ndarray) -> None:
+    """Write a 2-d array of finite floats as a JSON list of rows.
+
+    json.dumps writes a float as its repr.  Within a block, the entries are
+    deduplicated on their 64-bit patterns, which keeps -0.0, 0.0 and every
+    subnormal apart, so repr runs once per distinct value; each entry's
+    text, followed by "," or by "],[" at the end of a row, is then looked
+    up in a table and the block is joined at once.
+    """
+    rows, cols = part.shape
+    block_rows = max(1, _JSON_BLOCK_ENTRIES // cols)
+    stream.write("[[")
+    for start in range(0, rows, block_rows):
+        block = np.ascontiguousarray(part[start : start + block_rows]).reshape(-1)
+        patterns, codes = np.unique(block.view(np.uint64), return_inverse=True)
+        texts = [repr(x) for x in patterns.view(np.float64).tolist()]
+        table = np.array([t + "," for t in texts] + [t + "],[" for t in texts], dtype=object)
+        codes[cols - 1 :: cols] += len(texts)
+        text = "".join(table[codes].tolist())
+        if start + block_rows >= rows:
+            text = text[:-2] + "]"  # the last "],[" closes the list: "]]"
+        stream.write(text)

@@ -4,12 +4,14 @@ Everything here deliberately avoids the code paths under test: the
 contraction oracle uses explicit index loops, the axiom oracle sums over
 raw tensor entries, the gate simulator propagates matrix rows by index
 arithmetic instead of Kronecker products or layer maps, and the measure
-oracle labels one basis index at a time.
+oracle labels one basis index at a time.  The Kronecker gate product is
+the plain textbook formula that direct_gate_map is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,19 @@ def loop_vector_lines(vec: np.ndarray, d: int, wires: int) -> list[str]:
         if z != 0
     ]
     return lines or ["  (zero vector)"]
+
+
+def dumped_map(m) -> str:
+    """The matrix --json document of a LinearMap as json.dumps writes it,
+    from nested lists of Python floats built one entry at a time."""
+    doc = {
+        "d": m.base_dim,
+        "wires_in": m.wires_in,
+        "wires_out": m.wires_out,
+        "re": [[float(z.real) for z in row] for row in m.matrix],
+        "im": [[float(z.imag) for z in row] for row in m.matrix],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def loop_axiom_deviations(algebra) -> dict[str, float]:
@@ -287,6 +302,29 @@ def simulate_gates_rowwise(wires: int, gates: list) -> np.ndarray:
                 for b in range(2):
                     new[with_bit(row, gate.wire, b)] += gate.matrix[b, a] * total[row]
             total = new
+    return total
+
+
+def kron_gate_map(algebra, wires: int, gates: list) -> np.ndarray:
+    """The gate list's full matrix with each one-wire gate as a Kronecker
+    product I (x) u (x) I multiplied into the total; a controlled-NOT moves
+    the total's rows by the group table, as in direct_gate_map."""
+    d = algebra.dim
+    dim = d**wires
+    total = np.eye(dim, dtype=complex)
+    product = np.argmax(algebra.mul, axis=2)  # product[a, b] = a * b
+    index = np.arange(dim)
+    digits = np.indices((d,) * wires).reshape(wires, dim)
+    for gate in gates:
+        if isinstance(gate, U1):
+            m = np.kron(np.kron(np.eye(d**gate.wire), gate.matrix), np.eye(d ** (wires - gate.wire - 1)))
+            total = m @ total
+        else:
+            c, t = gate.control, gate.target
+            rows = index + (product[digits[c], digits[t]] - digits[t]) * d ** (wires - 1 - t)
+            moved = np.zeros_like(total)
+            moved[rows] = total
+            total = moved
     return total
 
 

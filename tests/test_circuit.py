@@ -416,6 +416,36 @@ class TestBruteForce:
         for i in range(4):
             col = evaluate_bruteforce(c, i)
             assert np.array_equal(col, np.eye(4)[:, i])
+        c = Circuit(builtin_algebra("S3"), wires_in=3, layers=((ID, ID, ID),) * 3)
+        assert np.array_equal(evaluate_bruteforce_map(c).matrix, np.eye(6**3))
+
+    @pytest.mark.parametrize("name,n", [("Z2", 5), ("Z3", 4), ("S3", 3)])
+    def test_id_runs_at_start_middle_and_end(self, name, n, monkeypatch):
+        algebra = builtin_algebra(name)
+        u = unitary("u", haar_unitary(np.random.default_rng(algebra.dim), algebra.dim))
+        layers = (
+            (u,) + (ID,) * (n - 1),  # a run at the end
+            (ID,) * (n - 1) + (u,),  # at the start
+            (u,) + (ID,) * (n - 2) + (u,),  # in the middle
+            (ID, COMUL) + (ID,) * (n - 2),
+            (ID,) * (n - 2) + (MUL, ID),
+            (ANTIPODE, SWAP) + (ID,) * (n - 3),
+            (ID,) * (n - 1) + (COUNIT,),
+            (UNIT,) + (ID,) * (n - 1),
+            (ID,) * n,
+        )
+        c = Circuit(algebra, wires_in=n, layers=layers)
+        kinds = []
+        transitions = hopfcirc.circuit._transitions
+
+        def recording(algebra, prim):
+            kinds.append(prim.kind)
+            return transitions(algebra, prim)
+
+        monkeypatch.setattr(hopfcirc.circuit, "_transitions", recording)
+        got = evaluate_bruteforce_map(c).matrix
+        assert np.max(np.abs(got - evaluate(c).matrix)) <= 1e-12
+        assert kinds and "Id" not in kinds  # every Id run is a plain digit copy
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -35,6 +35,7 @@ from hopfcirc.tensor import LinearMap
 from helpers import (
     REPO_ROOT,
     certificate_circuit,
+    dumped_map,
     loop_measure,
     loop_vector_lines,
     random_circuit,
@@ -434,6 +435,29 @@ class TestMatrix:
         assert np.array_equal(np.array(payload["re"]), want)
         assert not np.any(np.array(payload["im"]))
 
+    @pytest.mark.parametrize("path", [CNOT_FILE, FIG2_FILE])
+    def test_json_bytes_equal_json_dumps(self, capsys, path):
+        m = evaluate(hopfcirc.cli._load_circuit(path))
+        code, out, err = run(capsys, ["matrix", path, "--json"])
+        assert code == 0 and err == ""
+        assert out == dumped_map(m)
+
+    def test_json_is_streamed(self, tmp_path):
+        # the 1024 x 1024 map takes 16 MiB; lists of Python floats of it
+        # would take several times that
+        path = tmp_path / "id10.hopf"
+        path.write_text("algebra Z2\nin 10\nlayer " + ", ".join(["ID"] * 10) + "\n")
+        map_bytes = 2**20 * np.dtype(complex).itemsize
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            tracemalloc.start()
+            try:
+                code = cli_run(["matrix", str(path), "--json"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * map_bytes
+
 
 class TestCompile:
     @pytest.fixture
@@ -486,8 +510,14 @@ class TestCompile:
         assert "wire must be an integer" in err
 
     @pytest.mark.parametrize(
-        "matrix", [{"re": [[{}, 0], [0, 1]]}, {"re": [[1, 0], [0, 1]], "im": [[0, {"a": 1}], [0, 0]]}],
-        ids=["object-re", "object-im"],
+        "matrix",
+        [
+            {"re": [[{}, 0], [0, 1]]},
+            {"re": [[1, 0], [0, 1]], "im": [[0, {"a": 1}], [0, 0]]},
+            {"re": [["one", 0], [0, 1]]},
+            {"re": [[1, [0]], [0, 1]]},
+        ],
+        ids=["object-re", "object-im", "string-re", "list-re"],
     )
     def test_non_numeric_matrix_entry_exits_2(self, capsys, tmp_path, matrix):
         path = tmp_path / "bad.json"
@@ -495,6 +525,22 @@ class TestCompile:
         code, out, err = run(capsys, ["compile", "--wires", "2", "--gates", str(path)])
         assert code == 2 and out == ""
         assert err == f"error: validate: {path}: gate 0: matrix entries must be numbers\n"
+
+    @pytest.mark.parametrize(
+        "matrix,detail",
+        [
+            ({"re": [[1, 0], [0]]}, "matrix rows must have equal lengths"),
+            ({"re": [[1, 0], [0, 1]], "im": [[0], [0, 0]]}, "matrix rows must have equal lengths"),
+            ({"re": [[10**400, 0], [0, 1]]}, "matrix entries must fit in a float"),
+        ],
+        ids=["ragged-re", "ragged-im", "huge-integer"],
+    )
+    def test_malformed_matrix_exits_2_with_its_location(self, capsys, tmp_path, matrix, detail):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"cnot": [0, 1]}, {"u1": {"wire": 0, "matrix": matrix}}]))
+        code, out, err = run(capsys, ["compile", "--wires", "2", "--gates", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: validate: {path}: gate 1: {detail}\n"
 
     def test_one_corrupted_entry_exits_3(self, capsys, gatefile, corrupt_evaluate):
         code, out, _ = run(capsys, ["compile", "--wires", "3", "--gates", gatefile, "--json"])
@@ -752,6 +798,27 @@ class TestUsage:
         code, out, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
         assert code == 2 and out == ""
         assert err == f"error: validate: {path}: JSON nested too deeply to parse\n"
+
+    @pytest.mark.parametrize(
+        "argv,name,text",
+        [
+            (["check-axioms", "--algebra", "FILE"], "t.json",
+             json.dumps({"labels": ["a"], "table": [[[0] * 200_000]]})),
+            (["check-axioms", "--algebra", "FILE"], "t.json",
+             json.dumps({"labels": ["a"], "table": [[0]], "k" * 200_000: 1})),
+            (["eval", "FILE", "--input", "0"], "c.hopf", "algebra " + "x" * 100_000 + "\nin 1\nlayer ID\n"),
+            (["compile", "--wires", "2", "--gates", "FILE"], "g.json", json.dumps([{"cnot": [[0] * 200_000, 1]}])),
+            (["compile", "--wires", "2", "--gates", "FILE"], "g.json", json.dumps([{"k" * 200_000: 1}])),
+        ],
+        ids=["table-entry", "extra-key", "algebra-name", "wire", "gate-kind"],
+    )
+    def test_long_input_is_not_echoed_in_full(self, capsys, tmp_path, argv, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error: validate: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
 
     def test_no_command(self, capsys):
         code, _, err = run(capsys, [])

@@ -17,7 +17,7 @@ from hopfcirc.circuit import (
     validate,
 )
 
-from helpers import haar_unitary, random_gate_list, simulate_gates_rowwise
+from helpers import haar_unitary, kron_gate_map, random_gate_list, simulate_gates_rowwise
 
 Z2 = z2_algebra()
 
@@ -101,6 +101,16 @@ class TestCompileEquivalence:
             got = direct_gate_map(Z2, wires, gates).matrix
             want = simulate_gates_rowwise(wires, gates)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["Z2", "Z3"])
+    def test_direct_gate_map_matches_kronecker_product(self, name):
+        algebra = builtin_algebra(name)
+        rng = np.random.default_rng(len(name) + algebra.dim)
+        for wires in range(1, 7):
+            for _ in range(4):
+                gates = random_gate_list(rng, wires, int(rng.integers(0, 12)), algebra.dim)
+                got = direct_gate_map(algebra, wires, gates).matrix
+                assert np.max(np.abs(got - kron_gate_map(algebra, wires, gates))) <= 1e-15
 
     def test_qutrit_controlled_shift_compiles(self):
         z3 = builtin_algebra("Z3")

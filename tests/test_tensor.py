@@ -1,13 +1,18 @@
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfcirc.tensor
 from hopfcirc.algebra import HopfAlgebra, z2_algebra
 from hopfcirc.circuit import ID, SWAP, Circuit, CircuitError, run
 from hopfcirc.tensor import LinearMap
+
+from helpers import dumped_map
 
 # structure tensors of the two-element algebra, written out longhand so the
 # map tests do not depend on the algebra's constructors
@@ -150,20 +155,72 @@ class TestLinearMap:
         row = LinearMap(2, 1, 0, np.zeros((1, 2)))
         assert col.matrix.shape == (2, 1) and row.matrix.shape == (1, 2)
 
-    def test_to_json_shape(self):
-        doc = LinearMap(2, 1, 1, np.eye(2)).to_json()
+    def test_write_json_shape(self):
+        doc = json.loads(written(LinearMap(2, 1, 1, np.eye(2))))
         assert doc["d"] == 2 and doc["re"] == [[1.0, 0.0], [0.0, 1.0]]
         assert doc["im"] == [[0.0, 0.0], [0.0, 0.0]]
 
-    def test_to_json_matches_per_element_conversion(self):
+    def test_write_json_matches_per_element_conversion(self):
         # signed zeros and subnormals must come out exactly as float() gives them
         tiny = np.nextafter(0.0, 1.0)
         arr = np.empty((2, 2), dtype=complex)
         arr.real = [[-0.0, tiny], [-3 * tiny, 2.2250738585072014e-308]]
         arr.imag = [[0.5, -0.0], [-tiny, 0.0]]
-        doc = LinearMap(2, 1, 1, arr).to_json()
+        doc = json.loads(written(LinearMap(2, 1, 1, arr)))
         for part, array in (("re", arr.real), ("im", arr.imag)):
             want = [[float(x) for x in row] for row in array]
             assert all(type(x) is float for row in doc[part] for x in row)
             assert json.dumps(doc[part]) == json.dumps(want)
         assert json.dumps(doc["re"][0]) == "[-0.0, 5e-324]"
+
+
+def written(m: LinearMap) -> str:
+    stream = io.StringIO()
+    m.write_json(stream)
+    return stream.getvalue()
+
+
+#: values that repeat, signed zeros, the smallest subnormal and normal, and
+#: the largest finite floats
+VALUE_POOL = (
+    0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1 / 3, -2.5e-17,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1e300,
+)
+
+
+class TestWriteJson:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # (d, wires_in, wires_out): 1x1, row and column vectors and matrices
+        shape=st.tuples(st.integers(1, 5), st.integers(0, 3), st.integers(0, 3)).filter(
+            lambda t: t[0] ** (t[1] + t[2]) <= 300
+        ),
+        block_entries=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_bytes_equal_json_dumps(self, shape, block_entries, data):
+        # small blocks, so that most maps span several
+        d, wires_in, wires_out = shape
+        n = d ** (wires_in + wires_out)
+        value = st.one_of(st.sampled_from(VALUE_POOL), st.floats(allow_nan=False, allow_infinity=False))
+        arr = np.empty((d**wires_out, d**wires_in), dtype=complex)
+        arr.real.flat = data.draw(st.lists(value, min_size=n, max_size=n))
+        arr.imag.flat = data.draw(st.lists(value, min_size=n, max_size=n))
+        m = LinearMap(d, wires_in, wires_out, arr)
+        with mock.patch.object(hopfcirc.tensor, "_JSON_BLOCK_ENTRIES", block_entries):
+            assert written(m) == dumped_map(m)
+
+    @pytest.mark.parametrize(
+        "d,wires_in,wires_out",
+        [(1, 0, 0), (2, 0, 0), (2, 17, 0), (2, 0, 17), (2, 3, 14), (3, 1, 10)],
+        ids=["1x1-d1", "1x1", "row", "column", "two-blocks", "ragged-last-block"],
+    )
+    def test_bytes_equal_json_dumps_at_block_size(self, d, wires_in, wires_out):
+        rng = np.random.default_rng(d + 10 * wires_in + 100 * wires_out)
+        shape = (d**wires_out, d**wires_in)
+        pool = np.array(VALUE_POOL + tuple(rng.normal(size=20)))
+        arr = np.empty(shape, dtype=complex)
+        arr.real = rng.choice(pool, size=shape)
+        arr.imag = rng.choice(pool, size=shape)
+        m = LinearMap(d, wires_in, wires_out, arr)
+        assert written(m) == dumped_map(m)
