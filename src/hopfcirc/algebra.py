@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -31,6 +30,7 @@ from .circuit import (
     SWAP,
     UNIT,
     Circuit,
+    _echo,
     evaluate,
 )
 
@@ -58,25 +58,6 @@ class GroupTableError(ValueError):
     """A multiplication table failed one of the group laws."""
 
 
-#: longest echo of an input value in an error message, the "…" included
-_ECHO_CHARS = 60
-
-# reprlib bounds the work as well as the text: at most a few items per
-# level and two levels deep, so a huge or deeply nested value is not
-# rendered in full first
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel = 2
-_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = 4
-_ECHO.maxstring = _ECHO.maxother = _ECHO.maxlong = _ECHO_CHARS
-
-
-def _echo(value) -> str:
-    """repr(value) for an error message, cut to _ECHO_CHARS characters with
-    a trailing "…"; short values come out as repr gives them."""
-    text = _ECHO.repr(value)
-    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 1] + "…"
-
-
 class HopfAlgebra:
     """Bundle of structure tensors over a d-dimensional basis.
 
@@ -86,9 +67,17 @@ class HopfAlgebra:
     "Antipode") for the circuit engine.  Direct construction only checks
     shapes and finiteness.  The algebras of z2_algebra, group_algebra and
     builtin_algebra come from a validated group table and are Hopf exactly.
+
+    digit_maps holds, for each kind whose map sends every basis input to a
+    single basis output with coefficient 1, that function on basis digits:
+    one entry per output wire, either the position of the input wire whose
+    digit it copies or an integer array indexed by the input digits.  The
+    engine folds runs of such maps into index steps.  group_algebra fills
+    it from the group table; a directly constructed algebra has none, so
+    the engine multiplies its structure matrices in.
     """
 
-    __slots__ = ("dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode", "maps")
+    __slots__ = ("dim", "basis_labels", "mul", "comul", "unit", "counit", "antipode", "maps", "digit_maps")
 
     def __init__(self, basis_labels: Sequence[str], mul, comul, unit, counit, antipode):
         d = len(basis_labels)
@@ -125,6 +114,7 @@ class HopfAlgebra:
             "Counit": self.counit.reshape(1, d),
             "Antipode": np.transpose(self.antipode),
         }
+        self.digit_maps: dict[str, tuple[int | np.ndarray, ...]] = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HopfAlgebra):
@@ -304,6 +294,11 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
     axioms hold exactly.  Every tensor entry is 0 or 1, and each side of
     every axiom sends a basis input to a single basis output, so
     check_axioms finds every deviation to be exactly 0.0.
+
+    Every structure map is a function on basis labels, so the algebra's
+    digit_maps are read off the table too: Mul is the table, Comul copies
+    its input digit twice, Unit writes the identity, Counit writes no
+    digit and Antipode is the inverse.
     """
     _check_order(len(table))
     identity = _validate_group_table(table)
@@ -321,11 +316,12 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
     unit = np.zeros(d)
     unit[identity] = 1.0
     antipode = np.zeros((d, d))
+    inverse = np.empty(d, dtype=np.int32)
     for g in range(d):
-        inv = next(h for h in range(d) if table[g][h] == identity)
-        antipode[g, inv] = 1.0
+        inverse[g] = next(h for h in range(d) if table[g][h] == identity)
+        antipode[g, inverse[g]] = 1.0
 
-    return HopfAlgebra(
+    algebra = HopfAlgebra(
         tuple(labels),
         mul=mul,
         comul=comul,
@@ -333,6 +329,18 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
         counit=np.ones(d),
         antipode=antipode,
     )
+    product = np.array(table, dtype=np.int32)
+    unit_digit = np.array(identity, dtype=np.int32)  # indexed by no input digit
+    for arr in (product, unit_digit, inverse):
+        arr.setflags(write=False)
+    algebra.digit_maps = {
+        "Mul": (product,),
+        "Comul": (0, 0),
+        "Unit": (unit_digit,),
+        "Counit": (),
+        "Antipode": (inverse,),
+    }
+    return algebra
 
 
 def cyclic_group_table(n: int) -> tuple[list[str], list[list[int]]]:

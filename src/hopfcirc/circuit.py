@@ -9,9 +9,9 @@ a LinearMap from d^wires_in to d^wires_out and the output can be fed to a
 Born-rule measurement even when the map is not unitary.
 
 Two evaluators are provided.  run pushes a batch of input columns through
-the layers as a state tensor with one axis of extent d per wire: each
-primitive acts on its own wires only, Id and Swap merely relabel axes, and
-no layer matrix is ever formed.  evaluate is run on the identity batch.
+the layers as a state with one axis of extent d per wire: each primitive
+acts on its own wires only, Id and Swap merely relabel axes, and no layer
+matrix is ever formed.  evaluate is run on the identity batch.
 evaluate_bruteforce_map propagates a batch of basis inputs through an
 explicit sum over all intermediate basis assignments, reading
 structure-tensor entries directly: each assignment carries one amplitude
@@ -27,22 +27,28 @@ its own wire and each controlled-NOT applied as a row permutation.
 
 The engine runs a plan, compiled once per circuit on first use and kept on
 the (immutable) circuit, so run, evaluate and circuit_is_unitary share one
-validation and one walk over the layers.  The plan has one step per
-primitive that does arithmetic: Ids give no step, and each run of Swaps
-folds into one axis permutation applied before the next step (or at the
-end).
+validation and one walk over the layers.  A Unitary, and each structure
+map of an algebra without digit maps, is a matrix step: its matrix is
+multiplied into its wires, after one axis permutation for the Swaps before
+it.  A group algebra's structure maps are functions on basis digits (see
+HopfAlgebra.digit_maps), so a run of them, with the Swaps among them,
+folds into one index step on the whole state (see _build_plan for where a
+run ends): a gather of rows when the run is a bijection, else a
+scatter-add.  When the plan starts with an index step, evaluate writes its
+image of the identity directly.  Ids give no step.
 
 circuit_is_unitary answers is_unitary(evaluate(circuit)) without the map
-where the layers prove it: a map between different wire counts is not
-unitary, and a square circuit of Id/Swap/Unitary/Antipode layers and
-copy-then-multiply pairs (the paper's controlled shift) is certified from
-the Gram deviations its primitives and algebra blocks carry.  Any other
-circuit falls back to the full map.
+where the plan proves it: a map between different wire counts is not
+unitary, and a square plan of bijective index steps (exact permutations)
+and Unitary and Antipode steps is certified from the Gram deviations of
+its matrices.  Any other circuit falls back to the full map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import reprlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -128,6 +134,24 @@ class AnnihilatedStateError(ValueError):
 
 UNITARY_TOL = 1e-10
 
+#: longest echo of an input value in an error message, the "…" included
+_ECHO_CHARS = 60
+
+# reprlib bounds the work as well as the text: at most a few items per
+# level and two levels deep, so a huge or deeply nested value is not
+# rendered in full first
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 2
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = 4
+_ECHO.maxstring = _ECHO.maxother = _ECHO.maxlong = _ECHO_CHARS
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message, cut to _ECHO_CHARS characters with
+    a trailing "…"; short values come out as repr gives them."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 1] + "…"
+
 
 def _gram_deviation(m: np.ndarray) -> float:
     """Largest entry of |m^H m - I|.  Huge entries overflow the Gram matrix
@@ -162,10 +186,10 @@ class Primitive:
             return
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise CircuitError(f"unitary {self.name!r} must be square, got shape {arr.shape}")
+            raise CircuitError(f"unitary {_echo(self.name)} must be square, got shape {arr.shape}")
         dev = _gram_deviation(arr)
         if not dev <= UNITARY_TOL:  # a nan deviation must not pass
-            raise CircuitError(f"matrix for {self.name!r} is not unitary (deviation {dev:.2e})")
+            raise CircuitError(f"matrix for {_echo(self.name)} is not unitary (deviation {dev:.2e})")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "deviation", dev)
@@ -206,6 +230,7 @@ class Circuit:
             raise CircuitError("wires_in must be nonnegative")
 
 
+@functools.cache
 def _max_wires(base_dim: int) -> int:
     """Largest wire count whose state fits in MAX_STATE_ENTRIES entries.
 
@@ -235,7 +260,7 @@ def _check_unitary_shape(name: str | None, shape: Sequence[int], d: int, where: 
     wrong size is formed."""
     if tuple(shape) != (d, d):
         raise CircuitError(
-            f"{where}unitary {name!r} is {'x'.join(map(str, shape))} "
+            f"{where}unitary {_echo(name)} is {'x'.join(map(str, shape))} "
             f"but the algebra dimension is {d}"
         )
 
@@ -273,14 +298,28 @@ def _check_map_entries(d: int, wires_in: int, widest: int) -> None:
 
 
 class _Step(NamedTuple):
-    """One primitive of the plan that does arithmetic: matrix acts on wires
-    pos..pos+wires_in-1 of the state after perm (None: no reordering)."""
+    """A primitive whose matrix the engine multiplies in: matrix acts on
+    wires pos..pos+wires_in-1 of the state after perm (None: no reordering)."""
 
     perm: tuple[int, ...] | None  # perm[i] is the state axis holding wire i
     pos: int
     wires_in: int
     wires_out: int
     matrix: np.ndarray
+    prim: Primitive
+
+
+class _Run(NamedTuple):
+    """A run of structure maps that have digit maps, with the Swaps among
+    them, folded into one function f on the basis indices of the whole
+    state, from wires_in to wires_out wires (see _build_plan).  A bijective
+    run keeps the inverse of f and is the gather of state rows index; any
+    other run keeps f and adds state row j into output row index[j]."""
+
+    wires_in: int
+    wires_out: int
+    index: np.ndarray
+    bijective: bool
 
 
 class _Plan(NamedTuple):
@@ -288,7 +327,7 @@ class _Plan(NamedTuple):
 
     dim: int
     profile: tuple[int, ...]
-    steps: tuple[_Step, ...]
+    steps: tuple[_Step | _Run, ...]
     final_perm: tuple[int, ...] | None
 
 
@@ -300,25 +339,134 @@ def _perm_or_none(axes: list[int] | None) -> tuple[int, ...] | None:
     return None if perm == tuple(range(len(perm))) else perm
 
 
+@functools.cache
+def _input_digits(d: int, wires: int) -> tuple[np.ndarray, ...]:
+    """Digit k of a basis index of the given width, as an integer array
+    over the grid (d^h, d^(wires-h)), h = wires // 2, whose row-major order
+    is the index order: the first h digits vary along the rows, the others
+    along the columns.  Arithmetic that broadcasts over two axes costs a
+    fraction of what it costs over one axis per wire."""
+    h = wires // 2
+    rows, cols = np.arange(d**h, dtype=np.int32), np.arange(d ** (wires - h), dtype=np.int32)
+    digits = [(rows // d ** (h - 1 - k) % d)[:, None] for k in range(h)]
+    digits += [(cols // d ** (wires - 1 - k) % d)[None, :] for k in range(h, wires)]
+    for row in digits:
+        row.setflags(write=False)
+    return tuple(digits)
+
+
+def _fold_run(digits: list, wires_in: int, d: int, lossy: bool) -> _Run:
+    """The run whose output wire k carries digits[k], a function of the
+    run's input digits (see _input_digits).
+
+    A run in which no primitive lost digits is injective, so a square one
+    is a bijection; a square run that lost some is checked for one.  Every
+    index is below MAX_STATE_ENTRIES, so the index arrays are int32, and the
+    run keeps 4 bytes per entry of its input state, a quarter of the
+    state's own.
+    """
+    h = wires_in // 2
+    index = np.empty((d**h, d ** (wires_in - h)), dtype=np.int32)
+    index[...] = digits[0] if digits else 0
+    for digit in digits[1:]:  # wire 0 is the most significant digit
+        index *= d
+        index += digit
+    index = index.reshape(-1)
+    if len(digits) == wires_in:
+        inverse = np.full(index.size, -1, dtype=np.int32) if lossy else np.empty_like(index)
+        inverse[index] = np.arange(index.size, dtype=np.int32)
+        if not lossy or inverse.min() >= 0:  # every output index is hit
+            return _Run(wires_in, wires_in, inverse, True)
+    return _Run(wires_in, len(digits), index, False)
+
+
+def _loses_digits(digits: list, pos: int, prim: Primitive) -> bool:
+    """Whether prim, a Mul or Counit applied to wires pos.. of an open run,
+    may send two basis states to one: none of its input digits is a
+    constant or still carried by another wire, from which the group table
+    would recover the rest.  A False answer is exact, a True one may not be."""
+    rest = list(map(id, digits[:pos] + digits[pos + prim.wires_in :]))
+    return not any(x.ndim == 0 or id(x) in rest for x in digits[pos : pos + prim.wires_in])
+
+
+class _OpenRun:
+    """A run of primitives with digit maps that the plan walk is folding:
+    digits[i] is the digit wire i carries, as a function of the digits of
+    the wires_in wires entering the run (see _input_digits)."""
+
+    __slots__ = ("digits", "wires_in", "perm", "first", "size", "lossy")
+
+    def __init__(self, d: int, wires_in: int, axes: list[int] | None):
+        inputs = _input_digits(d, wires_in)
+        self.digits = list(inputs) if axes is None else [inputs[a] for a in axes]
+        self.wires_in = wires_in
+        self.perm = _perm_or_none(axes)  # the Swaps before the run, for a run of one primitive
+        self.first = None  # (pos, prim) of its first primitive
+        self.size = 0  # primitives and Swaps in the run
+        self.lossy = False  # whether a primitive of the run lost digits
+
+
 def _build_plan(circuit: Circuit) -> _Plan:
     """Validate once, then walk the layers once.
 
     Within a layer the primitives act on disjoint wires, so their order is
     free: the shrinking and width-preserving ones go first and Comul/Unit
     after them, and the state is never wider than the wider layer boundary.
-    Id gives no step, and the Swaps before a step fold into its permutation.
+    Id gives no step.  A primitive with a digit map opens a run, or joins
+    the open one, as the digits its output wires carry: a copy or a drop of
+    an input wire's digit, or one lookup in its table.  The next matrix
+    step, or the end, closes the run into one index step; a run of a lone
+    primitive stays a matrix step, as one multiplication costs less than a
+    fold.  Swaps inside a run exchange digits; the other Swaps fold into
+    the permutation of the next step or of the end.
     """
     profile = validate(circuit)
     algebra = circuit.algebra
+    d = algebra.dim
+    digit_maps = algebra.digit_maps
     steps = []
     width = circuit.wires_in
     axes = None  # axes[i]: the state axis holding wire i, once a Swap moved one
+    run = None  # the open run
+
+    def matrix_step(perm: tuple[int, ...] | None, pos: int, prim: Primitive) -> None:
+        matrix = prim.matrix if prim.kind == "Unitary" else algebra.maps[prim.kind]
+        steps.append(_Step(perm, pos, prim.wires_in, prim.wires_out, matrix, prim))
+
+    def close_run() -> None:
+        nonlocal run
+        if run is None:
+            return
+        if run.size == 1:
+            matrix_step(run.perm, *run.first)
+        else:
+            steps.append(_fold_run(run.digits, run.wires_in, d, run.lossy))
+        run = None
 
     def step(pos: int, prim: Primitive) -> None:
-        nonlocal axes, width
-        matrix = prim.matrix if prim.kind == "Unitary" else algebra.maps[prim.kind]
-        steps.append(_Step(_perm_or_none(axes), pos, prim.wires_in, prim.wires_out, matrix))
-        axes = None
+        nonlocal axes, run, width
+        outputs = digit_maps.get(prim.kind)
+        if outputs is None:
+            close_run()
+            matrix_step(_perm_or_none(axes), pos, prim)
+            axes = None
+        else:
+            if run is None:
+                run, axes = _OpenRun(d, width, axes), None
+            loses = prim.wires_out < prim.wires_in and _loses_digits(run.digits, pos, prim)
+            if loses and run.lossy and steps:
+                # after a matrix step, a run sums at most once, so that it
+                # adds the same terms in the same groups as matrix steps
+                close_run()
+                run = _OpenRun(d, width, None)
+            run.first = run.first or (pos, prim)
+            run.size += 1
+            run.lossy = run.lossy or loses
+            digits = run.digits
+            ins = digits[pos : pos + prim.wires_in]
+            digits[pos : pos + prim.wires_in] = [
+                ins[out] if type(out) is int else out[tuple(ins)] for out in outputs
+            ]
         width += prim.wires_out - prim.wires_in
 
     for layer in circuit.layers:
@@ -332,9 +480,14 @@ def _build_plan(circuit: Circuit) -> _Plan:
             elif prim.kind == "Id":
                 pos += 1
             elif prim.kind == "Swap":
-                if axes is None:
-                    axes = list(range(width))
-                axes[pos], axes[pos + 1] = axes[pos + 1], axes[pos]
+                if run is not None:
+                    digits = run.digits
+                    digits[pos], digits[pos + 1] = digits[pos + 1], digits[pos]
+                    run.size += 1
+                else:
+                    if axes is None:
+                        axes = list(range(width))
+                    axes[pos], axes[pos + 1] = axes[pos + 1], axes[pos]
                 pos += 2
             else:
                 step(pos, prim)
@@ -342,7 +495,8 @@ def _build_plan(circuit: Circuit) -> _Plan:
             grown += prim.wires_out
         for pos, prim in growing:
             step(pos, prim)
-    return _Plan(algebra.dim, tuple(profile), tuple(steps), _perm_or_none(axes))
+    close_run()
+    return _Plan(d, tuple(profile), tuple(steps), _perm_or_none(axes))
 
 
 def _plan(circuit: Circuit) -> _Plan:
@@ -354,17 +508,49 @@ def _plan(circuit: Circuit) -> _Plan:
     return plan
 
 
-def _push(plan: _Plan, columns: np.ndarray) -> np.ndarray:
-    """Run a plan on a contiguous (d^wires_in, batch) array of columns.
+def _scatter_add(index: np.ndarray, rows: np.ndarray, n_out: int) -> np.ndarray:
+    """The (n_out, batch) array whose row i sums the rows j of a contiguous
+    (len(index), batch) array with index[j] == i, in increasing j.
 
-    The state is kept as a contiguous array in wire order; a step reorders
-    its axes only when Swaps came before it, then multiplies its matrix into
-    the (d^pos, d^wires_in, rest) view.
+    One column (eval, sample) is added in place by np.add.at.  For a batch
+    (evaluate), one bincount over the real and imaginary parts of every
+    column is several times faster; its bins take as many bytes as rows.
+    """
+    batch = rows.shape[1]
+    if batch == 1:
+        out = np.zeros((n_out, 1), dtype=complex)
+        np.add.at(out, index, rows)
+        return out
+    parts = 2 * batch  # a complex row read as float pairs
+    bins = np.empty((len(index), parts), dtype=np.intp)
+    np.multiply(index[:, None], parts, out=bins)
+    bins += np.arange(parts)
+    sums = np.bincount(bins.reshape(-1), weights=rows.view(float).reshape(-1), minlength=n_out * parts)
+    return sums.view(complex).reshape(n_out, batch)
+
+
+def _push(plan: _Plan, columns: np.ndarray, steps: Sequence[_Step | _Run]) -> np.ndarray:
+    """Run the given steps of a plan on a contiguous (d^wires, batch) array
+    of columns.
+
+    The state is kept as a contiguous array in wire order.  A matrix step
+    reorders the state's axes only when Swaps came before it, then
+    multiplies its matrix into the (d^pos, d^wires_in, rest) view.  An index
+    step moves whole rows of the (d^wires, batch) state: a gather when
+    bijective, else a scatter-add.
     """
     d = plan.dim
     batch = columns.shape[1]
     state = columns
-    for perm, pos, wires_in, _, matrix in plan.steps:
+    for step in steps:
+        if type(step) is _Run:
+            rows = state.reshape(-1, batch)
+            if step.bijective:
+                state = np.take(rows, step.index, axis=0)
+            else:
+                state = _scatter_add(step.index, rows, d**step.wires_out)
+            continue
+        perm, pos, wires_in, _, matrix, _ = step
         if perm is not None:
             state = state.reshape((d,) * len(perm) + (batch,)).transpose(perm + (len(perm),))
         state = np.matmul(matrix, state.reshape(d**pos, d**wires_in, -1))
@@ -389,15 +575,32 @@ def run(circuit: Circuit, states) -> np.ndarray:
             f"states must be a (d^wires_in, batch) = ({d**circuit.wires_in}, batch) array, "
             f"got shape {columns.shape}"
         )
-    return np.array(_push(plan, np.ascontiguousarray(columns)))
+    columns = np.ascontiguousarray(columns)
+    out = _push(plan, columns, plan.steps)
+    return out.copy() if np.may_share_memory(out, columns) else out
 
 
 def evaluate(circuit: Circuit) -> LinearMap:
-    """The circuit's full linear map: run on the identity batch."""
+    """The circuit's full linear map: run on the identity batch.
+
+    When the plan starts with an index step, the identity's image under it
+    is written directly: column j holds a single 1, in row f(j).
+    """
     plan = _plan(circuit)
     d = plan.dim
     _check_map_entries(d, circuit.wires_in, max(plan.profile))
-    out = _push(plan, np.eye(d**circuit.wires_in, dtype=complex))
+    n_in = d**circuit.wires_in
+    steps = plan.steps
+    if steps and type(steps[0]) is _Run:
+        first, steps = steps[0], steps[1:]
+        columns = np.zeros((d**first.wires_out, n_in), dtype=complex)
+        if first.bijective:  # row i is the image of input inverse[i]
+            columns[np.arange(n_in), first.index] = 1.0
+        else:
+            columns[first.index, np.arange(n_in)] = 1.0
+    else:
+        columns = np.eye(n_in, dtype=complex)
+    out = _push(plan, columns, steps)
     return LinearMap(d, circuit.wires_in, plan.profile[-1], out)
 
 
@@ -746,86 +949,60 @@ def is_unitary(linmap: LinearMap, tol: float = 1e-10) -> bool:
 
 # --- unitarity without the full map ----------------------------------------
 
-#: layer kinds whose layer map is a Kronecker product of one-wire maps and
-#: wire permutations
-_PASSIVE_KINDS = frozenset({"Id", "Swap", "Unitary", "Antipode"})
-
-#: rounding allowance per layer, added to the certified deviation bound:
-#: evaluate's rounding grows with depth, so a deep circuit needs a smaller
-#: bound to be certified
-_ROUNDING_PER_LAYER = 64 * np.finfo(float).eps
+#: rounding allowance per plan step, added to the certified deviation bound:
+#: evaluate's rounding grows with the number of steps, so a long plan needs
+#: a smaller bound to be certified
+_ROUNDING_PER_STEP = 64 * np.finfo(float).eps
 
 
-def _lone_kind_at(layer: tuple[Primitive, ...], kind: str) -> int | None:
-    """Index of the one primitive of the given kind in a layer that is
-    otherwise all Id, else None."""
-    at = None
-    for i, prim in enumerate(layer):
-        if prim.kind == kind and at is None:
-            at = i
-        elif prim.kind != "Id":
-            return None
-    return at
+def _deviation_bound(plan: _Plan) -> float | None:
+    """Upper bound on the spectral norm of M^H M - I for the map M of a
+    plan's steps, or None when some step has no bound.
 
-
-def _deviation_bound(circuit: Circuit) -> float | None:
-    """Upper bound on the spectral norm of M^H M - I for the circuit's map
-    M, read off its layers, or None when some layer fits no pattern.
-
-    A layer of Id, Swap, Unitary and Antipode is a Kronecker product of
-    k x k maps up to a wire permutation, and a Comul at wire p followed by
-    Ids and a Mul on wires p+1, p+2 is build_cnot's map on wires p, p+1.
-    A block whose Gram matrix is off by dev in its largest entry is off by
-    at most k * dev in spectral norm, and such bounds e_i combine over
-    Kronecker products and compositions as prod(1 + e_i) - 1.  The
-    deviations of the antipode and of build_cnot's map are computed only
-    when a layer needs them.
+    A bijective index step is an exact permutation and adds nothing.  A
+    Unitary or Antipode step is a d x d block up to Kronecker products with
+    identities and wire permutations; a block whose Gram matrix is off by
+    dev in its largest entry is off by at most d * dev in spectral norm,
+    and such bounds e_i combine over Kronecker products and compositions as
+    prod(1 + e_i) - 1.  The antipode's deviation is computed only when a
+    step needs it.  Any other step (an index step that is no bijection, or
+    a structure matrix of an algebra without digit maps) has no bound.
     """
-    algebra = circuit.algebra
-    d = algebra.dim
-    antipode = cnot = None  # the algebra blocks' bounds, once needed
+    d = plan.dim
+    antipode = None  # the antipode block's bound, once needed
     log_bound = 0.0  # sum of log(1 + e_i)
-    layers = circuit.layers
-    i = 0
-    while i < len(layers):
-        layer = layers[i]
-        if all(prim.kind in _PASSIVE_KINDS for prim in layer):
-            for prim in layer:
-                if prim.kind == "Unitary":
-                    log_bound += math.log1p(d * prim.deviation)
-                elif prim.kind == "Antipode":
-                    if antipode is None:
-                        antipode = d * _gram_deviation(algebra.maps["Antipode"])
-                    log_bound += math.log1p(antipode)
-            i += 1
-            continue
-        p = _lone_kind_at(layer, "Comul")
-        if p is None or i + 1 == len(layers) or _lone_kind_at(layers[i + 1], "Mul") != p + 1:
+    for step in plan.steps:
+        if type(step) is _Run:
+            if not step.bijective:
+                return None
+        elif step.prim.kind == "Unitary":
+            log_bound += math.log1p(d * step.prim.deviation)
+        elif step.prim.kind == "Antipode":
+            if antipode is None:
+                antipode = d * _gram_deviation(step.matrix)
+            log_bound += math.log1p(antipode)
+        else:
             return None
-        if cnot is None:
-            cnot = d * d * _gram_deviation(evaluate(build_cnot(algebra)).matrix)
-        log_bound += math.log1p(cnot)
-        i += 2
     return math.expm1(log_bound)
 
 
 def circuit_is_unitary(circuit: Circuit) -> bool:
-    """is_unitary(evaluate(circuit)), without the map where the layer
-    structure proves the answer.
+    """is_unitary(evaluate(circuit)), without the map where the plan proves
+    the answer.
 
     A circuit with wires_in != wires_out is not unitary.  A square circuit
-    built only of Id/Swap/Unitary/Antipode layers and copy-then-multiply
-    layer pairs is certified unitary when the bound of _deviation_bound,
-    plus a rounding allowance per layer, stays under UNITARY_TOL / 10: the
-    exact map is then that close to unitary, which leaves nine tenths of
-    UNITARY_TOL for the rounding of evaluate and is_unitary.  Every other
-    circuit falls back to the full map, and so to its size limit.
+    whose plan steps are bijective index steps, Unitaries and Antipodes is
+    certified unitary when the bound of _deviation_bound, plus a rounding
+    allowance per step, stays under UNITARY_TOL / 10: the exact map is then
+    that close to unitary, which leaves nine tenths of UNITARY_TOL for the
+    rounding of evaluate and is_unitary.  Every other circuit falls back to
+    the full map, and so to its size limit.
     """
-    profile = _plan(circuit).profile
-    if profile[0] != profile[-1]:
+    plan = _plan(circuit)
+    if plan.profile[0] != plan.profile[-1]:
         return False
-    bound = _deviation_bound(circuit)
-    if bound is not None and bound + len(circuit.layers) * _ROUNDING_PER_LAYER <= UNITARY_TOL / 10:
+    bound = _deviation_bound(plan)
+    if bound is not None and bound + len(plan.steps) * _ROUNDING_PER_STEP <= UNITARY_TOL / 10:
         return True
     return is_unitary(evaluate(circuit))
 

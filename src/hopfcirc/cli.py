@@ -77,7 +77,7 @@ def _tolerance(text: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {_echo(text)}")
     return value
 
 
@@ -146,9 +146,9 @@ def _parse_input_digits(text: str, d: int, wires: int) -> list[int]:
         else:
             digits = [int(ch) for ch in text]
     except ValueError:
-        raise ValueError(f"bad input string {text!r}: expected base-{d} digits") from None
+        raise ValueError(f"bad input string {_echo(text)}: expected base-{d} digits") from None
     if len(digits) != wires:
-        raise ValueError(f"input {text!r} has {len(digits)} digits, circuit consumes {wires} wires")
+        raise ValueError(f"input {_echo(text)} has {len(digits)} digits, circuit consumes {wires} wires")
     for dgt in digits:
         if not 0 <= dgt < d:
             raise ValueError(f"input digit {dgt} out of range for dimension {d}")
@@ -250,6 +250,9 @@ def _matrix_from_json(obj, where: str) -> np.ndarray:
         if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
             if len({len(row) for row in rows}) > 1:
                 raise ValueError(f"{where}: matrix rows must have equal lengths")
+            # numpy would read "1" or true as 1.0; the schema's numbers are neither
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for row in rows for v in row):
+                raise ValueError(f"{where}: matrix entries must be numbers")
     try:
         re_part = np.array(obj["re"], dtype=float)
         im_part = np.array(obj.get("im", np.zeros_like(re_part)), dtype=float)

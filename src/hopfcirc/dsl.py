@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import resolve_algebra
+from .algebra import _echo, resolve_algebra
 from .circuit import PRIMITIVES, Circuit, CircuitError, Primitive, _check_unitary_shape, unitary
 
 __all__ = [
@@ -114,7 +114,7 @@ def _preset_matrix(preset: str, angle: float | None) -> np.ndarray:
         )
     if preset == "RZ":
         return np.array([[cmath.exp(-1j * half), 0], [0, cmath.exp(1j * half)]], dtype=complex)
-    raise ValueError(f"unknown preset {preset!r}")
+    raise ValueError(f"unknown preset {_echo(preset)}")
 
 
 # --- complex literals -------------------------------------------------------
@@ -135,7 +135,7 @@ def _parse_complex(token: str) -> complex:
         return complex(0.0, float(m.group("im")))
     if _REAL_ONLY_RE.match(token):
         return complex(float(token), 0.0)
-    raise ValueError(f"bad complex literal {token!r} (expected forms: 1.5, 2i, 1.5-0.5i)")
+    raise ValueError(f"bad complex literal {_echo(token)} (expected forms: 1.5, 2i, 1.5-0.5i)")
 
 
 def _format_complex(z: complex) -> str:
@@ -207,7 +207,7 @@ def parse_circuit(text: str) -> CircuitDocument:
             try:
                 wires_in = int(rest)
             except ValueError:
-                raise ParseError(f"expected an integer wire count, got {rest!r}", lineno, rest_col) from None
+                raise ParseError(f"expected an integer wire count, got {_echo(rest)}", lineno, rest_col) from None
             if wires_in < 0:
                 raise ParseError("wire count must be nonnegative", lineno, rest_col)
         elif keyword == "unitary":
@@ -220,9 +220,9 @@ def parse_circuit(text: str) -> CircuitDocument:
                 raise ParseError("expected: unitary NAME (PRESET | [matrix])", lineno, rest_col)
             name, definition = parts
             if not _NAME_RE.match(name):
-                raise ParseError(f"bad unitary name {name!r}", lineno, rest_col)
+                raise ParseError(f"bad unitary name {_echo(name)}", lineno, rest_col)
             if name in unitary_names:
-                raise ParseError(f"duplicate unitary definition {name!r}", lineno, rest_col)
+                raise ParseError(f"duplicate unitary definition {_echo(name)}", lineno, rest_col)
             def_col = rest_col + rest.find(definition)
             unitaries.append((name, _parse_unitary_def(definition, lineno, def_col)))
             unitary_names.add(name)
@@ -232,7 +232,7 @@ def parse_circuit(text: str) -> CircuitDocument:
             layers.append(_parse_layer(rest, rest_col, lineno, unitary_names))
         else:
             col = raw.lower().find(keyword) + 1
-            raise ParseError(f"unknown statement {keyword!r}", lineno, col)
+            raise ParseError(f"unknown statement {_echo(keyword)}", lineno, col)
 
     if algebra_name is None:
         raise ParseError("missing algebra line", max(1, text.count("\n") + 1), 1)
@@ -251,7 +251,7 @@ def _parse_unitary_def(definition: str, lineno: int, column: int) -> UnitaryDef:
         return UnitaryDef(rows=_parse_matrix(definition, lineno, column))
     m = _PRESET_RE.match(definition)
     if not m:
-        raise ParseError(f"bad unitary definition {definition!r}", lineno, column)
+        raise ParseError(f"bad unitary definition {_echo(definition)}", lineno, column)
     preset = m.group(1).upper()
     arg = m.group(2)
     if preset in PRESET_NAMES:
@@ -264,12 +264,12 @@ def _parse_unitary_def(definition: str, lineno: int, column: int) -> UnitaryDef:
         try:
             angle = float(arg)
         except ValueError:
-            raise ParseError(f"bad angle {arg!r}", lineno, column) from None
+            raise ParseError(f"bad angle {_echo(arg)}", lineno, column) from None
         if not math.isfinite(angle):
             raise ParseError("angle must be finite", lineno, column)
         return UnitaryDef(preset=preset, angle=angle)
     raise ParseError(
-        f"unknown preset {preset!r} (known: {', '.join(PRESET_NAMES + ROTATION_NAMES)})",
+        f"unknown preset {_echo(preset)} (known: {', '.join(PRESET_NAMES + ROTATION_NAMES)})",
         lineno,
         column,
     )
@@ -297,8 +297,8 @@ def _parse_layer(
         if not token:
             raise ParseError("empty primitive between commas", lineno, column)
         if uref:
-            raise ParseError(f"unknown unitary name {uref.group(1)!r}", lineno, column)
-        raise ParseError(f"unknown primitive {token!r}", lineno, column)
+            raise ParseError(f"unknown unitary name {_echo(uref.group(1))}", lineno, column)
+        raise ParseError(f"unknown primitive {_echo(token)}", lineno, column)
     return tuple(tokens)
 
 
@@ -334,7 +334,7 @@ def to_circuit(doc: CircuitDocument) -> Circuit:
         if udef.preset is not None and algebra.dim != 2:
             raise CircuitError(
                 f"preset {udef.preset} defines a 2x2 matrix but algebra "
-                f"{doc.algebra_name!r} has dimension {algebra.dim}"
+                f"{_echo(doc.algebra_name)} has dimension {algebra.dim}"
             )
         if udef.rows is not None:  # before the Gram check, which is cubic in the size
             shape = (len(udef.rows), len(udef.rows[0]) if udef.rows else 0)

@@ -223,8 +223,8 @@ def _lone(n: int, at: int, prim) -> tuple:
 
 
 def certificate_circuit(rng: np.random.Generator, algebra, max_wires: int = 4, max_blocks: int = 8) -> Circuit:
-    """Random square circuit made of the layer patterns a structural
-    unitarity certificate reads, and of near misses to them.
+    """Random square circuit made of the blocks a structural unitarity
+    certificate meets, and of near misses to them.
 
     Blocks: layers of Id/Swap/Unitary/Antipode; copy-then-multiply pairs
     (Comul at wire p, then Mul on wires p+1, p+2); a Mul on any wires after

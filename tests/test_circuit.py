@@ -59,6 +59,19 @@ CNOT_TABLE[0, 0] = CNOT_TABLE[1, 1] = CNOT_TABLE[3, 2] = CNOT_TABLE[2, 3] = 1.0
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
+def matrix_only(algebra: HopfAlgebra) -> HopfAlgebra:
+    """The same structure tensors, constructed directly: no digit maps, so
+    the engine multiplies every structure matrix in."""
+    return HopfAlgebra(
+        algebra.basis_labels,
+        mul=algebra.mul,
+        comul=algebra.comul,
+        unit=algebra.unit,
+        counit=algebra.counit,
+        antipode=algebra.antipode,
+    )
+
+
 def generalized_circuit(u_matrix):
     """Two wires in, three out: copy both, multiply, rotate, multiply."""
     u = unitary("u0", u_matrix)
@@ -367,6 +380,131 @@ def test_engine_matches_bruteforce_and_map(circuit, seed):
     assert np.max(np.abs(run(circuit, batch) - m @ batch)) <= 1e-12
 
 
+def plan_kinds(circuit: Circuit) -> set[str]:
+    """The kinds of step in the circuit's plan: "bijective run", "run"
+    (one that is no bijection) and "matrix"."""
+    return {
+        ("bijective run" if step.bijective else "run") if type(step) is hopfcirc.circuit._Run else "matrix"
+        for step in hopfcirc.circuit._plan(circuit).steps
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_circuits(), st.integers(0, 2**32 - 1))
+def test_index_runs_match_matrix_steps(circuit, seed):
+    """Digit maps change how the engine computes, not what: against the
+    same circuit over an algebra without them, values are equal when every
+    run is a bijection (a gather moves values, a matrix step adds zeros to
+    them) and within 1e-12 otherwise (sums grouped differently)."""
+    plain = Circuit(matrix_only(circuit.algebra), circuit.wires_in, circuit.layers)
+    assert plan_kinds(plain) <= {"matrix"}
+    rng = np.random.default_rng(seed)
+    n_in = circuit.algebra.dim**circuit.wires_in
+    batch = rng.normal(size=(n_in, 3)) + 1j * rng.normal(size=(n_in, 3))
+    pairs = [(evaluate(circuit).matrix, evaluate(plain).matrix), (run(circuit, batch), run(plain, batch))]
+    if "run" not in plan_kinds(circuit):
+        assert all(np.array_equal(got, want) for got, want in pairs)
+    else:
+        assert all(np.max(np.abs(got - want), initial=0.0) <= 1e-12 for got, want in pairs)
+    if circuit.algebra.dim == 2:
+        # a leading run meets one-hot columns, and every later run sums at
+        # most once, two terms whose order does not matter
+        assert np.array_equal(*pairs[0])
+
+
+def mixed_plan_circuit(algebra) -> Circuit:
+    """Two wires: a rotation, a CNOT (a bijective run), a rotation, a copy
+    and a unit (a run that is no bijection), a rotation, then two counits
+    (another)."""
+    u = unitary("u", haar_unitary(np.random.default_rng(algebra.dim), algebra.dim))
+    return Circuit(algebra, 2, (
+        (u, ID), (COMUL, ID), (ID, MUL),
+        (ID, u), (COMUL, ID), (ID, UNIT, ID, ID),
+        (u, ID, ID, ID), (ID, COUNIT, ID, COUNIT),
+    ))
+
+
+class TestIndexRuns:
+    @pytest.mark.parametrize("name", sorted(ENGINE_ALGEBRAS))
+    def test_mixed_plan_matches_matrix_steps_and_bruteforce(self, name):
+        algebra = ENGINE_ALGEBRAS[name]
+        c = mixed_plan_circuit(algebra)
+        assert plan_kinds(c) == {"bijective run", "run", "matrix"}
+        plain = Circuit(matrix_only(algebra), c.wires_in, c.layers)
+        m = evaluate(c).matrix
+        assert np.max(np.abs(m - evaluate(plain).matrix)) <= 1e-12
+        assert np.max(np.abs(m - evaluate_bruteforce_map(c).matrix)) <= 1e-12
+        batch = np.random.default_rng(1).normal(size=(m.shape[1], 4)).astype(complex)
+        assert np.max(np.abs(run(c, batch) - run(plain, batch))) <= 1e-12
+        # one column takes the other scatter-add
+        for k in range(batch.shape[1]):
+            column = batch[:, k : k + 1]
+            assert np.max(np.abs(run(c, column) - run(plain, column))) <= 1e-12
+            assert np.max(np.abs(run(c, column)[:, 0] - m @ column[:, 0])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "layers,kinds",
+        [
+            (((COMUL, ID), (ID, MUL)), {"bijective run"}),  # a CNOT
+            (((COMUL,), (COMUL, ID)), {"run"}),  # two copies
+            (((UNIT, ID), (COUNIT, ID)), {"bijective run"}),  # the counit drops the unit's digit
+            (((UNIT, ID), (ID, COUNIT)), {"run"}),  # the counit drops the input's digit
+            (((ANTIPODE, SWAP), (MUL, ID)), {"run"}),  # a square run that loses a digit
+        ],
+        ids=["cnot", "copies", "unit-drop-unit", "unit-drop-input", "lossy-square"],
+    )
+    def test_leading_run_written_one_hot(self, layers, kinds):
+        # evaluate writes the image of the identity under a leading run:
+        # column j holds one 1, in row f(j)
+        wires = sum(p.wires_in for p in layers[0])
+        c = Circuit(Z3, wires, layers)
+        assert plan_kinds(c) == kinds
+        m = evaluate(c).matrix
+        assert np.array_equal(m, evaluate_bruteforce_map(c).matrix)
+        assert np.array_equal(np.count_nonzero(m, axis=0), np.ones(m.shape[1]))
+
+    def test_references_share_no_engine_code(self, monkeypatch):
+        # the brute force and the gate product still work with the engine gone
+        def broken(*args, **kwargs):
+            raise AssertionError("the engine was called")
+
+        gates = [Cnot(0, 2), hopfcirc.circuit.U1(1, HADAMARD), Cnot(2, 1)]
+        c = compile_gate_circuit(Z2, 3, gates)
+        want = evaluate(c).matrix
+        for name in ("_plan", "_push", "run", "evaluate"):
+            monkeypatch.setattr(hopfcirc.circuit, name, broken)
+        assert np.max(np.abs(evaluate_bruteforce_map(c).matrix - want)) <= 1e-12
+        assert np.max(np.abs(direct_gate_map(Z2, 3, gates).matrix - want)) <= 1e-12
+        with pytest.raises(AssertionError, match="engine"):
+            hopfcirc.circuit.evaluate(c)
+
+    def test_sums_after_a_matrix_step_grouped_as_matrix_steps(self):
+        # rotated wires, then multiplications that sum them pairwise, then
+        # the pair sums: one scatter-add of all eight terms would round
+        # differently from the matrix steps
+        rng = np.random.default_rng(7)
+        rotations = tuple(unitary("u", haar_unitary(rng, 2)) for _ in range(4))
+        layers = (rotations, (MUL, MUL), (MUL,))
+        c = Circuit(Z2, 4, layers)
+        assert np.array_equal(evaluate(c).matrix, evaluate(Circuit(matrix_only(Z2), 4, layers)).matrix)
+
+    def test_lone_primitive_stays_a_matrix_step(self):
+        # one multiplication costs less than folding a run of one primitive
+        c = Circuit(Z2, 2, ((unitary("h", HADAMARD), ID), (COMUL, ID), (unitary("h", HADAMARD), ID, ID)))
+        assert plan_kinds(c) == {"matrix"}
+        assert [step.prim.kind for step in hopfcirc.circuit._plan(c).steps] == ["Unitary", "Comul", "Unitary"]
+        assert np.max(np.abs(evaluate(c).matrix - evaluate_bruteforce_map(c).matrix)) <= 1e-12
+
+    def test_max_wires_per_dimension(self):
+        # cached per dimension; the loop is the reference
+        for d in range(1, 17):
+            w = 0
+            while max(d, 2) ** (w + 1) <= hopfcirc.circuit.MAX_STATE_ENTRIES:
+                w += 1
+            assert hopfcirc.circuit._max_wires(d) == w
+        assert [hopfcirc.circuit._max_wires(d) for d in (1, 2, 3, 6, 16)] == [20, 20, 12, 7, 5]
+
+
 #: widest layer boundary per algebra for random_circuit, so that the
 #: per-column brute force stays quick at d = 6
 BATCH_MAX_WIRES = {"Z2": 5, "Z3": 4, "S3": 3}
@@ -658,9 +796,10 @@ class TestCircuitIsUnitary:
         return widths
 
     def test_compiled_circuit_certified_without_its_map(self, evaluated):
+        # every copy-then-multiply run is a bijective index step: no map at all
         gates = random_gate_list(np.random.default_rng(5), 6, 40)
         assert circuit_is_unitary(compile_gate_circuit(Z2, 6, gates))
-        assert evaluated == [2]  # only build_cnot's map, for its deviation
+        assert evaluated == []
 
     def test_wide_identity_certified_without_its_map(self, evaluated):
         assert circuit_is_unitary(Circuit(Z2, 20, ((ID,) * 20,)))
@@ -679,8 +818,13 @@ class TestCircuitIsUnitary:
         assert evaluated == [2]
 
     def test_unit_counit_pair_falls_back(self, evaluated):
-        # x -> unit (x) x -> counit(unit) x = x
-        assert circuit_is_unitary(Circuit(Z2, 1, ((UNIT, ID), (COUNIT, ID))))
+        # x -> unit (x) x -> counit(unit) x = x: without digit maps the
+        # structure matrices carry no bound, so the map decides
+        layers = ((UNIT, ID), (COUNIT, ID))
+        assert circuit_is_unitary(Circuit(matrix_only(Z2), 1, layers))
+        assert evaluated == [1]
+        # with them the pair folds into one index step, the identity
+        assert circuit_is_unitary(Circuit(Z2, 1, layers))
         assert evaluated == [1]
 
     @pytest.mark.parametrize("repeats,expected", [(1, True), (2, False)])
@@ -701,14 +845,19 @@ class TestCircuitIsUnitary:
         assert evaluated == [1]
 
     def test_algebra_blocks_checked(self, evaluated):
-        # a CNOT block or an antipode off by ~2e-9 is no certificate: the map
-        # decides, after build_cnot's map gave the block's deviation
+        # a perturbed algebra has no digit maps: its copy and multiply carry
+        # no bound, and an antipode off by ~2e-9 is no certificate, so the
+        # map decides both
         assert not circuit_is_unitary(build_cnot(perturbed_z2(1 + 1e-9, 1.0)))
-        assert evaluated == [2, 2]
+        assert evaluated == [2]
         assert not circuit_is_unitary(Circuit(perturbed_z2(1.0, 1 + 1e-9), 1, ((ANTIPODE,),)))
-        assert evaluated == [2, 2, 1]
+        assert evaluated == [2, 1]
+        # (g, h) -> (g^-1, g^-1 h) is one bijective index step
         assert circuit_is_unitary(Circuit(Z3, 2, ((ANTIPODE, ID), (COMUL, ID), (ID, MUL))))
-        assert evaluated == [2, 2, 1, 2]
+        assert evaluated == [2, 1]
+        # an antipode matrix step adds its exact deviation, 0
+        assert circuit_is_unitary(Circuit(matrix_only(Z3), 1, ((ANTIPODE,),)))
+        assert evaluated == [2, 1]
 
     def test_primitive_keeps_its_deviation(self):
         assert unitary("h", HADAMARD).deviation <= 1e-15
@@ -745,13 +894,22 @@ class TestPlan:
                 run(c, np.eye(4))
 
     def test_ids_skipped_and_swap_runs_folded(self):
-        # each CNOT is a Comul and a Mul between two ladders of Swaps
-        c = compile_gate_circuit(Z2, 5, [Cnot(0, 4), Cnot(3, 1)])
+        # each CNOT is a Comul and a Mul between two ladders of Swaps; with
+        # digit maps the whole circuit, Swaps included, is one bijective run
+        gates = [Cnot(0, 4), Cnot(3, 1)]
+        c = compile_gate_circuit(Z2, 5, gates)
+        plan = hopfcirc.circuit._plan(c)
+        assert [(type(step), step.bijective) for step in plan.steps] == [(hopfcirc.circuit._Run, True)]
+        assert plan.final_perm is None
+        assert plan.profile == tuple(validate(c))
+        assert np.array_equal(evaluate(c).matrix, direct_gate_map(Z2, 5, gates).matrix)
+        # without them, Ids give no step and the Swaps fold into the
+        # permutations of the matrix steps and of the end
+        c = compile_gate_circuit(matrix_only(Z2), 5, gates)
         plan = hopfcirc.circuit._plan(c)
         assert [step.matrix.shape for step in plan.steps] == [(4, 2), (2, 4)] * 2
         assert [step.perm is not None for step in plan.steps] == [True, False, True, False]
         assert plan.final_perm is not None
-        assert plan.profile == tuple(validate(c))
         assert np.max(np.abs(evaluate(c).matrix - evaluate_bruteforce_map(c).matrix)) <= 1e-12
 
 

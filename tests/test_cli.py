@@ -297,9 +297,10 @@ class TestEval:
             code, out, _ = run(capsys, ["eval", str(path), "--input", digits])
             assert code == 0 and out == "\n".join(want) + "\n"
 
-    @pytest.mark.parametrize("path,calls", [(FIG2_FILE, 1), (CNOT_FILE, 2)], ids=["fig2", "cnot"])
+    @pytest.mark.parametrize("path,calls", [(FIG2_FILE, 1), (CNOT_FILE, 1)], ids=["fig2", "cnot"])
     def test_circuit_validated_once(self, capsys, validated, path, calls):
-        # the CNOT's certificate also validates build_cnot's own circuit, once
+        # the CNOT's certificate reads the circuit's own plan: no other
+        # circuit is built or validated
         for extra in ([], ["--json"]):
             validated.clear()
             assert run(capsys, ["eval", path, "--input", "10", *extra])[0] == 0
@@ -516,8 +517,11 @@ class TestCompile:
             {"re": [[1, 0], [0, 1]], "im": [[0, {"a": 1}], [0, 0]]},
             {"re": [["one", 0], [0, 1]]},
             {"re": [[1, [0]], [0, 1]]},
+            {"re": [["1", "0"], ["0", "1"]]},
+            {"re": [[1, 0], [0, 1]], "im": [["0", 0], [0, "0"]]},
+            {"re": [[True, False], [False, True]]},
         ],
-        ids=["object-re", "object-im", "string-re", "list-re"],
+        ids=["object-re", "object-im", "string-re", "list-re", "numeric-string-re", "numeric-string-im", "bool-re"],
     )
     def test_non_numeric_matrix_entry_exits_2(self, capsys, tmp_path, matrix):
         path = tmp_path / "bad.json"
@@ -809,8 +813,13 @@ class TestUsage:
             (["eval", "FILE", "--input", "0"], "c.hopf", "algebra " + "x" * 100_000 + "\nin 1\nlayer ID\n"),
             (["compile", "--wires", "2", "--gates", "FILE"], "g.json", json.dumps([{"cnot": [[0] * 200_000, 1]}])),
             (["compile", "--wires", "2", "--gates", "FILE"], "g.json", json.dumps([{"k" * 200_000: 1}])),
+            (["compile", "--wires", "2", "--gates", "FILE"], "g.json",
+             json.dumps([{"u1": {"wire": 0, "name": "n" * 100_000, "matrix": {"re": [[1, 0, 0]] * 3}}}])),
+            (["compile", "--wires", "2", "--gates", "FILE"], "g.json",
+             json.dumps([{"u1": {"wire": 0, "name": "n" * 100_000, "matrix": {"re": [[1, 0], [0, 2]]}}}])),
         ],
-        ids=["table-entry", "extra-key", "algebra-name", "wire", "gate-kind"],
+        ids=["table-entry", "extra-key", "algebra-name", "wire", "gate-kind", "gate-name-shape",
+             "gate-name-unitarity"],
     )
     def test_long_input_is_not_echoed_in_full(self, capsys, tmp_path, argv, name, text):
         path = tmp_path / name
@@ -818,6 +827,40 @@ class TestUsage:
         code, out, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
         assert code == 2 and out == ""
         assert err.startswith("error: validate: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "text,category,digits",
+        [
+            ("algebra Z2\nin 1\nlayer " + "Q" * 100_000, "parse", "0"),
+            ("Q" * 100_000 + " Z2", "parse", "0"),
+            ("algebra Z2\nin " + "x" * 100_000, "parse", "0"),
+            ("algebra Z2\nin 1\nunitary 1" + "u" * 100_000 + " H", "parse", "0"),
+            ("algebra Z2\nin 1\n" + ("unitary " + "u" * 100_000 + " H\n") * 2, "parse", "0"),
+            ("algebra Z2\nin 1\nlayer U(" + "v" * 100_000 + ")", "parse", "0"),
+            ("algebra Z2\nin 1\nunitary u " + "P" * 100_000, "parse", "0"),
+            ("algebra Z2\nin 1\nunitary u !" + "P" * 100_000, "parse", "0"),
+            ("algebra Z2\nin 1\nunitary u RY(" + "x" * 100_000 + ")", "parse", "0"),
+            ("algebra Z2\nin 1\nunitary u [" + "z" * 100_000 + "]", "parse", "0"),
+            ("algebra Z3\nin 1\nunitary " + "u" * 100_000 + " [1, 0; 0, 1]", "validate", "0"),
+            ("algebra Z2\nin 1\nlayer ID", "validate", "1" * 100_000),
+            ("algebra Z2\nin 1\nlayer ID", "validate", "x" * 100_000),
+        ],
+        ids=["primitive", "keyword", "wire-count", "unitary-name", "duplicate-unitary", "unitary-reference",
+             "preset", "definition", "angle", "complex-literal", "unitary-shape", "input-length", "input-digits"],
+    )
+    def test_long_token_is_not_echoed_in_full(self, capsys, tmp_path, text, category, digits):
+        path = tmp_path / "c.hopf"
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, ["eval", str(path), "--input", digits])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {category}: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    def test_long_tolerance_is_not_echoed_in_full(self, capsys):
+        code, out, err = run(capsys, ["check-axioms", "--algebra", "Z2", "--tol", "x" * 100_000])
+        assert code == 1 and out == ""
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
         assert len(err.encode()) < 300
 
     def test_no_command(self, capsys):
