@@ -31,11 +31,12 @@ validation and one walk over the layers.  A Unitary, and each structure
 map of an algebra without digit maps, is a matrix step: its matrix is
 multiplied into its wires, after one axis permutation for the Swaps before
 it.  A group algebra's structure maps are functions on basis digits (see
-HopfAlgebra.digit_maps), so a run of them, with the Swaps among them,
-folds into one index step on the whole state (see _build_plan for where a
-run ends): a gather of rows when the run is a bijection, else a
-scatter-add.  When the plan starts with an index step, evaluate writes its
-image of the identity directly.  Ids give no step.
+HopfAlgebra.digit_maps), so a run of them, with the Swaps among them, can
+fold into one index step on the whole state: a gather of rows when the
+run is a permutation, and, for the plan's first step only, a scatter-add
+otherwise (see _build_plan for which runs fold).  When the plan starts
+with an index step, evaluate writes its image of the identity directly.
+Ids give no step.
 
 circuit_is_unitary answers is_unitary(evaluate(circuit)) without the map
 where the plan proves it: a map between different wire counts is not
@@ -314,7 +315,8 @@ class _Run(NamedTuple):
     them, folded into one function f on the basis indices of the whole
     state, from wires_in to wires_out wires (see _build_plan).  A bijective
     run keeps the inverse of f and is the gather of state rows index; any
-    other run keeps f and adds state row j into output row index[j]."""
+    other run, always the plan's first step, keeps f and adds state row j
+    into output row index[j]."""
 
     wires_in: int
     wires_out: int
@@ -392,18 +394,19 @@ def _loses_digits(digits: list, pos: int, prim: Primitive) -> bool:
 class _OpenRun:
     """A run of primitives with digit maps that the plan walk is folding:
     digits[i] is the digit wire i carries, as a function of the digits of
-    the wires_in wires entering the run (see _input_digits)."""
+    the wires_in wires entering the run (see _input_digits).  prims holds
+    its primitives as (axes before, pos, prim), for a run that stays matrix
+    steps."""
 
-    __slots__ = ("digits", "wires_in", "perm", "first", "size", "lossy")
+    __slots__ = ("digits", "wires_in", "leading", "lossy", "prims")
 
-    def __init__(self, d: int, wires_in: int, axes: list[int] | None):
+    def __init__(self, d: int, wires_in: int, axes: list[int] | None, leading: bool):
         inputs = _input_digits(d, wires_in)
         self.digits = list(inputs) if axes is None else [inputs[a] for a in axes]
         self.wires_in = wires_in
-        self.perm = _perm_or_none(axes)  # the Swaps before the run, for a run of one primitive
-        self.first = None  # (pos, prim) of its first primitive
-        self.size = 0  # primitives and Swaps in the run
+        self.leading = leading  # whether the run is the plan's first step
         self.lossy = False  # whether a primitive of the run lost digits
+        self.prims: list[tuple[list[int] | None, int, Primitive]] = []
 
 
 def _build_plan(circuit: Circuit) -> _Plan:
@@ -412,13 +415,20 @@ def _build_plan(circuit: Circuit) -> _Plan:
     Within a layer the primitives act on disjoint wires, so their order is
     free: the shrinking and width-preserving ones go first and Comul/Unit
     after them, and the state is never wider than the wider layer boundary.
-    Id gives no step.  A primitive with a digit map opens a run, or joins
-    the open one, as the digits its output wires carry: a copy or a drop of
-    an input wire's digit, or one lookup in its table.  The next matrix
-    step, or the end, closes the run into one index step; a run of a lone
-    primitive stays a matrix step, as one multiplication costs less than a
-    fold.  Swaps inside a run exchange digits; the other Swaps fold into
-    the permutation of the next step or of the end.
+    Id gives no step.
+
+    A primitive with a digit map opens a run, or joins the open one, as
+    the digits its output wires carry: a copy or a drop of an input wire's
+    digit, or one lookup in its table.  The next matrix step, or the end,
+    closes the run, and it becomes one index step when it is the plan's
+    first step, which meets one-hot columns, or a permutation: square, and
+    no primitive of it lost digits.  Any other run, and a run of a single
+    primitive (one multiplication costs less than a fold), stays matrix
+    steps.  After a matrix step, a primitive that loses digits ends the run
+    and is a matrix step itself.  So an index step never adds two nonzero
+    terms: every sum is the matrix steps' own, with the same rounding.
+    Swaps inside a run exchange digits too; every Swap folds into the
+    permutation of the next matrix step or of the end.
     """
     profile = validate(circuit)
     algebra = circuit.algebra
@@ -429,18 +439,21 @@ def _build_plan(circuit: Circuit) -> _Plan:
     axes = None  # axes[i]: the state axis holding wire i, once a Swap moved one
     run = None  # the open run
 
-    def matrix_step(perm: tuple[int, ...] | None, pos: int, prim: Primitive) -> None:
+    def matrix_step(before: list[int] | None, pos: int, prim: Primitive) -> None:
         matrix = prim.matrix if prim.kind == "Unitary" else algebra.maps[prim.kind]
-        steps.append(_Step(perm, pos, prim.wires_in, prim.wires_out, matrix, prim))
+        steps.append(_Step(_perm_or_none(before), pos, prim.wires_in, prim.wires_out, matrix, prim))
 
     def close_run() -> None:
-        nonlocal run
+        nonlocal axes, run
         if run is None:
             return
-        if run.size == 1:
-            matrix_step(run.perm, *run.first)
-        else:
+        square = len(run.digits) == run.wires_in
+        if len(run.prims) > 1 and (run.leading or square and not run.lossy):
             steps.append(_fold_run(run.digits, run.wires_in, d, run.lossy))
+            axes = None  # the Swaps after its last primitive are in the fold
+        else:
+            for before, pos, prim in run.prims:
+                matrix_step(before, pos, prim)
         run = None
 
     def step(pos: int, prim: Primitive) -> None:
@@ -448,25 +461,23 @@ def _build_plan(circuit: Circuit) -> _Plan:
         outputs = digit_maps.get(prim.kind)
         if outputs is None:
             close_run()
-            matrix_step(_perm_or_none(axes), pos, prim)
-            axes = None
+            matrix_step(axes, pos, prim)
         else:
             if run is None:
-                run, axes = _OpenRun(d, width, axes), None
+                run = _OpenRun(d, width, axes, leading=not steps)
             loses = prim.wires_out < prim.wires_in and _loses_digits(run.digits, pos, prim)
-            if loses and run.lossy and steps:
-                # after a matrix step, a run sums at most once, so that it
-                # adds the same terms in the same groups as matrix steps
+            if loses and not run.leading:
                 close_run()
-                run = _OpenRun(d, width, None)
-            run.first = run.first or (pos, prim)
-            run.size += 1
-            run.lossy = run.lossy or loses
-            digits = run.digits
-            ins = digits[pos : pos + prim.wires_in]
-            digits[pos : pos + prim.wires_in] = [
-                ins[out] if type(out) is int else out[tuple(ins)] for out in outputs
-            ]
+                matrix_step(axes, pos, prim)
+            else:
+                run.lossy = run.lossy or loses
+                run.prims.append((axes, pos, prim))
+                digits = run.digits
+                ins = digits[pos : pos + prim.wires_in]
+                digits[pos : pos + prim.wires_in] = [
+                    ins[out] if type(out) is int else out[tuple(ins)] for out in outputs
+                ]
+        axes = None
         width += prim.wires_out - prim.wires_in
 
     for layer in circuit.layers:
@@ -483,11 +494,9 @@ def _build_plan(circuit: Circuit) -> _Plan:
                 if run is not None:
                     digits = run.digits
                     digits[pos], digits[pos + 1] = digits[pos + 1], digits[pos]
-                    run.size += 1
-                else:
-                    if axes is None:
-                        axes = list(range(width))
-                    axes[pos], axes[pos + 1] = axes[pos + 1], axes[pos]
+                if axes is None:
+                    axes = list(range(width))
+                axes[pos], axes[pos + 1] = axes[pos + 1], axes[pos]
                 pos += 2
             else:
                 step(pos, prim)
@@ -509,24 +518,11 @@ def _plan(circuit: Circuit) -> _Plan:
 
 
 def _scatter_add(index: np.ndarray, rows: np.ndarray, n_out: int) -> np.ndarray:
-    """The (n_out, batch) array whose row i sums the rows j of a contiguous
-    (len(index), batch) array with index[j] == i, in increasing j.
-
-    One column (eval, sample) is added in place by np.add.at.  For a batch
-    (evaluate), one bincount over the real and imaginary parts of every
-    column is several times faster; its bins take as many bytes as rows.
-    """
-    batch = rows.shape[1]
-    if batch == 1:
-        out = np.zeros((n_out, 1), dtype=complex)
-        np.add.at(out, index, rows)
-        return out
-    parts = 2 * batch  # a complex row read as float pairs
-    bins = np.empty((len(index), parts), dtype=np.intp)
-    np.multiply(index[:, None], parts, out=bins)
-    bins += np.arange(parts)
-    sums = np.bincount(bins.reshape(-1), weights=rows.view(float).reshape(-1), minlength=n_out * parts)
-    return sums.view(complex).reshape(n_out, batch)
+    """The (n_out, batch) array whose row i sums the rows j of a
+    (len(index), batch) array with index[j] == i, in increasing j."""
+    out = np.zeros((n_out, rows.shape[1]), dtype=complex)
+    np.add.at(out, index, rows)
+    return out
 
 
 def _push(plan: _Plan, columns: np.ndarray, steps: Sequence[_Step | _Run]) -> np.ndarray:

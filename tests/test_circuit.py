@@ -57,6 +57,7 @@ CNOT_TABLE = np.zeros((4, 4))
 CNOT_TABLE[0, 0] = CNOT_TABLE[1, 1] = CNOT_TABLE[3, 2] = CNOT_TABLE[2, 3] = 1.0
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+H = unitary("h", HADAMARD)
 
 
 def matrix_only(algebra: HopfAlgebra) -> HopfAlgebra:
@@ -393,34 +394,33 @@ def plan_kinds(circuit: Circuit) -> set[str]:
 @given(engine_circuits(), st.integers(0, 2**32 - 1))
 def test_index_runs_match_matrix_steps(circuit, seed):
     """Digit maps change how the engine computes, not what: against the
-    same circuit over an algebra without them, values are equal when every
-    run is a bijection (a gather moves values, a matrix step adds zeros to
-    them) and within 1e-12 otherwise (sums grouped differently)."""
+    same circuit over an algebra without them, maps are equal, because a
+    leading run meets one-hot columns and every later index step is a
+    gather, which moves values where a matrix step adds zeros to them.  A
+    batch through a leading run that is no bijection is summed in another
+    grouping, within 1e-12."""
     plain = Circuit(matrix_only(circuit.algebra), circuit.wires_in, circuit.layers)
     assert plan_kinds(plain) <= {"matrix"}
+    assert np.array_equal(evaluate(circuit).matrix, evaluate(plain).matrix)
     rng = np.random.default_rng(seed)
     n_in = circuit.algebra.dim**circuit.wires_in
     batch = rng.normal(size=(n_in, 3)) + 1j * rng.normal(size=(n_in, 3))
-    pairs = [(evaluate(circuit).matrix, evaluate(plain).matrix), (run(circuit, batch), run(plain, batch))]
-    if "run" not in plan_kinds(circuit):
-        assert all(np.array_equal(got, want) for got, want in pairs)
+    got, want = run(circuit, batch), run(plain, batch)
+    if "run" in plan_kinds(circuit):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
     else:
-        assert all(np.max(np.abs(got - want), initial=0.0) <= 1e-12 for got, want in pairs)
-    if circuit.algebra.dim == 2:
-        # a leading run meets one-hot columns, and every later run sums at
-        # most once, two terms whose order does not matter
-        assert np.array_equal(*pairs[0])
+        assert np.array_equal(got, want)
 
 
 def mixed_plan_circuit(algebra) -> Circuit:
-    """Two wires: a rotation, a CNOT (a bijective run), a rotation, a copy
-    and a unit (a run that is no bijection), a rotation, then two counits
-    (another)."""
+    """Two wires: a copy and a unit (the leading run, no bijection), a
+    rotation, two counits (matrix steps, as they lose digits after a matrix
+    step), a CNOT (a bijective run) and a rotation."""
     u = unitary("u", haar_unitary(np.random.default_rng(algebra.dim), algebra.dim))
     return Circuit(algebra, 2, (
-        (u, ID), (COMUL, ID), (ID, MUL),
-        (ID, u), (COMUL, ID), (ID, UNIT, ID, ID),
+        (COMUL, ID), (ID, ID, ID, UNIT),
         (u, ID, ID, ID), (ID, COUNIT, ID, COUNIT),
+        (COMUL, ID), (ID, MUL), (ID, u),
     ))
 
 
@@ -432,15 +432,11 @@ class TestIndexRuns:
         assert plan_kinds(c) == {"bijective run", "run", "matrix"}
         plain = Circuit(matrix_only(algebra), c.wires_in, c.layers)
         m = evaluate(c).matrix
-        assert np.max(np.abs(m - evaluate(plain).matrix)) <= 1e-12
+        assert np.array_equal(m, evaluate(plain).matrix)
         assert np.max(np.abs(m - evaluate_bruteforce_map(c).matrix)) <= 1e-12
         batch = np.random.default_rng(1).normal(size=(m.shape[1], 4)).astype(complex)
         assert np.max(np.abs(run(c, batch) - run(plain, batch))) <= 1e-12
-        # one column takes the other scatter-add
-        for k in range(batch.shape[1]):
-            column = batch[:, k : k + 1]
-            assert np.max(np.abs(run(c, column) - run(plain, column))) <= 1e-12
-            assert np.max(np.abs(run(c, column)[:, 0] - m @ column[:, 0])) <= 1e-12
+        assert np.max(np.abs(run(c, batch) - m @ batch)) <= 1e-12
 
     @pytest.mark.parametrize(
         "layers,kinds",
@@ -480,19 +476,42 @@ class TestIndexRuns:
 
     def test_sums_after_a_matrix_step_grouped_as_matrix_steps(self):
         # rotated wires, then multiplications that sum them pairwise, then
-        # the pair sums: one scatter-add of all eight terms would round
-        # differently from the matrix steps
+        # the pair sums: they stay matrix steps, where one scatter-add of
+        # all eight terms would round differently
         rng = np.random.default_rng(7)
         rotations = tuple(unitary("u", haar_unitary(rng, 2)) for _ in range(4))
         layers = (rotations, (MUL, MUL), (MUL,))
         c = Circuit(Z2, 4, layers)
         assert np.array_equal(evaluate(c).matrix, evaluate(Circuit(matrix_only(Z2), 4, layers)).matrix)
 
-    def test_lone_primitive_stays_a_matrix_step(self):
+    @pytest.mark.parametrize(
+        "layers,kinds",
+        [
+            (((COMUL, ID), (ID, ID, ID, UNIT)), ["Unitary", "Comul", "Unit"]),  # not square
+            (((COMUL, ID), (ID, MUL), (MUL,)), ["Unitary", "bijective run", "Mul"]),  # the last Mul loses a digit
+            (((COMUL, ID), (MUL, ID)), ["Unitary", "Comul", "Mul"]),  # (g, h) -> (g*g, h) loses g
+        ],
+        ids=["copy-unit", "cnot-then-mul", "square-mul"],
+    )
+    def test_run_after_a_matrix_step_folds_only_as_a_permutation(self, layers, kinds):
+        c = Circuit(Z3, 2, ((unitary("f", haar_unitary(np.random.default_rng(3), 3)), ID),) + layers)
+        steps = hopfcirc.circuit._plan(c).steps
+        assert [step.prim.kind if type(step) is hopfcirc.circuit._Step else "bijective run" for step in steps] == kinds
+        plain = Circuit(matrix_only(Z3), c.wires_in, c.layers)
+        assert np.array_equal(evaluate(c).matrix, evaluate(plain).matrix)
+
+    @pytest.mark.parametrize(
+        "layers,kinds",
+        [
+            (((COMUL, ID), (H, ID, ID)), ["Comul", "Unitary"]),  # a leading copy
+            (((H, ID), (ANTIPODE, ID), (H, ID)), ["Unitary", "Antipode", "Unitary"]),  # a permutation
+        ],
+        ids=["leading", "permutation"],
+    )
+    def test_lone_primitive_stays_a_matrix_step(self, layers, kinds):
         # one multiplication costs less than folding a run of one primitive
-        c = Circuit(Z2, 2, ((unitary("h", HADAMARD), ID), (COMUL, ID), (unitary("h", HADAMARD), ID, ID)))
-        assert plan_kinds(c) == {"matrix"}
-        assert [step.prim.kind for step in hopfcirc.circuit._plan(c).steps] == ["Unitary", "Comul", "Unitary"]
+        c = Circuit(Z2, 2, layers)
+        assert [step.prim.kind for step in hopfcirc.circuit._plan(c).steps] == kinds
         assert np.max(np.abs(evaluate(c).matrix - evaluate_bruteforce_map(c).matrix)) <= 1e-12
 
     def test_max_wires_per_dimension(self):
