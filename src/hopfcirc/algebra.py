@@ -228,7 +228,7 @@ def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
     for family, wires, left, right in _AXIOM_CIRCUITS:
         lhs = evaluate(Circuit(algebra, wires, left)).matrix
         rhs = evaluate(Circuit(algebra, wires, right)).matrix
-        deviation = float(np.max(np.abs(lhs - rhs)))
+        deviation = float(np.abs(lhs - rhs).max())
         deviations[family] = max(deviations.get(family, 0.0), deviation)
     checks = tuple(
         AxiomCheck(name, dev, dev <= tol)

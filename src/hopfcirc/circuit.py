@@ -36,7 +36,9 @@ fold into one index step on the whole state: a gather of rows when the
 run is a permutation, and, for the plan's first step only, a scatter-add
 otherwise (see _build_plan for which runs fold).  When the plan starts
 with an index step, evaluate writes its image of the identity directly.
-Ids give no step.
+Ids give no step.  validate and the plan walk handle each distinct layer
+once, and the walk tracks a run's digits as symbols, so only a run that
+folds builds arrays.
 
 circuit_is_unitary answers is_unitary(evaluate(circuit)) without the map
 where the plan proves it: a map between different wire counts is not
@@ -51,7 +53,7 @@ import functools
 import math
 import reprlib
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -154,13 +156,20 @@ def _echo(value) -> str:
     return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 1] + "…"
 
 
-def _gram_deviation(m: np.ndarray) -> float:
-    """Largest entry of |m^H m - I|.  Huge entries overflow the Gram matrix
+def _gram_deviation(m: np.ndarray):
+    """Largest entry of |m^H m - I|, as a float; for a (k, rows, cols)
+    stack, the array of the k matrices' values, each equal bit for bit to
+    the value of its matrix alone.  Huge entries overflow the Gram matrix
     to inf or nan; that gives an inf or nan deviation, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = m.conj().T @ m
-        gram.flat[:: m.shape[1] + 1] -= 1  # gram - I, without an identity matrix
-        return float(np.max(np.abs(gram)))
+        if m.ndim == 2:
+            gram = m.conj().T @ m
+            gram.flat[:: m.shape[1] + 1] -= 1  # gram - I, without an identity matrix
+            return float(np.max(np.abs(gram)))
+        gram = np.matmul(m.conj().transpose(0, 2, 1), m)
+        n = m.shape[2]
+        gram.reshape(-1, n * n)[:, :: n + 1] -= 1
+        return np.abs(gram).max(axis=(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,6 +177,9 @@ class Primitive:
     kind: str
     name: str | None = None
     matrix: np.ndarray | None = None
+    # the matrix's _gram_deviation when the caller computed it already, for
+    # a batch of matrices at once; computed here otherwise
+    gram: InitVar[float | None] = None
     # read off the primitive table once: the engine and validate read them
     # for every primitive of every layer
     wires_in: int = field(init=False)
@@ -176,7 +188,7 @@ class Primitive:
     # 0.0 for the structure maps, whose matrices belong to the algebra
     deviation: float = field(init=False, default=0.0)
 
-    def __post_init__(self):
+    def __post_init__(self, gram):
         if self.kind not in PRIMITIVES:
             raise CircuitError(f"unknown primitive kind {self.kind!r}")
         object.__setattr__(self, "wires_in", PRIMITIVES[self.kind].wires_in)
@@ -188,7 +200,7 @@ class Primitive:
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise CircuitError(f"unitary {_echo(self.name)} must be square, got shape {arr.shape}")
-        dev = _gram_deviation(arr)
+        dev = _gram_deviation(arr) if gram is None else gram
         if not dev <= UNITARY_TOL:  # a nan deviation must not pass
             raise CircuitError(f"matrix for {_echo(self.name)} is not unitary (deviation {dev:.2e})")
         arr.setflags(write=False)
@@ -210,10 +222,21 @@ ANTIPODE = Primitive("Antipode")
 SWAP = Primitive("Swap")
 
 
-def unitary(name: str, matrix) -> Primitive:
+def unitary(name: str, matrix, gram: float | None = None) -> Primitive:
     """One-wire unitary gate on the algebra's basis; non-unitary matrices
-    are rejected at construction."""
-    return Primitive("Unitary", name=name, matrix=np.asarray(matrix, dtype=complex))
+    are rejected at construction.  gram is the matrix's _gram_deviation
+    when the caller computed it for a stack of matrices at once."""
+    return Primitive("Unitary", name=name, matrix=np.asarray(matrix, dtype=complex), gram=gram)
+
+
+def _unitaries(names: Sequence[str], matrices: Sequence[np.ndarray]) -> list[Primitive]:
+    """unitary(name, matrix) for each pair in order, the first that is not
+    unitary refused, with one Gram computation for the stack of matrices,
+    which must all have one shape."""
+    if len(matrices) < 2:  # a stack of one costs more than the matrix alone
+        return [unitary(*args) for args in zip(names, matrices)]
+    stack = np.array(matrices, dtype=complex)
+    return [unitary(*args) for args in zip(names, stack, _gram_deviation(stack).tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +249,8 @@ class Circuit:
     _cached_plan: _Plan | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(tuple(layer) for layer in self.layers))
+        # tuple() of a tuple is that tuple, so tuple layers keep their objects
+        object.__setattr__(self, "layers", tuple(map(tuple, self.layers)))
         if self.wires_in < 0:
             raise CircuitError("wires_in must be nonnegative")
 
@@ -247,6 +271,8 @@ def _max_wires(base_dim: int) -> int:
 def _check_widths(widths: Sequence[int], d: int) -> None:
     """Refuse the first wire count above the width limit."""
     limit = _max_wires(d)
+    if max(widths, default=0) <= limit:
+        return
     for w in widths:
         if w > limit:
             raise CircuitError(
@@ -268,20 +294,29 @@ def _check_unitary_shape(name: str | None, shape: Sequence[int], d: int, where: 
 
 def validate(circuit: Circuit) -> list[int]:
     """Thread wire counts through the layers; the profile has one entry per
-    layer boundary, starting at wires_in."""
+    layer boundary, starting at wires_in.  Each distinct layer is checked
+    once; a repeat is checked again only when it meets another wire count
+    than its first, and so fails as a first sight would."""
     d = circuit.algebra.dim
     profile = [circuit.wires_in]
     wires = circuit.wires_in
+    counted: dict[tuple[Primitive, ...], tuple[int, int]] = {}  # checked layer -> (wires in, wires out)
     for i, layer in enumerate(circuit.layers):
-        if not layer:
-            raise CircuitError(f"layer {i} is empty")
-        consumed = sum([p.wires_in for p in layer])
-        if consumed != wires:
-            raise CircuitError(f"layer {i} consumes {consumed} wires, {wires} available")
-        for p in layer:
-            if p.kind == "Unitary":
-                _check_unitary_shape(p.name, p.matrix.shape, d, f"layer {i}: ")
-        wires = sum([p.wires_out for p in layer])
+        counts = counted.get(layer)
+        if counts is None or counts[0] != wires:
+            if not layer:
+                raise CircuitError(f"layer {i} is empty")
+            consumed = produced = 0
+            for p in layer:
+                consumed += p.wires_in
+                produced += p.wires_out
+            if consumed != wires:
+                raise CircuitError(f"layer {i} consumes {consumed} wires, {wires} available")
+            for p in layer:
+                if p.kind == "Unitary":
+                    _check_unitary_shape(p.name, p.matrix.shape, d, f"layer {i}: ")
+            counts = counted[layer] = (consumed, produced)
+        wires = counts[1]
         profile.append(wires)
     _check_widths(profile, d)
     return profile
@@ -357,56 +392,92 @@ def _input_digits(d: int, wires: int) -> tuple[np.ndarray, ...]:
     return tuple(digits)
 
 
-def _fold_run(digits: list, wires_in: int, d: int, lossy: bool) -> _Run:
-    """The run whose output wire k carries digits[k], a function of the
-    run's input digits (see _input_digits).
-
-    A run in which no primitive lost digits is injective, so a square one
-    is a bijection; a square run that lost some is checked for one.  Every
-    index is below MAX_STATE_ENTRIES, so the index arrays are int32, and the
-    run keeps 4 bytes per entry of its input state, a quarter of the
-    state's own.
-    """
-    h = wires_in // 2
-    index = np.empty((d**h, d ** (wires_in - h)), dtype=np.int32)
-    index[...] = digits[0] if digits else 0
-    for digit in digits[1:]:  # wire 0 is the most significant digit
-        index *= d
-        index += digit
-    index = index.reshape(-1)
-    if len(digits) == wires_in:
-        inverse = np.full(index.size, -1, dtype=np.int32) if lossy else np.empty_like(index)
-        inverse[index] = np.arange(index.size, dtype=np.int32)
-        if not lossy or inverse.min() >= 0:  # every output index is hit
-            return _Run(wires_in, wires_in, inverse, True)
-    return _Run(wires_in, len(digits), index, False)
-
-
-def _loses_digits(digits: list, pos: int, prim: Primitive) -> bool:
-    """Whether prim, a Mul or Counit applied to wires pos.. of an open run,
-    may send two basis states to one: none of its input digits is a
-    constant or still carried by another wire, from which the group table
-    would recover the rest.  A False answer is exact, a True one may not be."""
-    rest = list(map(id, digits[:pos] + digits[pos + prim.wires_in :]))
-    return not any(x.ndim == 0 or id(x) in rest for x in digits[pos : pos + prim.wires_in])
-
-
 class _OpenRun:
-    """A run of primitives with digit maps that the plan walk is folding:
-    digits[i] is the digit wire i carries, as a function of the digits of
-    the wires_in wires entering the run (see _input_digits).  prims holds
-    its primitives as (axes before, pos, prim), for a run that stays matrix
-    steps."""
+    """A run of primitives with digit maps that the plan walk is folding.
 
-    __slots__ = ("digits", "wires_in", "leading", "lossy", "prims")
+    Its digits are symbols, with no array behind them: symbol k below
+    wires_in is the digit of the run's input wire k (state axis k when the
+    run opened), and a larger symbol s is one table lookup, defs[s -
+    wires_in] = (table, argument symbols), one per table output of a Mul,
+    Unit or Antipode.  A copy keeps its symbol.  digits[i] is the symbol
+    wire i carries, and consts holds the symbols of lookups that read no
+    input digit.  Only a run that folds evaluates its symbols, in
+    _fold_run; prims holds its primitives as (axes before, pos, prim), for
+    a run that stays matrix steps.
+    """
 
-    def __init__(self, d: int, wires_in: int, axes: list[int] | None, leading: bool):
-        inputs = _input_digits(d, wires_in)
-        self.digits = list(inputs) if axes is None else [inputs[a] for a in axes]
+    __slots__ = ("digits", "defs", "consts", "wires_in", "leading", "lossy", "prims")
+
+    def __init__(self, wires_in: int, axes: list[int] | None, leading: bool):
+        self.digits = list(range(wires_in)) if axes is None else axes.copy()
+        self.defs: list[tuple[np.ndarray, tuple[int, ...]]] = []
+        self.consts: set[int] = set()
         self.wires_in = wires_in
         self.leading = leading  # whether the run is the plan's first step
         self.lossy = False  # whether a primitive of the run lost digits
         self.prims: list[tuple[list[int] | None, int, Primitive]] = []
+
+    def lookup(self, table: np.ndarray, args: tuple[int, ...]) -> int:
+        """The symbol of table[args]."""
+        symbol = self.wires_in + len(self.defs)
+        self.defs.append((table, args))
+        if self.consts.issuperset(args):
+            self.consts.add(symbol)
+        return symbol
+
+
+def _loses_digits(run: _OpenRun, pos: int, n: int) -> bool:
+    """Whether a Mul or Counit on wires pos..pos+n-1 of an open run may
+    send two basis states to one: none of its input digits is a constant
+    or still carried by another wire, from which the group table would
+    recover the rest.  A False answer is exact, a True one may not be."""
+    ins = run.digits[pos : pos + n]
+    # the wires carrying one of ins's symbols are exactly ins's own
+    return run.consts.isdisjoint(ins) and sum(map(run.digits.count, set(ins))) == n
+
+
+def _fold_run(run: _OpenRun, d: int) -> _Run:
+    """The index step of a run whose output wire k carries digit
+    run.digits[k].
+
+    The symbols are evaluated as integer arrays over the grid of
+    _input_digits.  A square run that changed few wires starts from the
+    identity index and adds the change of each such wire; any other adds
+    up its digits wire by wire, most significant first.  A run in which no
+    primitive lost digits is injective, so a square one is a bijection; a
+    square run that lost some is checked for one.  Every index is below
+    MAX_STATE_ENTRIES, so the index arrays are int32, and the run keeps 4
+    bytes per entry of its input state, a quarter of the state's own.
+    """
+    wires_in, digits = run.wires_in, run.digits
+    values = list(_input_digits(d, wires_in))
+    for table, args in run.defs:
+        values.append(table[tuple(map(values.__getitem__, args))])
+    h = wires_in // 2
+    grid = (d**h, d ** (wires_in - h))
+    square = len(digits) == wires_in
+    # the identity plus a few changed wires costs fewer numpy calls than
+    # adding up every wire, from 4 wires on and up to half of them changed
+    changed = [k for k in range(wires_in) if digits[k] != k] if square and wires_in > 3 else None
+    if changed is not None and 2 * len(changed) <= wires_in:
+        index = np.arange(d**wires_in, dtype=np.int32).reshape(grid)
+        for k in changed:
+            index += (values[digits[k]] - values[k]) * d ** (wires_in - 1 - k)
+    else:
+        index = np.empty(grid, dtype=np.int32)
+        index[...] = values[digits[0]] if digits else 0
+        for symbol in digits[1:]:  # wire 0 is the most significant digit
+            index *= d
+            index += values[symbol]
+    index = index.reshape(-1)
+    if square:
+        inverse = np.empty_like(index)
+        if run.lossy:
+            inverse.fill(-1)
+        inverse[index] = np.arange(index.size, dtype=np.int32)
+        if not run.lossy or inverse.min() >= 0:  # every output index is hit
+            return _Run(wires_in, wires_in, inverse, True)
+    return _Run(wires_in, len(digits), index, False)
 
 
 def _build_plan(circuit: Circuit) -> _Plan:
@@ -415,7 +486,7 @@ def _build_plan(circuit: Circuit) -> _Plan:
     Within a layer the primitives act on disjoint wires, so their order is
     free: the shrinking and width-preserving ones go first and Comul/Unit
     after them, and the state is never wider than the wider layer boundary.
-    Id gives no step.
+    Id gives no step.  Each distinct layer is sorted once.
 
     A primitive with a digit map opens a run, or joins the open one, as
     the digits its output wires carry: a copy or a drop of an input wire's
@@ -424,11 +495,12 @@ def _build_plan(circuit: Circuit) -> _Plan:
     first step, which meets one-hot columns, or a permutation: square, and
     no primitive of it lost digits.  Any other run, and a run of a single
     primitive (one multiplication costs less than a fold), stays matrix
-    steps.  After a matrix step, a primitive that loses digits ends the run
-    and is a matrix step itself.  So an index step never adds two nonzero
-    terms: every sum is the matrix steps' own, with the same rounding.
-    Swaps inside a run exchange digits too; every Swap folds into the
-    permutation of the next matrix step or of the end.
+    steps, and its digits are never evaluated.  After a matrix step, a
+    primitive that loses digits ends the run and is a matrix step itself.
+    So an index step never adds two nonzero terms: every sum is the matrix
+    steps' own, with the same rounding.  Swaps inside a run exchange digits
+    too; every Swap folds into the permutation of the next matrix step or
+    of the end.
     """
     profile = validate(circuit)
     algebra = circuit.algebra
@@ -445,66 +517,72 @@ def _build_plan(circuit: Circuit) -> _Plan:
 
     def close_run() -> None:
         nonlocal axes, run
-        if run is None:
-            return
         square = len(run.digits) == run.wires_in
         if len(run.prims) > 1 and (run.leading or square and not run.lossy):
-            steps.append(_fold_run(run.digits, run.wires_in, d, run.lossy))
+            steps.append(_fold_run(run, d))
             axes = None  # the Swaps after its last primitive are in the fold
         else:
             for before, pos, prim in run.prims:
                 matrix_step(before, pos, prim)
         run = None
 
-    def step(pos: int, prim: Primitive) -> None:
-        nonlocal axes, run, width
-        outputs = digit_maps.get(prim.kind)
-        if outputs is None:
-            close_run()
-            matrix_step(axes, pos, prim)
-        else:
-            if run is None:
-                run = _OpenRun(d, width, axes, leading=not steps)
-            loses = prim.wires_out < prim.wires_in and _loses_digits(run.digits, pos, prim)
-            if loses and not run.leading:
-                close_run()
+    # layer -> its primitives other than Id, each as (first wire it acts on,
+    # prim, its digit map or None), in the order they are applied
+    moves_of: dict[tuple[Primitive, ...], list[tuple[int, Primitive, tuple | None]]] = {}
+    for layer in circuit.layers:
+        moves = moves_of.get(layer)
+        if moves is None:
+            moves, growing = [], []
+            pos = 0  # first wire of the next primitive, the growing ones still unapplied
+            grown = 0  # the same once every primitive is applied
+            for prim in layer:
+                if prim.wires_out > prim.wires_in:
+                    growing.append((grown, prim, digit_maps.get(prim.kind)))
+                    pos += prim.wires_in
+                else:
+                    if prim.kind != "Id":
+                        moves.append((pos, prim, digit_maps.get(prim.kind)))
+                    pos += prim.wires_out
+                grown += prim.wires_out
+            moves += growing
+            moves_of[layer] = moves
+        for pos, prim, outputs in moves:
+            n = prim.wires_in
+            if outputs is None:
+                if prim.kind == "Swap":
+                    if run is not None:
+                        digits = run.digits
+                        digits[pos], digits[pos + 1] = digits[pos + 1], digits[pos]
+                    if axes is None:
+                        axes = list(range(width))
+                    axes[pos], axes[pos + 1] = axes[pos + 1], axes[pos]
+                    continue
+                if run is not None:
+                    close_run()
+                matrix_step(axes, pos, prim)
+            elif run is None and steps and prim.wires_out < n:
+                # a run opened here would lose digits at once: its digits
+                # are distinct inputs, none of them a constant
                 matrix_step(axes, pos, prim)
             else:
-                run.lossy = run.lossy or loses
-                run.prims.append((axes, pos, prim))
-                digits = run.digits
-                ins = digits[pos : pos + prim.wires_in]
-                digits[pos : pos + prim.wires_in] = [
-                    ins[out] if type(out) is int else out[tuple(ins)] for out in outputs
-                ]
-        axes = None
-        width += prim.wires_out - prim.wires_in
-
-    for layer in circuit.layers:
-        pos = 0  # first wire of the next primitive, the growing ones still unapplied
-        grown = 0  # the same once every primitive is applied
-        growing = []
-        for prim in layer:
-            if prim.wires_out > prim.wires_in:
-                growing.append((grown, prim))
-                pos += prim.wires_in
-            elif prim.kind == "Id":
-                pos += 1
-            elif prim.kind == "Swap":
-                if run is not None:
+                if run is None:
+                    run = _OpenRun(width, axes, leading=not steps)
+                loses = prim.wires_out < n and _loses_digits(run, pos, n)
+                if loses and not run.leading:
+                    close_run()
+                    matrix_step(axes, pos, prim)
+                else:
+                    run.lossy = run.lossy or loses
+                    run.prims.append((axes, pos, prim))
                     digits = run.digits
-                    digits[pos], digits[pos + 1] = digits[pos + 1], digits[pos]
-                if axes is None:
-                    axes = list(range(width))
-                axes[pos], axes[pos + 1] = axes[pos + 1], axes[pos]
-                pos += 2
-            else:
-                step(pos, prim)
-                pos += prim.wires_out
-            grown += prim.wires_out
-        for pos, prim in growing:
-            step(pos, prim)
-    close_run()
+                    ins = tuple(digits[pos : pos + n])
+                    digits[pos : pos + n] = [
+                        ins[out] if type(out) is int else run.lookup(out, ins) for out in outputs
+                    ]
+            axes = None
+            width += prim.wires_out - n
+    if run is not None:
+        close_run()
     return _Plan(d, tuple(profile), tuple(steps), _perm_or_none(axes))
 
 

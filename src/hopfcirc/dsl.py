@@ -15,6 +15,14 @@ circuit inputs.  Matrix entries are complex literals written as
 "re+imi" pairs, e.g. 0.5-0.5i; presets (two-dimensional algebras only)
 are I, X, Y, Z, H, S_PHASE, T and the rotations RX(a), RY(a), RZ(a) with
 the angle in radians.
+
+A compiled circuit repeats a few layer lines many times.  parse_circuit
+parses each distinct layer line once, and repeats of it share its
+tokens; to_circuit resolves each distinct layer once, so equal layers
+share one tuple of primitives, which validate and the engine plan then
+handle once too.  So the cost of parsing and planning scales with
+the distinct layer lines, not with all of them.  Each memo lives for one
+call.
 """
 
 from __future__ import annotations
@@ -27,7 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _echo, resolve_algebra
-from .circuit import PRIMITIVES, Circuit, CircuitError, Primitive, _check_unitary_shape, unitary
+from .circuit import (
+    PRIMITIVES,
+    Circuit,
+    CircuitError,
+    Primitive,
+    _check_unitary_shape,
+    _unitaries,
+)
 
 __all__ = [
     "ParseError",
@@ -169,9 +184,9 @@ def _split_statement(raw: str) -> tuple[str, str, int] | None:
     """Strip comment; return (keyword lowercased, rest of line, column of rest)."""
     hash_pos = raw.find("#")
     line = raw if hash_pos < 0 else raw[:hash_pos]
-    if not line.strip():
-        return None
     match = _STATEMENT_RE.match(line)
+    if match is None:  # a blank line
+        return None
     keyword = match.group(2)
     rest_col = match.end() + 1
     return keyword.lower(), line[match.end():].strip(), rest_col
@@ -184,14 +199,27 @@ def parse_circuit(text: str) -> CircuitDocument:
     unitaries: list[tuple[str, UnitaryDef]] = []
     unitary_names: set[str] = set()
     layers: list[tuple[str | tuple[str, str], ...]] = []
+    # raw layer line -> its tokens: unitary names are fixed before the first
+    # layer, so a repeated line parses to the same tokens, and only a line
+    # seen for the first time can fail
+    seen_layers: dict[str, tuple[str | tuple[str, str], ...]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = seen_layers.get(raw)
+        if tokens is not None:
+            layers.append(tokens)
+            continue
         stmt = _split_statement(raw)
         if stmt is None:
             continue
         keyword, rest, rest_col = stmt
 
-        if keyword == "algebra":
+        if keyword == "layer":  # the most frequent statement first
+            if wires_in is None:
+                raise ParseError("layers must follow the header", lineno, 1)
+            tokens = seen_layers[raw] = _parse_layer(rest, rest_col, lineno, unitary_names)
+            layers.append(tokens)
+        elif keyword == "algebra":
             if algebra_name is not None:
                 raise ParseError("duplicate algebra line", lineno, 1)
             if wires_in is not None or unitaries or layers:
@@ -226,10 +254,6 @@ def parse_circuit(text: str) -> CircuitDocument:
             def_col = rest_col + rest.find(definition)
             unitaries.append((name, _parse_unitary_def(definition, lineno, def_col)))
             unitary_names.add(name)
-        elif keyword == "layer":
-            if wires_in is None:
-                raise ParseError("layers must follow the header", lineno, 1)
-            layers.append(_parse_layer(rest, rest_col, lineno, unitary_names))
         else:
             col = raw.lower().find(keyword) + 1
             raise ParseError(f"unknown statement {_echo(keyword)}", lineno, col)
@@ -327,24 +351,35 @@ def _format_unitary_def(udef: UnitaryDef) -> str:
 # --- bridging to the engine ---------------------------------------------------
 
 def to_circuit(doc: CircuitDocument) -> Circuit:
-    """Resolve the algebra and primitives of a document into a Circuit."""
+    """Resolve the algebra and primitives of a document into a Circuit.
+
+    The unitary definitions are checked in order, with one Gram computation
+    for all of them; each distinct layer is resolved once, and equal layers
+    share one tuple of primitives.
+    """
     algebra = resolve_algebra(doc.algebra_name)
-    prims: dict[str, Primitive] = {}
+    names, matrices = [], []
     for name, udef in doc.unitaries:
-        if udef.preset is not None and algebra.dim != 2:
-            raise CircuitError(
-                f"preset {udef.preset} defines a 2x2 matrix but algebra "
-                f"{_echo(doc.algebra_name)} has dimension {algebra.dim}"
-            )
-        if udef.rows is not None:  # before the Gram check, which is cubic in the size
-            shape = (len(udef.rows), len(udef.rows[0]) if udef.rows else 0)
-            _check_unitary_shape(name, shape, algebra.dim)
-        prims[name] = unitary(name, udef.matrix())
-    layers = tuple(
-        tuple(_PRIMITIVE_BY_TOKEN[t] if isinstance(t, str) else prims[t[1]] for t in layer)
-        for layer in doc.layers
-    )
-    return Circuit(algebra, wires_in=doc.wires_in, layers=layers)
+        try:
+            if udef.preset is not None and algebra.dim != 2:
+                raise CircuitError(
+                    f"preset {udef.preset} defines a 2x2 matrix but algebra "
+                    f"{_echo(doc.algebra_name)} has dimension {algebra.dim}"
+                )
+            if udef.rows is not None:  # before the Gram check, which is cubic in the size
+                shape = (len(udef.rows), len(udef.rows[0]) if udef.rows else 0)
+                _check_unitary_shape(name, shape, algebra.dim)
+        except CircuitError:
+            _unitaries(names, matrices)  # a definition before this one fails first
+            raise
+        names.append(name)
+        matrices.append(udef.matrix())
+    prims = dict(_PRIMITIVE_BY_TOKEN)  # token -> primitive, a unitary's token being ("U", name)
+    prims.update(zip([("U", name) for name in names], _unitaries(names, matrices)))
+    resolved = dict.fromkeys(doc.layers)  # each distinct tokens tuple -> its primitives
+    for tokens in resolved:
+        resolved[tokens] = tuple(map(prims.__getitem__, tokens))
+    return Circuit(algebra, wires_in=doc.wires_in, layers=tuple(map(resolved.__getitem__, doc.layers)))
 
 
 def circuit_to_document(circuit: Circuit, algebra_name: str) -> CircuitDocument:

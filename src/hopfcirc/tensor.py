@@ -43,7 +43,7 @@ class LinearMap:
             raise ValueError(
                 f"matrix extents {matrix.shape} do not match d^wires_out x d^wires_in = {expected}"
             )
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise ValueError("map entries must be finite")
         matrix.setflags(write=False)
         self.base_dim = base_dim

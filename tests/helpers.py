@@ -382,3 +382,34 @@ def document_strategy():
         st.dictionaries(name, unitary_def, max_size=3),
         st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5), max_size=5),
     ).map(build)
+
+
+def assert_same_plan(a, b) -> None:
+    """Two engine plans are equal step by step: the same step types,
+    positions, permutations and primitives, and equal index arrays of the
+    same dtype."""
+    assert (a.dim, a.profile, a.final_perm) == (b.dim, b.profile, b.final_perm)
+    assert [type(s).__name__ for s in a.steps] == [type(s).__name__ for s in b.steps]
+    for x, y in zip(a.steps, b.steps):
+        if type(x).__name__ == "_Run":
+            assert (x.wires_in, x.wires_out, x.bijective) == (y.wires_in, y.wires_out, y.bijective)
+            assert x.index.dtype == y.index.dtype and np.array_equal(x.index, y.index)
+        else:
+            assert (x.perm, x.pos, x.wires_in, x.wires_out) == (y.perm, y.pos, y.wires_in, y.wires_out)
+            assert x.prim.kind == y.prim.kind and x.prim.name == y.prim.name
+            assert np.array_equal(x.matrix, y.matrix)
+
+
+def layer_signature(circuit) -> tuple:
+    """The circuit's layers with each primitive as (kind, name, matrix
+    bytes), so circuits built apart compare equal when their layers do."""
+    return tuple(
+        tuple((p.kind, p.name, None if p.matrix is None else p.matrix.tobytes()) for p in layer)
+        for layer in circuit.layers
+    )
+
+
+def comment_every_line(text: str) -> str:
+    """The text with a distinct "# k" comment after every line, so no two
+    lines of it are equal."""
+    return "".join(f"{line}  # {k}\n" for k, line in enumerate(text.splitlines()))

@@ -42,6 +42,7 @@ from hopfcirc.circuit import (
 
 
 from helpers import (
+    assert_same_plan,
     certificate_circuit,
     haar_unitary,
     loop_measure,
@@ -119,6 +120,32 @@ class TestValidate:
         c = Circuit(Z3, wires_in=1, layers=((unitary("h", HADAMARD),),))
         with pytest.raises(CircuitError, match="dimension"):
             validate(c)
+
+    def test_reused_layer_fails_where_its_wire_count_differs(self):
+        # one layer object, valid at layer 2, meets three wires at layer 3
+        keep, grow = (ID, ID), (COMUL, ID)
+        c = Circuit(Z2, wires_in=2, layers=(keep, keep, grow, grow))
+        with pytest.raises(CircuitError, match=r"^layer 3 consumes 2 wires, 3 available$"):
+            validate(c)
+        # and where a later boundary brings its count back, it is valid again
+        c = Circuit(Z2, wires_in=2, layers=(grow, (ID, MUL), grow, (MUL, ID), keep, keep))
+        assert validate(c) == [2, 3, 2, 3, 2, 2, 2]
+
+    def test_reused_wrong_size_unitary_reports_its_first_layer(self):
+        big = (unitary("big", np.eye(3)), ID)
+        c = Circuit(Z2, wires_in=2, layers=((ID, ID), big, (ID, ID), big))
+        with pytest.raises(CircuitError, match=r"^layer 1: unitary 'big' is 3x3 but the algebra dimension is 2$"):
+            validate(c)
+
+    def test_layers_given_as_lists_become_tuples(self):
+        c = Circuit(Z2, wires_in=2, layers=[[COMUL, ID], [ID, MUL]])
+        assert c.layers == ((COMUL, ID), (ID, MUL))
+        assert type(c.layers) is tuple and all(type(layer) is tuple for layer in c.layers)
+
+    def test_tuple_layers_keep_their_objects(self):
+        layers = ((COMUL, ID), (ID, MUL))
+        c = Circuit(Z2, wires_in=2, layers=layers)
+        assert all(mine is given for mine, given in zip(c.layers, layers, strict=True))
 
 
 def one_layer_map(algebra, layer):
@@ -379,6 +406,149 @@ def test_engine_matches_bruteforce_and_map(circuit, seed):
     rng = np.random.default_rng(seed)
     batch = rng.normal(size=(m.shape[1], 3)) + 1j * rng.normal(size=(m.shape[1], 3))
     assert np.max(np.abs(run(circuit, batch) - m @ batch)) <= 1e-12
+
+
+@st.composite
+def repeated_layer_circuits(draw):
+    """engine_circuits with some width-preserving layers repeated as the
+    same objects, up to twice in a row, as a parsed document repeats equal
+    layer lines."""
+    circuit = draw(engine_circuits())
+    profile = validate(circuit)
+    layers = []
+    for i, layer in enumerate(circuit.layers):
+        repeats = draw(st.integers(0, 2)) if profile[i] == profile[i + 1] else 0
+        layers += [layer] * (1 + repeats)
+    return Circuit(circuit.algebra, circuit.wires_in, tuple(layers))
+
+
+def eager_plan(circuit: Circuit):
+    """The engine plan as the walk built it when every run carried its
+    digits as arrays from its first primitive: each output digit looked up
+    in its table as soon as the primitive joined the run, each fold added
+    up wire by wire, and every layer sorted again at each occurrence.  The
+    walk now tracks symbols and evaluates only the runs that fold, once per
+    distinct layer; its plans must be these."""
+    C = hopfcirc.circuit
+    profile = validate(circuit)
+    algebra, d = circuit.algebra, circuit.algebra.dim
+    steps, state = [], {"width": circuit.wires_in, "axes": None, "run": None}
+
+    def matrix_step(before, pos, prim):
+        matrix = prim.matrix if prim.kind == "Unitary" else algebra.maps[prim.kind]
+        steps.append(C._Step(C._perm_or_none(before), pos, prim.wires_in, prim.wires_out, matrix, prim))
+
+    def fold(run):
+        wires_in, digits = run["wires_in"], run["digits"]
+        h = wires_in // 2
+        index = np.empty((d**h, d ** (wires_in - h)), dtype=np.int32)
+        index[...] = digits[0] if digits else 0
+        for digit in digits[1:]:
+            index = index * d + digit
+        index = index.reshape(-1).astype(np.int32)
+        if len(digits) == wires_in:
+            inverse = np.full(index.size, -1, dtype=np.int32)
+            inverse[index] = np.arange(index.size, dtype=np.int32)
+            if inverse.min() >= 0:
+                return C._Run(wires_in, wires_in, inverse, True)
+        return C._Run(wires_in, len(digits), index, False)
+
+    def close_run():
+        run = state["run"]
+        if run is None:
+            return
+        square = len(run["digits"]) == run["wires_in"]
+        if len(run["prims"]) > 1 and (run["leading"] or square and not run["lossy"]):
+            steps.append(fold(run))
+            state["axes"] = None
+        else:
+            for before, pos, prim in run["prims"]:
+                matrix_step(before, pos, prim)
+        state["run"] = None
+
+    def step(pos, prim):
+        outputs = algebra.digit_maps.get(prim.kind)
+        axes = state["axes"]
+        if outputs is None:
+            close_run()
+            matrix_step(state["axes"], pos, prim)
+        else:
+            if state["run"] is None:
+                inputs = hopfcirc.circuit._input_digits(d, state["width"])
+                digits = list(inputs) if axes is None else [inputs[a] for a in axes]
+                state["run"] = {"digits": digits, "wires_in": state["width"], "leading": not steps,
+                                "lossy": False, "prims": []}
+            run = state["run"]
+            digits = run["digits"]
+            ins = digits[pos : pos + prim.wires_in]
+            rest = list(map(id, digits[:pos] + digits[pos + prim.wires_in :]))
+            loses = prim.wires_out < prim.wires_in and not any(x.ndim == 0 or id(x) in rest for x in ins)
+            if loses and not run["leading"]:
+                close_run()
+                matrix_step(state["axes"], pos, prim)
+            else:
+                run["lossy"] = run["lossy"] or loses
+                run["prims"].append((axes, pos, prim))
+                digits[pos : pos + prim.wires_in] = [
+                    ins[out] if type(out) is int else out[tuple(ins)] for out in outputs
+                ]
+        state["axes"] = None
+        state["width"] += prim.wires_out - prim.wires_in
+
+    for layer in circuit.layers:
+        pos = grown = 0
+        growing = []
+        for prim in layer:
+            if prim.wires_out > prim.wires_in:
+                growing.append((grown, prim))
+                pos += prim.wires_in
+            elif prim.kind == "Id":
+                pos += 1
+            elif prim.kind == "Swap":
+                if state["run"] is not None:
+                    digits = state["run"]["digits"]
+                    digits[pos], digits[pos + 1] = digits[pos + 1], digits[pos]
+                if state["axes"] is None:
+                    state["axes"] = list(range(state["width"]))
+                axes = state["axes"]
+                axes[pos], axes[pos + 1] = axes[pos + 1], axes[pos]
+                pos += 2
+            else:
+                step(pos, prim)
+                pos += prim.wires_out
+            grown += prim.wires_out
+        for pos, prim in growing:
+            step(pos, prim)
+    close_run()
+    return C._Plan(d, tuple(profile), tuple(steps), C._perm_or_none(state["axes"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_layer_circuits())
+def test_plan_matches_eager_digit_walk(circuit):
+    assert_same_plan(hopfcirc.circuit._build_plan(circuit), eager_plan(circuit))
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_layer_circuits())
+def test_repeated_layers_match_bruteforce(circuit):
+    got = evaluate(circuit).matrix
+    assert np.max(np.abs(evaluate_bruteforce_map(circuit).matrix - got), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "wires,gates",
+    [
+        (8, [Cnot(0, 7), Cnot(5, 2), Cnot(3, 4)]),  # one wire changed per run: from the identity
+        (3, [Cnot(0, 2), Cnot(1, 0)]),  # below 4 wires: wire by wire
+        (6, [Cnot(c, t) for c in range(6) for t in range(6) if c != t]),
+    ],
+    ids=["wide", "narrow", "all-pairs"],
+)
+def test_compiled_plan_matches_eager_digit_walk(wires, gates):
+    c = compile_gate_circuit(Z2, wires, gates)
+    assert_same_plan(hopfcirc.circuit._build_plan(c), eager_plan(c))
+    assert np.array_equal(evaluate(c).matrix, direct_gate_map(Z2, wires, gates).matrix)
 
 
 def plan_kinds(circuit: Circuit) -> set[str]:
@@ -745,6 +915,33 @@ class TestIsUnitary:
             want = float(np.max(np.abs(gram - np.eye(cols))))
         got = hopfcirc.circuit._gram_deviation(m)
         assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([0.0, -0.0, 3e-200, 1e200, 1e308, -1e308, np.inf, np.nan]), max_size=6),
+    )
+    def test_stacked_gram_deviation_equals_each_matrix(self, d, k, seed, specials):
+        # unitaries, near unitaries and arbitrary matrices, with huge,
+        # infinite and nan entries placed at random
+        rng = np.random.default_rng(seed)
+        kinds = rng.integers(0, 3, size=k)
+        stack = np.array([
+            haar_unitary(rng, d) if kind == 0
+            else near_unitary(rng, d, 1e-11) if kind == 1
+            else rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            for kind in kinds
+        ])
+        for value in specials:
+            i, r, c = rng.integers(0, k), rng.integers(0, d), rng.integers(0, d)
+            stack[i, r, c] = complex(value, stack[i, r, c].imag) if rng.random() < 0.5 else complex(0, value)
+        got = hopfcirc.circuit._gram_deviation(stack)
+        assert got.shape == (k,)
+        for m, dev in zip(stack, got.tolist()):
+            want = hopfcirc.circuit._gram_deviation(m.copy())
+            assert dev == want or (math.isnan(dev) and math.isnan(want))
 
     def test_peak_memory(self):
         # m^H, the Gram matrix and its absolute values; no identity matrix

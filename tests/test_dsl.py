@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfcirc.circuit
 from hopfcirc.circuit import (
     ANTIPODE,
     COMUL,
@@ -23,6 +25,7 @@ from hopfcirc.circuit import (
     U1,
     compile_gate_circuit,
     evaluate,
+    unitary,
     validate,
 )
 from hopfcirc.algebra import z2_algebra
@@ -30,6 +33,7 @@ from hopfcirc.dsl import (
     CircuitDocument,
     ParseError,
     UnitaryDef,
+    _format_complex,
     circuit_to_document,
     parse_circuit,
     print_circuit,
@@ -38,7 +42,15 @@ from hopfcirc.dsl import (
 
 from hopfcirc.cli import cli_run
 
-from helpers import REPO_ROOT, document_strategy
+from helpers import (
+    REPO_ROOT,
+    assert_same_plan,
+    comment_every_line,
+    document_strategy,
+    haar_unitary,
+    layer_signature,
+    near_unitary,
+)
 
 CNOT_SRC = "algebra Z2\nin 2\nlayer DELTA, ID\nlayer ID, M\n"
 FIG2_SRC = (
@@ -103,6 +115,26 @@ class TestParse:
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             parse_circuit(f"algebra Z2\nin 2\nunitary a H\n{layer}")
         assert err.value.line == 4 and err.value.column == column
+
+    def test_error_after_repeated_lines_keeps_its_position(self):
+        src = "algebra Z2\nin 2\nunitary a H\nlayer ID, U(a)\nlayer ID, U(a)\n  layer ID, U(b)\nlayer ID, U(a)\n"
+        with pytest.raises(ParseError, match="unknown unitary name 'b'") as err:
+            parse_circuit(src)
+        assert (err.value.line, err.value.column) == (6, 13)
+
+    def test_layer_line_before_header_fails_at_each_place(self):
+        # a line that failed is not remembered: the same line fails again
+        # where it comes first
+        with pytest.raises(ParseError, match="layers must follow the header") as err:
+            parse_circuit("layer ID\nalgebra Z2\nin 1\nlayer ID\n")
+        assert (err.value.line, err.value.column) == (1, 1)
+
+    def test_repeated_lines_share_one_tuple(self):
+        doc = parse_circuit("algebra Z2\nin 2\nlayer DELTA, ID\nlayer ID, M\nlayer DELTA, ID\nlayer  delta, id\n")
+        assert doc.layers == (("DELTA", "ID"), ("ID", "M"), ("DELTA", "ID"), ("DELTA", "ID"))
+        assert doc.layers[0] is doc.layers[2] and doc.layers[3] is not doc.layers[0]
+        circuit = to_circuit(doc)
+        assert circuit.layers[0] is circuit.layers[2] is circuit.layers[3]
 
     def test_duplicate_unitary_definition(self):
         with pytest.raises(ParseError, match="duplicate unitary definition"):
@@ -219,6 +251,55 @@ class TestToCircuit:
         with pytest.raises(CircuitError, match="not unitary"):
             to_circuit(parse_circuit(src))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["Z2", "Z3", "Z4"]), st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_definitions_checked_as_unitary_checks_each(self, algebra, seed, k):
+        # unitaries, near unitaries on both sides of the tolerance, scaled
+        # ones and entries so large that the Gram matrix overflows
+        rng = np.random.default_rng(seed)
+        d = int(algebra[1])
+        matrices = []
+        for kind in rng.integers(0, 5, size=k):
+            m = haar_unitary(rng, d)
+            if kind == 1:
+                m = near_unitary(rng, d, 5e-11)
+            elif kind == 2:
+                m = near_unitary(rng, d, 2e-10)
+            elif kind == 3:
+                m = m * 1.5
+            elif kind == 4:
+                m[rng.integers(0, d), rng.integers(0, d)] = 1e300
+            matrices.append(m)
+        rows = ["; ".join(", ".join(_format_complex(complex(z)) for z in row) for row in m) for m in matrices]
+        src = f"algebra {algebra}\nin 1\n" + "".join(f"unitary u{i} [{r}]\n" for i, r in enumerate(rows))
+        src += "".join(f"layer U(u{i})\n" for i in range(k))
+        want = None
+        try:
+            expected = [unitary(f"u{i}", np.array(parse_circuit(src).unitaries[i][1].rows)) for i in range(k)]
+        except CircuitError as exc:
+            want = str(exc)
+        if want is not None:
+            with pytest.raises(CircuitError) as err:
+                to_circuit(parse_circuit(src))
+            assert str(err.value) == want
+            return
+        circuit = to_circuit(parse_circuit(src))
+        got = [layer[0] for layer in circuit.layers]
+        assert [u.deviation for u in got] == [u.deviation for u in expected]
+        assert all(np.array_equal(u.matrix, v.matrix) for u, v in zip(got, expected))
+
+    def test_wrong_size_definition_after_a_non_unitary_one(self):
+        # definitions fail in their order, whichever check refuses them
+        bad = "unitary p [1.0+0.0i, 0.0+0.0i; 0.0+0.0i, 2.0+0.0i]\n"
+        big = "unitary q [1.0, 0.0, 0.0; 0.0, 1.0, 0.0; 0.0, 0.0, 1.0]\n"
+        with pytest.raises(CircuitError, match="^matrix for 'p' is not unitary"):
+            to_circuit(parse_circuit(f"algebra Z2\nin 1\n{bad}{big}layer ID\n"))
+        with pytest.raises(CircuitError, match="^unitary 'q' is 3x3 but the algebra dimension is 2$"):
+            to_circuit(parse_circuit(f"algebra Z2\nin 1\n{big}{bad}layer ID\n"))
+        with pytest.raises(CircuitError, match="^preset H defines a 2x2 matrix"):
+            to_circuit(parse_circuit(f"algebra Z3\nin 1\nunitary f [1.0, 0.0, 0.0; 0.0, 1.0, 0.0; 0.0, 0.0, 1.0]\n"
+                                     f"unitary h H\nlayer ID\n"))
+
     def test_unknown_algebra_surfaces(self):
         with pytest.raises(ValueError, match="unknown algebra"):
             to_circuit(parse_circuit("algebra Q8\nin 1\nlayer ID\n"))
@@ -302,3 +383,94 @@ def test_layer_line_fuzz(keyword, gap, pieces):
         assert stderr.getvalue().startswith("error: parse: ") and stderr.getvalue().count("\n") == 1
         return
     assert parse_circuit(print_circuit(doc)) == doc
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_same_circuits(text: str, other: str) -> None:
+    """Two texts give the same document, layers, plan and map."""
+    doc, other_doc = parse_circuit(text), parse_circuit(other)
+    assert doc == other_doc
+    circuit, other_circuit = to_circuit(doc), to_circuit(other_doc)
+    assert layer_signature(circuit) == layer_signature(other_circuit)
+    assert_same_plan(hopfcirc.circuit._plan(circuit), hopfcirc.circuit._plan(other_circuit))
+    assert np.array_equal(evaluate(circuit).matrix, evaluate(other_circuit).matrix)
+
+
+def _benchmark_circuits() -> list:
+    """(file name, text) of every circuit file the benchmark's wide_state
+    and full_map workloads write at seed 1."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(REPO_ROOT / "perfbench"))
+    return [
+        pytest.param(path, data.decode(), id=f"{name}-{path}")
+        for name in ("wide_state", "full_map")
+        for path, data in workloads.build(name, 1).files.items()
+        if path.endswith(".hopf")
+    ]
+
+
+class TestLayerMemo:
+    """Each distinct layer line is parsed, resolved, validated and sorted
+    once.  A comment that differs on every line defeats that, and must
+    change nothing."""
+
+    @pytest.mark.parametrize("name,text", _benchmark_circuits())
+    def test_benchmark_circuit_unchanged_by_comments(self, tmp_path, name, text):
+        commented = comment_every_line(text)
+        _assert_same_circuits(text, commented)
+        plain_path, commented_path = tmp_path / name, tmp_path / f"commented-{name}"
+        plain_path.write_text(text)
+        commented_path.write_text(commented)
+        circuit = to_circuit(parse_circuit(text))
+        digits = "".join(str(k % circuit.algebra.dim) for k in range(circuit.wires_in))
+        for args in (
+            ["eval", "--input", digits, "--json"],
+            ["sample", "--input", digits, "--shots", "100", "--seed", "3", "--json"],
+            ["matrix", "--json"],
+        ):
+            assert _cli([args[0], str(plain_path), *args[1:]]) == _cli([args[0], str(commented_path), *args[1:]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_repeated_lines_unchanged_by_comments(self, data):
+        wires = data.draw(st.integers(2, 5))
+        tokens_1 = ["ID", "S", "U(a)", "u ( b )", "U(A)"]
+
+        def spelled(token):  # random case for keywords, the unitary names kept
+            if "(" in token:
+                return token
+            return "".join(c.lower() if data.draw(st.booleans()) else c for c in token)
+
+        def line(tokens):
+            gaps = st.sampled_from(["", " ", "  ", "\t"])
+            body = ",".join(f"{data.draw(gaps)}{spelled(t)}{data.draw(gaps)}" for t in tokens)
+            return f"{data.draw(gaps)}{spelled('layer')} {body}"
+
+        def block():
+            """One width-preserving layer, or a copy and a multiplication."""
+            if data.draw(st.booleans()):
+                at = data.draw(st.integers(0, wires - 2))
+                return [line(["ID"] * at + ["DELTA"] + ["ID"] * (wires - at - 1)),
+                        line(["ID"] * at + ["ID", "M"] + ["ID"] * (wires - at - 2))]
+            tokens = []
+            while len(tokens) < wires:
+                if wires - len(tokens) >= 2 and data.draw(st.booleans()):
+                    tokens.append("SWAP")
+                    tokens.append(None)
+                else:
+                    tokens.append(data.draw(st.sampled_from(tokens_1)))
+            return [line([t for t in tokens if t is not None])]
+
+        pool = [block() for _ in range(data.draw(st.integers(1, 4)))]
+        lines = [ln for i in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12)) for ln in pool[i]]
+        text = "\n".join([f"algebra Z2\nin {wires}\nunitary a H\nunitary b RY(0.25)\nunitary A X", *lines]) + "\n"
+        _assert_same_circuits(text, comment_every_line(text))
