@@ -306,20 +306,14 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
     if len(labels) != d:
         raise ValueError(f"got {len(labels)} labels for a {d}-element table")
 
-    mul = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            mul[i, j, table[i][j]] = 1.0
+    product = np.array(table, dtype=np.int32)
+    eye = np.eye(d)
+    mul = eye[product]  # mul[i, j] is the basis vector of table[i][j]
     comul = np.zeros((d, d, d))
-    for g in range(d):
-        comul[g, g, g] = 1.0
-    unit = np.zeros(d)
-    unit[identity] = 1.0
-    antipode = np.zeros((d, d))
-    inverse = np.empty(d, dtype=np.int32)
-    for g in range(d):
-        inverse[g] = next(h for h in range(d) if table[g][h] == identity)
-        antipode[g, inverse[g]] = 1.0
+    comul.reshape(-1)[:: d * d + d + 1] = 1.0  # the entries comul[g, g, g]
+    unit = eye[identity]
+    antipode = product == identity  # 1 at [g, h] where g * h is the identity
+    inverse = antipode.argmax(axis=1).astype(np.int32)
 
     algebra = HopfAlgebra(
         tuple(labels),
@@ -329,7 +323,6 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
         counit=np.ones(d),
         antipode=antipode,
     )
-    product = np.array(table, dtype=np.int32)
     unit_digit = np.array(identity, dtype=np.int32)  # indexed by no input digit
     for arr in (product, unit_digit, inverse):
         arr.setflags(write=False)

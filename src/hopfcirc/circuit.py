@@ -17,9 +17,11 @@ explicit sum over all intermediate basis assignments, reading
 structure-tensor entries directly: each assignment carries one amplitude
 per input, and each branch weight scales that vector elementwise, so no
 reshape, matrix multiplication or Kronecker product is involved; a run of
-adjacent Ids in a layer copies its digits, with no table and no weight.
-evaluate_bruteforce is the same sum on a batch of one input.  The engine
-and the brute force share no code path and are tested against each other.
+adjacent Ids in a layer copies its digits, with no table and no weight,
+and a layer of only Ids and Swaps re-keys the assignments by a fixed
+digit order and keeps their vectors.  evaluate_bruteforce is the same
+sum on a batch of one input.  The engine and the brute force share no
+code path and are tested against each other.
 
 direct_gate_map is the third, independent path for gate lists: the plain
 product of the gates, each one-wire gate multiplied into the rows along
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import reprlib
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
@@ -739,7 +742,10 @@ def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int])
     walked once for the whole batch, and the product of a path's branch
     coefficients scales the assignment's vector elementwise.  A run of
     adjacent Ids copies its digits into every branch, with no table and no
-    coefficient.
+    coefficient.  A layer of only Ids and Swaps sends each assignment to
+    exactly one assignment with weight 1, so it re-keys the assignments by
+    a fixed digit order and keeps their vectors: no table, no product and
+    no sum.
     """
     d = circuit.algebra.dim
     one_hot = np.eye(len(inputs), dtype=complex)
@@ -748,6 +754,16 @@ def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int])
         for j, index in enumerate(inputs)
     }
     for layer in circuit.layers:
+        kinds = {prim.kind for prim in layer}
+        if kinds <= {"Id", "Swap"}:
+            if "Swap" in kinds:
+                order: list[int] = []  # output digit i is input digit order[i]
+                for prim in layer:
+                    pos = len(order)
+                    order += [pos] if prim.kind == "Id" else [pos + 1, pos]
+                pick = operator.itemgetter(*order)  # a Swap makes two or more, so pick gives tuples
+                amplitudes = {pick(assignment): amp for assignment, amp in amplitudes.items()}
+            continue
         tables = []  # (wires consumed, branches by input digits, or None for an Id run)
         for prim in layer:
             if prim.kind == "Id":

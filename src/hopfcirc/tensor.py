@@ -6,7 +6,7 @@ array the engine (or the brute force, or the gate product) built and keeps
 it, without a copy, as a d^wires_out x d^wires_in matrix.  All composition
 happens in the state engine of circuit.py.  LinearMap.write_json streams a
 map as the JSON document of `hopfcirc matrix --json`, one row block at a
-time, formatting each distinct value of a block once.
+time, formatting each distinct nonzero value of a block once.
 
 Convention used everywhere in this package: entries are stored row-major
 with the leftmost index varying slowest.  When a tensor is reshaped into a
@@ -81,20 +81,23 @@ def _write_rows(stream, part: np.ndarray) -> None:
 
     json.dumps writes a float as its repr.  Within a block, the entries are
     deduplicated on their 64-bit patterns, which keeps -0.0, 0.0 and every
-    subnormal apart, so repr runs once per distinct value; each entry's
-    text, followed by "," or by "],[" at the end of a row, is then looked
-    up in a table and the block is joined at once.
+    subnormal apart, so repr runs once per distinct value.  +0.0, the
+    all-zero pattern and most entries of a structure map, has the fixed
+    text "0.0", so only the nonzero patterns are sorted.  Each row's texts
+    are joined with "," and the rows with "],[".
     """
     rows, cols = part.shape
     block_rows = max(1, _JSON_BLOCK_ENTRIES // cols)
     stream.write("[[")
     for start in range(0, rows, block_rows):
-        block = np.ascontiguousarray(part[start : start + block_rows]).reshape(-1)
-        patterns, codes = np.unique(block.view(np.uint64), return_inverse=True)
-        texts = [repr(x) for x in patterns.view(np.float64).tolist()]
-        table = np.array([t + "," for t in texts] + [t + "],[" for t in texts], dtype=object)
-        codes[cols - 1 :: cols] += len(texts)
-        text = "".join(table[codes].tolist())
-        if start + block_rows >= rows:
-            text = text[:-2] + "]"  # the last "],[" closes the list: "]]"
-        stream.write(text)
+        bits = np.ascontiguousarray(part[start : start + block_rows]).reshape(-1).view(np.uint64)
+        nonzero = bits != 0
+        patterns, codes = np.unique(bits[nonzero], return_inverse=True)
+        texts = np.array(["0.0"] + [repr(x) for x in patterns.view(np.float64).tolist()], dtype=object)
+        entry_codes = np.zeros(bits.size, dtype=np.intp)
+        entry_codes[nonzero] = codes + 1
+        entries = texts[entry_codes].tolist()
+        if cols > 1:  # a column's rows are its entries, with nothing to join
+            entries = [",".join(entries[i : i + cols]) for i in range(0, len(entries), cols)]
+        stream.write("],[".join(entries))
+        stream.write("]]" if start + block_rows >= rows else "],[")

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: the
 contraction oracle uses explicit index loops, the axiom oracle sums over
-raw tensor entries, the gate simulator propagates matrix rows by index
-arithmetic instead of Kronecker products or layer maps, and the measure
-oracle labels one basis index at a time.  The Kronecker gate product is
+raw tensor entries, the group-algebra oracle fills the tensors from the
+table with loops, the circuit oracle fills each layer matrix entry by
+entry from the raw tensors, the gate simulator propagates matrix rows by
+index arithmetic instead of Kronecker products or layer maps, and the
+measure oracle labels one basis index at a time.  The Kronecker gate product is
 the plain textbook formula that direct_gate_map is checked against.
 """
 
@@ -160,6 +162,86 @@ def loop_axiom_deviations(algebra) -> dict[str, float]:
         target = u[b] * eps[a]
         dev["antipode"] = max(dev["antipode"], abs(left - target), abs(right - target))
     return {k: float(v) for k, v in dev.items()}
+
+
+def loop_group_tables(table: list[list[int]]) -> dict:
+    """A group algebra's structure tensors and digit maps, filled entry by
+    entry with plain loops over the table."""
+    d = len(table)
+    identity = next(e for e in range(d) if all(table[e][j] == j for j in range(d)))
+    mul = np.zeros((d, d, d))
+    comul = np.zeros((d, d, d))
+    unit = np.zeros(d)
+    antipode = np.zeros((d, d))
+    inverse = np.empty(d, dtype=np.int32)
+    for i in range(d):
+        comul[i, i, i] = 1.0
+        for j in range(d):
+            mul[i, j, table[i][j]] = 1.0
+            if table[i][j] == identity:
+                inverse[i] = j
+                antipode[i, j] = 1.0
+    unit[identity] = 1.0
+    return {
+        "tensors": {"mul": mul, "comul": comul, "unit": unit, "counit": np.ones(d), "antipode": antipode},
+        "digit_maps": {
+            "Mul": (np.array(table, dtype=np.int32),),
+            "Comul": (0, 0),
+            "Unit": (np.array(identity, dtype=np.int32),),
+            "Counit": (),
+            "Antipode": (inverse,),
+        },
+    }
+
+
+def _loop_entry(algebra, prim, digits_in: tuple, digits_out: tuple) -> complex:
+    """One primitive's amplitude from basis digits_in to basis digits_out,
+    read from the raw structure tensors."""
+    kind = prim.kind
+    if kind == "Id":
+        return 1.0 if digits_out == digits_in else 0.0
+    if kind == "Swap":
+        return 1.0 if digits_out == digits_in[::-1] else 0.0
+    if kind == "Mul":
+        return algebra.mul[digits_in[0], digits_in[1], digits_out[0]]
+    if kind == "Comul":
+        return algebra.comul[digits_in[0], digits_out[0], digits_out[1]]
+    if kind == "Unit":
+        return algebra.unit[digits_out[0]]
+    if kind == "Counit":
+        return algebra.counit[digits_in[0]]
+    if kind == "Antipode":
+        return algebra.antipode[digits_in[0], digits_out[0]]
+    return prim.matrix[digits_out[0], digits_in[0]]  # Unitary
+
+
+def loop_circuit_map(circuit: Circuit) -> np.ndarray:
+    """The circuit's map as the product of its layer matrices, each entry of
+    a layer matrix the product of its primitives' amplitudes, by loops over
+    every pair of basis digit tuples.  Small circuits only."""
+    d = circuit.algebra.dim
+    total = np.eye(d**circuit.wires_in, dtype=complex)
+    width = circuit.wires_in
+    for layer in circuit.layers:
+        width_out = sum(prim.wires_out for prim in layer)
+        layer_matrix = np.zeros((d**width_out, d**width), dtype=complex)
+        for col, digits_in in enumerate(itertools.product(range(d), repeat=width)):
+            for row, digits_out in enumerate(itertools.product(range(d), repeat=width_out)):
+                entry = 1.0 + 0j
+                i = o = 0
+                for prim in layer:
+                    entry *= _loop_entry(
+                        circuit.algebra,
+                        prim,
+                        digits_in[i : i + prim.wires_in],
+                        digits_out[o : o + prim.wires_out],
+                    )
+                    i += prim.wires_in
+                    o += prim.wires_out
+                layer_matrix[row, col] = entry
+        total = layer_matrix @ total
+        width = width_out
+    return total
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

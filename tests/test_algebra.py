@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -25,7 +26,7 @@ from hopfcirc.algebra import (
 )
 from hopfcirc.circuit import ANTIPODE, COMUL, COUNIT, MUL, Circuit, run
 
-from helpers import REPO_ROOT, loop_axiom_deviations
+from helpers import REPO_ROOT, loop_axiom_deviations, loop_group_tables
 
 AXIOM_NAMES = ["associativity", "unit", "coassociativity", "counit", "bialgebra", "antipode"]
 
@@ -175,6 +176,26 @@ class TestElementOps:
             _act(z2_algebra(), ANTIPODE, [1.0, 0.0, 0.0])
 
 
+def _group_table_cases() -> list:
+    """(labels, table) of the built-in algebras, and of the benchmark's
+    order-6 to order-8 groups, each of these relabelled so that its
+    identity is not element 0."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(REPO_ROOT / "perfbench"))
+    cases = [pytest.param(*cyclic_group_table(n), id=f"Z{n}") for n in (2, 3, 4, 5)]
+    cases.append(pytest.param(*symmetric_group_3_table(), id="S3"))
+    rng = random.Random(5)
+    for name, table in workloads.group_tables().items():
+        table = workloads.relabel(rng, table)
+        while table[0][0] == 0:
+            table = workloads.relabel(rng, table)
+        cases.append(pytest.param([f"g{i}" for i in range(len(table))], table, id=f"relabelled-{name}"))
+    return cases
+
+
 class TestGroupAlgebra:
     def test_z2_table_reproduces_z2_algebra(self):
         # z2_algebra is built from this table, so compare both with the XOR
@@ -186,6 +207,25 @@ class TestGroupAlgebra:
         longhand = HopfAlgebra(("f0", "f1"), mul, comul, [1.0, 0.0], [1.0, 1.0], np.eye(2))
         assert group_algebra(["f0", "f1"], [[0, 1], [1, 0]]) == longhand
         assert z2_algebra() == longhand
+
+    @pytest.mark.parametrize("labels,table", _group_table_cases())
+    def test_tensors_and_digit_maps_equal_loop_built(self, labels, table):
+        h = group_algebra(labels, table)
+        want = loop_group_tables(table)
+        for name, tensor in want["tensors"].items():
+            assert np.array_equal(getattr(h, name), tensor), name
+        longhand = HopfAlgebra(labels, **want["tensors"])
+        assert h.maps.keys() == longhand.maps.keys()
+        for kind, matrix in longhand.maps.items():
+            assert np.array_equal(h.maps[kind], matrix), kind
+        assert h.digit_maps.keys() == want["digit_maps"].keys()
+        for kind, entries in want["digit_maps"].items():
+            got = h.digit_maps[kind]
+            assert len(got) == len(entries), kind
+            for a, b in zip(got, entries):
+                assert type(a) is type(b) and np.array_equal(a, b), kind
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape and not a.flags.writeable, kind
 
     def test_z3_antipode_swaps_inverses(self):
         labels, table = cyclic_group_table(3)

@@ -45,6 +45,7 @@ from helpers import (
     assert_same_plan,
     certificate_circuit,
     haar_unitary,
+    loop_circuit_map,
     loop_measure,
     near_unitary,
     random_circuit,
@@ -636,6 +637,7 @@ class TestIndexRuns:
 
         gates = [Cnot(0, 2), hopfcirc.circuit.U1(1, HADAMARD), Cnot(2, 1)]
         c = compile_gate_circuit(Z2, 3, gates)
+        assert any({prim.kind for prim in layer} == {"Id", "Swap"} for layer in c.layers)
         want = evaluate(c).matrix
         for name in ("_plan", "_push", "run", "evaluate"):
             monkeypatch.setattr(hopfcirc.circuit, name, broken)
@@ -773,6 +775,42 @@ class TestBruteForce:
         got = evaluate_bruteforce_map(c).matrix
         assert np.max(np.abs(got - evaluate(c).matrix)) <= 1e-12
         assert kinds and "Id" not in kinds  # every Id run is a plain digit copy
+
+    @pytest.mark.parametrize("name,n", [("Z2", 4), ("Z3", 4), ("S3", 3)])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["exact", "rotated"])
+    def test_id_swap_layers_rekey_assignments(self, name, n, rotated, monkeypatch):
+        # layers of only Ids and Swaps, alone and between layers whose
+        # Mul and Counit merge assignments; a rotation makes the map inexact
+        algebra = builtin_algebra(name)
+        u = unitary("u", haar_unitary(np.random.default_rng(algebra.dim), algebra.dim))
+        adjacent = ((SWAP, SWAP), (ID, SWAP, ID)) if n == 4 else ()
+        layers = (
+            ((u,) + (ID,) * (n - 1),) * rotated
+            + ((ID,) * n, (SWAP,) + (ID,) * (n - 2), (ID,) * (n - 2) + (SWAP,))
+            + adjacent
+            + ((MUL,) + (ID,) * (n - 2), (ID,) * (n - 3) + (SWAP,), (SWAP,) + (ID,) * (n - 3))
+            + ((ID,) * (n - 2) + (u,),) * rotated
+            + ((COUNIT,) + (ID,) * (n - 2), (COMUL,) + (ID,) * (n - 3), (ID,) * (n - 3) + (SWAP,))
+            + ((UNIT,) + (ID,) * (n - 1), (ID,) * (n - 2) + (SWAP,))
+        )
+        c = Circuit(algebra, wires_in=n, layers=layers)
+        kinds = []
+        transitions = hopfcirc.circuit._transitions
+
+        def recording(algebra, prim):
+            kinds.append(prim.kind)
+            return transitions(algebra, prim)
+
+        monkeypatch.setattr(hopfcirc.circuit, "_transitions", recording)
+        got = evaluate_bruteforce_map(c).matrix
+        assert {"Mul", "Counit"} <= set(kinds) and not {"Id", "Swap"} & set(kinds)
+        for want in (evaluate(c).matrix, loop_circuit_map(c)):
+            if rotated:
+                assert np.max(np.abs(got - want)) <= 1e-12
+            else:
+                assert np.array_equal(got, want)
+        for idx in range(0, got.shape[1], 7):
+            assert np.array_equal(evaluate_bruteforce(c, idx), got[:, idx])
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -210,6 +210,48 @@ class TestWriteJson:
         with mock.patch.object(hopfcirc.tensor, "_JSON_BLOCK_ENTRIES", block_entries):
             assert written(m) == dumped_map(m)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4)).filter(
+            lambda t: t[0] ** (t[1] + t[2]) <= 400
+        ),
+        block_entries=st.integers(1, 64),
+        data=st.data(),
+    )
+    def test_sparse_blocks_equal_json_dumps(self, shape, block_entries, data):
+        # at least 95% of each part is +0.0, the rest drawn from the pool of
+        # signed zeros, subnormals and repeated values
+        d, wires_in, wires_out = shape
+        n = d ** (wires_in + wires_out)
+        value = st.one_of(st.sampled_from(VALUE_POOL), st.floats(allow_nan=False, allow_infinity=False))
+        arr = np.zeros((d**wires_out, d**wires_in), dtype=complex)
+        for part in (arr.real, arr.imag):
+            for index, x in data.draw(st.lists(st.tuples(st.integers(0, n - 1), value), max_size=n // 20)):
+                part.flat[index] = x
+        m = LinearMap(d, wires_in, wires_out, arr)
+        with mock.patch.object(hopfcirc.tensor, "_JSON_BLOCK_ENTRIES", block_entries):
+            assert written(m) == dumped_map(m)
+
+    @pytest.mark.parametrize("block_entries", [1, 5, 64])
+    @pytest.mark.parametrize(
+        "d,wires_in,wires_out,spots",
+        [
+            (2, 3, 3, {}),  # both parts all +0.0
+            (2, 3, 3, {27: -0.0}),  # all +0.0 but one -0.0
+            (2, 5, 0, {0: 5e-324, 31: 5e-324, 7: -1.0}),  # a single row
+            (2, 0, 5, {0: -0.0, 17: 0.5, 31: 0.5}),  # a single column
+            (1, 0, 0, {}),
+        ],
+        ids=["all-zero", "one-negative-zero", "row", "column", "1x1"],
+    )
+    def test_sparse_edge_cases_equal_json_dumps(self, d, wires_in, wires_out, spots, block_entries):
+        arr = np.zeros((d**wires_out, d**wires_in), dtype=complex)
+        for index, x in spots.items():
+            arr.real.flat[index] = x
+        m = LinearMap(d, wires_in, wires_out, arr)
+        with mock.patch.object(hopfcirc.tensor, "_JSON_BLOCK_ENTRIES", block_entries):
+            assert written(m) == dumped_map(m)
+
     @pytest.mark.parametrize(
         "d,wires_in,wires_out",
         [(1, 0, 0), (2, 0, 0), (2, 17, 0), (2, 0, 17), (2, 3, 14), (3, 1, 10)],
