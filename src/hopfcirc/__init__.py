@@ -34,22 +34,19 @@ from .circuit import (
     Cnot,
     OutcomeDistribution,
     U1,
-    apply,
     basis_state,
     build_cnot,
-    circuit_is_unitary,
     compile_gate_circuit,
     direct_gate_map,
-    evaluate,
     evaluate_bruteforce,
     evaluate_bruteforce_map,
     is_unitary,
     measure,
-    run,
     unitary,
     validate,
 )
 from .dsl import CircuitDocument, ParseError, parse_circuit, print_circuit, to_circuit
+from .engine import circuit_is_unitary, evaluate, run
 from .tensor import LinearMap
 
 __version__ = "0.1.0"

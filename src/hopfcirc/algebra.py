@@ -31,8 +31,8 @@ from .circuit import (
     UNIT,
     Circuit,
     _echo,
-    evaluate,
 )
+from .engine import evaluate
 
 __all__ = [
     "HopfAlgebra",

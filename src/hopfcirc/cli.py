@@ -28,17 +28,14 @@ from .circuit import (
     U1,
     _basis_labels,
     _check_map_entries,
-    _plan,
     basis_state,
-    circuit_is_unitary,
     compile_gate_circuit,
     direct_gate_map,
-    evaluate,
     evaluate_bruteforce_map,
     measure,
-    run,
 )
 from .dsl import ParseError, _format_complex, circuit_to_document, parse_circuit, print_circuit, to_circuit
+from .engine import _plan, circuit_is_unitary, evaluate, run
 
 __all__ = ["cli_run", "main"]
 
@@ -66,7 +63,27 @@ class UsageError(Exception):
     pass
 
 
+class _Number:
+    """Stands in for argparse's negative-number pattern: matches every
+    string that float() reads."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only "-1" and "-0.5" as negative numbers: it takes
+        # "-1e-3", "-5." or "-inf" after a flag for an option, and the flag
+        # for one without its value; here "--tol -1e-3" means "--tol=-1e-3"
+        self._negative_number_matcher = _Number
+
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise UsageError(message)
 

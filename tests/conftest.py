@@ -1,7 +1,7 @@
 import pytest
 
 import hopfcirc.circuit
-import hopfcirc.cli
+import hopfcirc.engine
 
 
 @pytest.fixture
@@ -15,5 +15,5 @@ def validated(monkeypatch):
         return original(circuit)
 
     monkeypatch.setattr(hopfcirc.circuit, "validate", recording)
-    monkeypatch.setattr(hopfcirc.cli, "validate", recording, raising=False)
+    monkeypatch.setattr(hopfcirc.engine, "validate", recording)
     return circuits

@@ -5,9 +5,11 @@ contraction oracle uses explicit index loops, the axiom oracle sums over
 raw tensor entries, the group-algebra oracle fills the tensors from the
 table with loops, the circuit oracle fills each layer matrix entry by
 entry from the raw tensors, the gate simulator propagates matrix rows by
-index arithmetic instead of Kronecker products or layer maps, and the
-measure oracle labels one basis index at a time.  The Kronecker gate product is
-the plain textbook formula that direct_gate_map is checked against.
+index arithmetic instead of Kronecker products or layer maps, the
+measure oracle labels one basis index at a time, and the transition
+oracle lists a tensor's entries with one loop per axis.  The Kronecker
+gate product is the plain textbook formula that direct_gate_map is
+checked against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from hopfcirc.circuit import (
     Circuit,
     Cnot,
     U1,
-    basis_label,
     index_to_digits,
     unitary,
 )
@@ -61,6 +62,14 @@ def loop_contract(a: np.ndarray, axes_a, b: np.ndarray, axes_b) -> np.ndarray:
             total += a[tuple(ia)] * b[tuple(ib)]
         out[out_idx] = total
     return out
+
+
+def basis_label(digits, base_dim: int) -> str:
+    """A basis state's label: one character per digit up to dimension 10,
+    comma-separated digits above it."""
+    if base_dim <= 10:
+        return "".join(str(dgt) for dgt in digits)
+    return ",".join(str(dgt) for dgt in digits)
 
 
 def loop_measure(state, base_dim: int) -> tuple[tuple[tuple[str, float], ...], float]:
@@ -192,6 +201,55 @@ def loop_group_tables(table: list[list[int]]) -> dict:
             "Antipode": (inverse,),
         },
     }
+
+
+def loop_transitions(algebra, prim) -> list:
+    """The brute force's transition list of a primitive other than Id, read
+    with one nested loop per tensor axis: (input digits, output digits,
+    coefficient) for every nonzero entry, in the tensor's index order."""
+    d = algebra.dim
+    out = []
+    if prim.kind == "Mul":
+        arr = algebra.mul
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    if arr[a, b, c] != 0:
+                        out.append(((a, b), (c,), complex(arr[a, b, c])))
+    elif prim.kind == "Comul":
+        arr = algebra.comul
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    if arr[a, b, c] != 0:
+                        out.append(((a,), (b, c), complex(arr[a, b, c])))
+    elif prim.kind == "Unit":
+        arr = algebra.unit
+        for a in range(d):
+            if arr[a] != 0:
+                out.append(((), (a,), complex(arr[a])))
+    elif prim.kind == "Counit":
+        arr = algebra.counit
+        for a in range(d):
+            if arr[a] != 0:
+                out.append(((a,), (), complex(arr[a])))
+    elif prim.kind == "Antipode":
+        arr = algebra.antipode
+        for a in range(d):
+            for b in range(d):
+                if arr[a, b] != 0:
+                    out.append(((a,), (b,), complex(arr[a, b])))
+    elif prim.kind == "Swap":
+        for a in range(d):
+            for b in range(d):
+                out.append(((a, b), (b, a), 1.0 + 0j))
+    else:  # Unitary: column a of the matrix lists the images of basis a
+        for a in range(d):
+            for b in range(d):
+                v = prim.matrix[b, a]
+                if v != 0:
+                    out.append(((a,), (b,), complex(v)))
+    return out
 
 
 def _loop_entry(algebra, prim, digits_in: tuple, digits_out: tuple) -> complex:
@@ -477,7 +535,7 @@ def assert_same_plan(a, b) -> None:
             assert (x.wires_in, x.wires_out, x.bijective) == (y.wires_in, y.wires_out, y.bijective)
             assert x.index.dtype == y.index.dtype and np.array_equal(x.index, y.index)
         else:
-            assert (x.perm, x.pos, x.wires_in, x.wires_out) == (y.perm, y.pos, y.wires_in, y.wires_out)
+            assert (x.perm, x.pos, x.wires_in) == (y.perm, y.pos, y.wires_in)
             assert x.prim.kind == y.prim.kind and x.prim.name == y.prim.name
             assert np.array_equal(x.matrix, y.matrix)
 

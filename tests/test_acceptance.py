@@ -17,18 +17,17 @@ from hopfcirc.circuit import (
     MUL,
     AnnihilatedStateError,
     Circuit,
-    apply,
     basis_state,
     build_cnot,
     compile_gate_circuit,
     digits_to_index,
-    evaluate,
     evaluate_bruteforce,
     is_unitary,
     measure,
     unitary,
 )
 from hopfcirc.dsl import parse_circuit, print_circuit, to_circuit
+from hopfcirc.engine import evaluate
 
 from helpers import (
     REPO_ROOT,
@@ -145,7 +144,7 @@ def test_criterion_6_degenerate_handling():
     annihilating = Circuit(
         h, wires_in=1, layers=((unitary("h", HADAMARD),), (COUNIT,))
     )
-    out = apply(evaluate(annihilating), basis_state(2, [1]))
+    out = evaluate(annihilating).matrix @ basis_state(2, [1])
     try:
         measure(out, 2)
         ok = False

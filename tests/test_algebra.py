@@ -24,7 +24,8 @@ from hopfcirc.algebra import (
     symmetric_group_3_table,
     z2_algebra,
 )
-from hopfcirc.circuit import ANTIPODE, COMUL, COUNIT, MUL, Circuit, run
+from hopfcirc.circuit import ANTIPODE, COMUL, COUNIT, MUL, Circuit
+from hopfcirc.engine import run
 
 from helpers import REPO_ROOT, loop_axiom_deviations, loop_group_tables
 
@@ -493,9 +494,10 @@ class TestResolution:
             load_group_table(path)
 
 
-@pytest.mark.parametrize("module", ["hopfcirc.algebra", "hopfcirc.circuit"])
+@pytest.mark.parametrize("module", ["hopfcirc.algebra", "hopfcirc.circuit", "hopfcirc.engine"])
 def test_module_imports_first(module):
-    # algebra imports the circuit engine; circuit names HopfAlgebra only in annotations
+    # algebra imports the engine, the engine imports circuit, and circuit
+    # names HopfAlgebra only in annotations
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-c", f"import {module}"], env={**os.environ, "PYTHONPATH": path}, check=True

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcirc.circuit
+import hopfcirc.engine
 from hopfcirc.algebra import HopfAlgebra, builtin_algebra, group_algebra, z2_algebra
 from hopfcirc.circuit import (
     ANTIPODE,
@@ -22,23 +23,20 @@ from hopfcirc.circuit import (
     Circuit,
     CircuitError,
     Cnot,
-    apply,
     basis_state,
     build_cnot,
-    circuit_is_unitary,
     compile_gate_circuit,
     digits_to_index,
     direct_gate_map,
-    evaluate,
     evaluate_bruteforce,
     evaluate_bruteforce_map,
     index_to_digits,
     is_unitary,
     measure,
-    run,
     unitary,
     validate,
 )
+from hopfcirc.engine import circuit_is_unitary, evaluate, run
 
 
 from helpers import (
@@ -47,6 +45,7 @@ from helpers import (
     haar_unitary,
     loop_circuit_map,
     loop_measure,
+    loop_transitions,
     near_unitary,
     random_circuit,
     random_gate_list,
@@ -430,14 +429,14 @@ def eager_plan(circuit: Circuit):
     up wire by wire, and every layer sorted again at each occurrence.  The
     walk now tracks symbols and evaluates only the runs that fold, once per
     distinct layer; its plans must be these."""
-    C = hopfcirc.circuit
+    C = hopfcirc.engine
     profile = validate(circuit)
     algebra, d = circuit.algebra, circuit.algebra.dim
     steps, state = [], {"width": circuit.wires_in, "axes": None, "run": None}
 
     def matrix_step(before, pos, prim):
         matrix = prim.matrix if prim.kind == "Unitary" else algebra.maps[prim.kind]
-        steps.append(C._Step(C._perm_or_none(before), pos, prim.wires_in, prim.wires_out, matrix, prim))
+        steps.append(C._Step(C._perm_or_none(before), pos, prim.wires_in, matrix, prim))
 
     def fold(run):
         wires_in, digits = run["wires_in"], run["digits"]
@@ -475,7 +474,7 @@ def eager_plan(circuit: Circuit):
             matrix_step(state["axes"], pos, prim)
         else:
             if state["run"] is None:
-                inputs = hopfcirc.circuit._input_digits(d, state["width"])
+                inputs = hopfcirc.engine._input_digits(d, state["width"])
                 digits = list(inputs) if axes is None else [inputs[a] for a in axes]
                 state["run"] = {"digits": digits, "wires_in": state["width"], "leading": not steps,
                                 "lossy": False, "prims": []}
@@ -527,7 +526,7 @@ def eager_plan(circuit: Circuit):
 @settings(max_examples=300, deadline=None)
 @given(repeated_layer_circuits())
 def test_plan_matches_eager_digit_walk(circuit):
-    assert_same_plan(hopfcirc.circuit._build_plan(circuit), eager_plan(circuit))
+    assert_same_plan(hopfcirc.engine._build_plan(circuit), eager_plan(circuit))
 
 
 @settings(max_examples=60, deadline=None)
@@ -548,7 +547,7 @@ def test_repeated_layers_match_bruteforce(circuit):
 )
 def test_compiled_plan_matches_eager_digit_walk(wires, gates):
     c = compile_gate_circuit(Z2, wires, gates)
-    assert_same_plan(hopfcirc.circuit._build_plan(c), eager_plan(c))
+    assert_same_plan(hopfcirc.engine._build_plan(c), eager_plan(c))
     assert np.array_equal(evaluate(c).matrix, direct_gate_map(Z2, wires, gates).matrix)
 
 
@@ -556,8 +555,8 @@ def plan_kinds(circuit: Circuit) -> set[str]:
     """The kinds of step in the circuit's plan: "bijective run", "run"
     (one that is no bijection) and "matrix"."""
     return {
-        ("bijective run" if step.bijective else "run") if type(step) is hopfcirc.circuit._Run else "matrix"
-        for step in hopfcirc.circuit._plan(circuit).steps
+        ("bijective run" if step.bijective else "run") if type(step) is hopfcirc.engine._Run else "matrix"
+        for step in hopfcirc.engine._plan(circuit).steps
     }
 
 
@@ -630,22 +629,6 @@ class TestIndexRuns:
         assert np.array_equal(m, evaluate_bruteforce_map(c).matrix)
         assert np.array_equal(np.count_nonzero(m, axis=0), np.ones(m.shape[1]))
 
-    def test_references_share_no_engine_code(self, monkeypatch):
-        # the brute force and the gate product still work with the engine gone
-        def broken(*args, **kwargs):
-            raise AssertionError("the engine was called")
-
-        gates = [Cnot(0, 2), hopfcirc.circuit.U1(1, HADAMARD), Cnot(2, 1)]
-        c = compile_gate_circuit(Z2, 3, gates)
-        assert any({prim.kind for prim in layer} == {"Id", "Swap"} for layer in c.layers)
-        want = evaluate(c).matrix
-        for name in ("_plan", "_push", "run", "evaluate"):
-            monkeypatch.setattr(hopfcirc.circuit, name, broken)
-        assert np.max(np.abs(evaluate_bruteforce_map(c).matrix - want)) <= 1e-12
-        assert np.max(np.abs(direct_gate_map(Z2, 3, gates).matrix - want)) <= 1e-12
-        with pytest.raises(AssertionError, match="engine"):
-            hopfcirc.circuit.evaluate(c)
-
     def test_sums_after_a_matrix_step_grouped_as_matrix_steps(self):
         # rotated wires, then multiplications that sum them pairwise, then
         # the pair sums: they stay matrix steps, where one scatter-add of
@@ -667,8 +650,8 @@ class TestIndexRuns:
     )
     def test_run_after_a_matrix_step_folds_only_as_a_permutation(self, layers, kinds):
         c = Circuit(Z3, 2, ((unitary("f", haar_unitary(np.random.default_rng(3), 3)), ID),) + layers)
-        steps = hopfcirc.circuit._plan(c).steps
-        assert [step.prim.kind if type(step) is hopfcirc.circuit._Step else "bijective run" for step in steps] == kinds
+        steps = hopfcirc.engine._plan(c).steps
+        assert [step.prim.kind if type(step) is hopfcirc.engine._Step else "bijective run" for step in steps] == kinds
         plain = Circuit(matrix_only(Z3), c.wires_in, c.layers)
         assert np.array_equal(evaluate(c).matrix, evaluate(plain).matrix)
 
@@ -683,7 +666,7 @@ class TestIndexRuns:
     def test_lone_primitive_stays_a_matrix_step(self, layers, kinds):
         # one multiplication costs less than folding a run of one primitive
         c = Circuit(Z2, 2, layers)
-        assert [step.prim.kind for step in hopfcirc.circuit._plan(c).steps] == kinds
+        assert [step.prim.kind for step in hopfcirc.engine._plan(c).steps] == kinds
         assert np.max(np.abs(evaluate(c).matrix - evaluate_bruteforce_map(c).matrix)) <= 1e-12
 
     def test_max_wires_per_dimension(self):
@@ -747,6 +730,23 @@ class TestBruteForce:
             assert np.array_equal(col, np.eye(4)[:, i])
         c = Circuit(builtin_algebra("S3"), wires_in=3, layers=((ID, ID, ID),) * 3)
         assert np.array_equal(evaluate_bruteforce_map(c).matrix, np.eye(6**3))
+
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "S3", "random"])
+    def test_transitions_in_loop_order(self, name):
+        # the order of the list is the brute force's summation order, which
+        # a comparison to 1e-12 cannot see
+        rng = np.random.default_rng(11)
+        if name == "random":  # complex tensors of no group, some entries zero
+            def rand(*shape):
+                values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                return np.where(rng.random(shape) < 0.3, 0, values)
+
+            algebra = HopfAlgebra(["b0", "b1", "b2"], rand(3, 3, 3), rand(3, 3, 3), rand(3), rand(3), rand(3, 3))
+        else:
+            algebra = builtin_algebra(name)
+        prims = [MUL, COMUL, UNIT, COUNIT, ANTIPODE, SWAP, unitary("u", haar_unitary(rng, algebra.dim))]
+        for prim in prims:
+            assert hopfcirc.circuit._transitions(algebra, prim) == loop_transitions(algebra, prim), prim
 
     @pytest.mark.parametrize("name,n", [("Z2", 5), ("Z3", 4), ("S3", 3)])
     def test_id_runs_at_start_middle_and_end(self, name, n, monkeypatch):
@@ -849,7 +849,7 @@ class TestBuildCnot:
         assert np.array_equal(m @ m, np.eye(4))
 
     def test_z3_controlled_shift(self):
-        out = apply(evaluate(build_cnot(Z3)), basis_state(3, [1, 1]))
+        out = evaluate(build_cnot(Z3)).matrix @ basis_state(3, [1, 1])
         assert np.array_equal(out, basis_state(3, [1, 2]))
 
     @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z5", "S3"])
@@ -863,18 +863,14 @@ class TestBuildCnot:
 
 class TestApplyMeasure:
     def test_apply_cnot(self):
-        out = apply(evaluate(build_cnot(Z2)), basis_state(2, [1, 0]))
+        out = evaluate(build_cnot(Z2)).matrix @ basis_state(2, [1, 0])
         assert np.array_equal(out, basis_state(2, [1, 1]))
 
     def test_apply_identity(self):
         rng = np.random.default_rng(23)
         state = rng.normal(size=4) + 1j * rng.normal(size=4)
         m = evaluate(Circuit(Z2, wires_in=2, layers=()))
-        assert np.array_equal(apply(m, state), state)
-
-    def test_apply_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            apply(evaluate(build_cnot(Z2)), np.ones(3))
+        assert np.array_equal(m.matrix @ state, state)
 
     def test_measure_basis_vector(self):
         dist = measure(basis_state(2, [1, 0, 0]), 2)
@@ -913,7 +909,7 @@ class TestApplyMeasure:
     def test_annihilating_circuit(self):
         # rotate into (f0 - f1)/sqrt(2), then the counit sums the coefficients
         c = Circuit(Z2, wires_in=1, layers=((unitary("h", HADAMARD),), (COUNIT,)))
-        out = apply(evaluate(c), basis_state(2, [1]))
+        out = evaluate(c).matrix @ basis_state(2, [1])
         with pytest.raises(AnnihilatedStateError, match="annihilated"):
             measure(out, 2)
 
@@ -1046,7 +1042,7 @@ class TestCircuitIsUnitary:
             widths.append(circuit.wires_in)
             return evaluate(circuit)
 
-        monkeypatch.setattr(hopfcirc.circuit, "evaluate", recording)
+        monkeypatch.setattr(hopfcirc.engine, "evaluate", recording)
         return widths
 
     def test_compiled_circuit_certified_without_its_map(self, evaluated):
@@ -1152,15 +1148,15 @@ class TestPlan:
         # digit maps the whole circuit, Swaps included, is one bijective run
         gates = [Cnot(0, 4), Cnot(3, 1)]
         c = compile_gate_circuit(Z2, 5, gates)
-        plan = hopfcirc.circuit._plan(c)
-        assert [(type(step), step.bijective) for step in plan.steps] == [(hopfcirc.circuit._Run, True)]
+        plan = hopfcirc.engine._plan(c)
+        assert [(type(step), step.bijective) for step in plan.steps] == [(hopfcirc.engine._Run, True)]
         assert plan.final_perm is None
         assert plan.profile == tuple(validate(c))
         assert np.array_equal(evaluate(c).matrix, direct_gate_map(Z2, 5, gates).matrix)
         # without them, Ids give no step and the Swaps fold into the
         # permutations of the matrix steps and of the end
         c = compile_gate_circuit(matrix_only(Z2), 5, gates)
-        plan = hopfcirc.circuit._plan(c)
+        plan = hopfcirc.engine._plan(c)
         assert [step.matrix.shape for step in plan.steps] == [(4, 2), (2, 4)] * 2
         assert [step.perm is not None for step in plan.steps] == [True, False, True, False]
         assert plan.final_perm is not None

@@ -18,18 +18,18 @@ from jsonschema import Draft7Validator
 import hopfcirc.algebra
 import hopfcirc.circuit
 import hopfcirc.cli
+import hopfcirc.engine
 from hopfcirc.algebra import builtin_algebra
 from hopfcirc.circuit import (
     basis_state,
     compile_gate_circuit,
-    evaluate,
     index_to_digits,
     is_unitary,
     measure,
-    run as run_circuit,
 )
 from hopfcirc.cli import cli_run
 from hopfcirc.dsl import circuit_to_document, print_circuit
+from hopfcirc.engine import evaluate, run as run_circuit
 from hopfcirc.tensor import LinearMap
 
 from helpers import (
@@ -87,6 +87,7 @@ def gram_sizes(monkeypatch):
         return gram_deviation(m)
 
     monkeypatch.setattr(hopfcirc.circuit, "_gram_deviation", recording)
+    monkeypatch.setattr(hopfcirc.engine, "_gram_deviation", recording)
     return sizes
 
 
@@ -156,16 +157,32 @@ class TestCheckAxioms:
         code, _, err = run(capsys, ["check-axioms", "--algebra", "Q8"])
         assert code == 2 and err.startswith("error: validate:")
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "NaN", "abc"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-nan", "-Infinity", "NaN", "abc"])
     def test_nonfinite_tolerance_is_usage_error(self, capsys, tol):
         code, out, err = run(capsys, ["check-axioms", "--algebra", "Z2", "--tol", tol, "--json"])
         assert code == 1 and out == ""
-        assert err.startswith("error: usage:") and err.count("\n") == 1
+        assert err == f"error: usage: argument --tol: tolerance must be a finite number, got {tol!r}\n"
 
     def test_negative_tolerance_exits_2(self, capsys):
         code, out, err = run(capsys, ["check-axioms", "--algebra", "Z2", "--tol", "-1"])
         assert code == 2 and out == ""
         assert err == "error: validate: tolerance must be nonnegative\n"
+
+    @pytest.mark.parametrize("tol", ["-0.001", "-1e-3", "-5.", "-1E3", "-.5", "-2e+1", "-1_0"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
+    def test_negative_tolerance_spellings_exit_2(self, capsys, tol, joined):
+        # a negative number after the flag is the flag's value, whatever its
+        # spelling, just as after "--tol="
+        flag = [f"--tol={tol}"] if joined else ["--tol", tol]
+        code, out, err = run(capsys, ["check-axioms", "--algebra", "Z2", *flag])
+        assert code == 2 and out == ""
+        assert err == "error: validate: tolerance must be nonnegative\n"
+
+    def test_option_after_tolerance_flag_is_usage_error(self, capsys):
+        # a value that is no number is still read as an option
+        code, out, err = run(capsys, ["check-axioms", "--algebra", "Z2", "--tol", "-x"])
+        assert code == 1 and out == ""
+        assert err == "error: usage: argument --tol: expected one argument\n"
 
     @pytest.mark.parametrize("algebra", ["nope", "table"])
     def test_negative_tolerance_refused_before_algebra(self, capsys, tmp_path, monkeypatch, algebra):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hopfcirc.circuit
+import hopfcirc.engine
 from hopfcirc.circuit import (
     ANTIPODE,
     COMUL,
@@ -24,7 +24,6 @@ from hopfcirc.circuit import (
     Cnot,
     U1,
     compile_gate_circuit,
-    evaluate,
     unitary,
     validate,
 )
@@ -41,6 +40,7 @@ from hopfcirc.dsl import (
 )
 
 from hopfcirc.cli import cli_run
+from hopfcirc.engine import evaluate
 
 from helpers import (
     REPO_ROOT,
@@ -398,7 +398,7 @@ def _assert_same_circuits(text: str, other: str) -> None:
     assert doc == other_doc
     circuit, other_circuit = to_circuit(doc), to_circuit(other_doc)
     assert layer_signature(circuit) == layer_signature(other_circuit)
-    assert_same_plan(hopfcirc.circuit._plan(circuit), hopfcirc.circuit._plan(other_circuit))
+    assert_same_plan(hopfcirc.engine._plan(circuit), hopfcirc.engine._plan(other_circuit))
     assert np.array_equal(evaluate(circuit).matrix, evaluate(other_circuit).matrix)
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import hopfcirc.tensor
 from hopfcirc.algebra import HopfAlgebra, z2_algebra
-from hopfcirc.circuit import ID, SWAP, Circuit, CircuitError, run
+from hopfcirc.circuit import ID, SWAP, Circuit, CircuitError
+from hopfcirc.engine import run
 from hopfcirc.tensor import LinearMap
 
 from helpers import dumped_map
