@@ -72,8 +72,6 @@ __all__ = [
     "measure",
     "is_unitary",
     "basis_state",
-    "index_to_digits",
-    "digits_to_index",
 ]
 
 
@@ -134,19 +132,15 @@ def _echo(value) -> str:
     return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 1] + "…"
 
 
-def _gram_deviation(m: np.ndarray):
-    """Largest entry of |m^H m - I|, as a float; for a (k, rows, cols)
-    stack, the array of the k matrices' values, each equal bit for bit to
-    the value of its matrix alone.  Huge entries overflow the Gram matrix
-    to inf or nan; that gives an inf or nan deviation, not a warning."""
+def _gram_deviation(m: np.ndarray) -> np.ndarray:
+    """Largest entry of |m^H m - I| for each matrix of a (k, rows, cols)
+    stack, as an array of k floats; a matrix alone is passed as m[None].
+    Huge entries overflow the Gram matrix to inf or nan; that gives an inf
+    or nan deviation, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if m.ndim == 2:
-            gram = m.conj().T @ m
-            gram.flat[:: m.shape[1] + 1] -= 1  # gram - I, without an identity matrix
-            return float(np.max(np.abs(gram)))
         gram = np.matmul(m.conj().transpose(0, 2, 1), m)
         n = m.shape[2]
-        gram.reshape(-1, n * n)[:, :: n + 1] -= 1
+        gram.reshape(-1, n * n)[:, :: n + 1] -= 1  # gram - I, without an identity matrix
         return np.abs(gram).max(axis=(1, 2))
 
 
@@ -178,7 +172,7 @@ class Primitive:
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise CircuitError(f"unitary {_echo(self.name)} must be square, got shape {arr.shape}")
-        dev = _gram_deviation(arr) if gram is None else gram
+        dev = float(_gram_deviation(arr[None])[0]) if gram is None else gram
         if not dev <= UNITARY_TOL:  # a nan deviation must not pass
             raise CircuitError(f"matrix for {_echo(self.name)} is not unitary (deviation {dev:.2e})")
         arr.setflags(write=False)
@@ -211,8 +205,8 @@ def _unitaries(names: Sequence[str], matrices: Sequence[np.ndarray]) -> list[Pri
     """unitary(name, matrix) for each pair in order, the first that is not
     unitary refused, with one Gram computation for the stack of matrices,
     which must all have one shape."""
-    if len(matrices) < 2:  # a stack of one costs more than the matrix alone
-        return [unitary(*args) for args in zip(names, matrices)]
+    if not matrices:
+        return []
     stack = np.array(matrices, dtype=complex)
     return [unitary(*args) for args in zip(names, stack, _gram_deviation(stack).tolist())]
 
@@ -346,7 +340,7 @@ def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int])
     d = circuit.algebra.dim
     one_hot = np.eye(len(inputs), dtype=complex)
     amplitudes = {
-        tuple(index_to_digits(index, d, circuit.wires_in)): one_hot[j]
+        tuple(_index_to_digits(index, d, circuit.wires_in)): one_hot[j]
         for j, index in enumerate(inputs)
     }
     for layer in circuit.layers:
@@ -402,7 +396,7 @@ def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int])
 
     columns = np.zeros((d**wires_out, len(inputs)), dtype=complex)
     for digits, amp in amplitudes.items():
-        columns[digits_to_index(digits, d)] += amp
+        columns[_digits_to_index(digits, d)] += amp
     return columns
 
 
@@ -532,8 +526,7 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
     state code, so this shares nothing with the compiled evaluation path.
     """
     d = algebra.dim
-    if wires > _max_wires(d):
-        raise CircuitError(f"{wires} wires at dimension {d} exceeds the width limit")
+    _check_widths([wires], d)
     _check_map_entries(d, wires, wires)
     dim = d**wires
     total = np.eye(dim, dtype=complex)
@@ -598,12 +591,10 @@ def measure(state: Sequence[complex], base_dim: int) -> OutcomeDistribution:
     overflows, as no distribution can be read off such amplitudes.
     """
     vec = np.asarray(state, dtype=complex).reshape(-1)
-    if base_dim < 1 or (base_dim == 1 and vec.shape[0] != 1):
-        raise ValueError(f"state length {vec.shape[0]} is not a power of {base_dim}")
     wires = 0
     while base_dim > 1 and base_dim**wires < vec.shape[0]:
         wires += 1
-    if base_dim**wires != vec.shape[0]:
+    if base_dim < 1 or base_dim**wires != vec.shape[0]:
         raise ValueError(f"state length {vec.shape[0]} is not a power of {base_dim}")
     if float(np.max(np.abs(vec))) <= ANNIHILATION_THRESHOLD:
         raise AnnihilatedStateError(
@@ -618,16 +609,17 @@ def measure(state: Sequence[complex], base_dim: int) -> OutcomeDistribution:
     return OutcomeDistribution(entries=entries, norm_in=norm_in)
 
 
-def is_unitary(linmap: LinearMap, tol: float = 1e-10) -> bool:
-    """True iff the map is square and its Gram matrix is the identity."""
+def is_unitary(linmap: LinearMap) -> bool:
+    """True iff the map is square and its Gram matrix is the identity to
+    UNITARY_TOL in every entry."""
     if linmap.wires_in != linmap.wires_out:
         return False
-    return _gram_deviation(linmap.matrix) <= tol
+    return float(_gram_deviation(linmap.matrix[None])[0]) <= UNITARY_TOL
 
 
 # --- basis bookkeeping ------------------------------------------------------
 
-def index_to_digits(index: int, base_dim: int, wires: int) -> list[int]:
+def _index_to_digits(index: int, base_dim: int, wires: int) -> list[int]:
     """Wire 0 is the most significant digit."""
     digits = []
     for k in range(wires - 1, -1, -1):
@@ -635,7 +627,7 @@ def index_to_digits(index: int, base_dim: int, wires: int) -> list[int]:
     return digits
 
 
-def digits_to_index(digits: Sequence[int], base_dim: int) -> int:
+def _digits_to_index(digits: Sequence[int], base_dim: int) -> int:
     index = 0
     for dgt in digits:
         index = index * base_dim + dgt
@@ -643,7 +635,7 @@ def digits_to_index(digits: Sequence[int], base_dim: int) -> int:
 
 
 def _basis_labels(indices: np.ndarray, base_dim: int, wires: int) -> list[str]:
-    """basis_label(index_to_digits(i, base_dim, wires), base_dim) for each
+    """basis_label(_index_to_digits(i, base_dim, wires), base_dim) for each
     i of an integer array, one digit position at a time over all indices."""
     if wires == 0:
         return [""] * len(indices)
@@ -661,5 +653,5 @@ def _basis_labels(indices: np.ndarray, base_dim: int, wires: int) -> list[str]:
 
 def basis_state(base_dim: int, digits: Sequence[int]) -> np.ndarray:
     vec = np.zeros(base_dim ** len(digits), dtype=complex)
-    vec[digits_to_index(digits, base_dim)] = 1.0
+    vec[_digits_to_index(digits, base_dim)] = 1.0
     return vec

@@ -280,10 +280,6 @@ def _build_plan(circuit: Circuit) -> _Plan:
                 if run is not None:
                     close_run()
                 matrix_step(axes, pos, prim)
-            elif run is None and steps and prim.wires_out < n:
-                # a run opened here would lose digits at once: its digits
-                # are distinct inputs, none of them a constant
-                matrix_step(axes, pos, prim)
             else:
                 if run is None:
                     run = _OpenRun(width, axes, leading=not steps)
@@ -423,7 +419,7 @@ def _deviation_bound(plan: _Plan) -> float | None:
             log_bound += math.log1p(d * step.prim.deviation)
         elif step.prim.kind == "Antipode":
             if antipode is None:
-                antipode = d * _gram_deviation(step.matrix)
+                antipode = d * float(_gram_deviation(step.matrix[None])[0])
             log_bound += math.log1p(antipode)
         else:
             return None

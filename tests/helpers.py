@@ -31,7 +31,7 @@ from hopfcirc.circuit import (
     Circuit,
     Cnot,
     U1,
-    index_to_digits,
+    _index_to_digits,
     unitary,
 )
 from hopfcirc.dsl import _format_complex
@@ -74,7 +74,7 @@ def basis_label(digits, base_dim: int) -> str:
 
 def loop_measure(state, base_dim: int) -> tuple[tuple[tuple[str, float], ...], float]:
     """measure's entries and norm_in, one basis index at a time: each label
-    is built with index_to_digits and basis_label."""
+    is built with _index_to_digits and basis_label."""
     vec = np.asarray(state, dtype=complex).reshape(-1)
     wires = 0
     while base_dim > 1 and base_dim**wires < vec.shape[0]:
@@ -82,7 +82,7 @@ def loop_measure(state, base_dim: int) -> tuple[tuple[tuple[str, float], ...], f
     weights = np.abs(vec) ** 2
     norm_in = float(weights.sum())
     entries = tuple(
-        (basis_label(index_to_digits(i, base_dim, wires), base_dim), float(w / norm_in))
+        (basis_label(_index_to_digits(i, base_dim, wires), base_dim), float(w / norm_in))
         for i, w in enumerate(weights)
         if w > 0.0
     )
@@ -92,7 +92,7 @@ def loop_measure(state, base_dim: int) -> tuple[tuple[tuple[str, float], ...], f
 def loop_vector_lines(vec: np.ndarray, d: int, wires: int) -> list[str]:
     """eval's text lines for an output vector, one basis index at a time."""
     lines = [
-        f"  {basis_label(index_to_digits(i, d, wires), d)}  {_format_complex(complex(z))}"
+        f"  {basis_label(_index_to_digits(i, d, wires), d)}  {_format_complex(complex(z))}"
         for i, z in enumerate(vec)
         if z != 0
     ]

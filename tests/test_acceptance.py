@@ -20,11 +20,11 @@ from hopfcirc.circuit import (
     basis_state,
     build_cnot,
     compile_gate_circuit,
-    digits_to_index,
     evaluate_bruteforce,
     is_unitary,
     measure,
     unitary,
+    _digits_to_index,
 )
 from hopfcirc.dsl import parse_circuit, print_circuit, to_circuit
 from hopfcirc.engine import evaluate
@@ -109,7 +109,7 @@ def test_criterion_4_compiler_equivalence_30_gate_lists():
         compiled = evaluate(compile_gate_circuit(algebra, wires, gates))
         direct = simulate_gates_rowwise(wires, gates)
         worst = max(worst, float(np.max(np.abs(compiled.matrix - direct))))
-        all_unitary = all_unitary and is_unitary(compiled, 1e-10)
+        all_unitary = all_unitary and is_unitary(compiled)
     ok = worst <= 1e-10 and all_unitary
     report(4, f"30 random gate lists: max deviation {worst:.3e}, all compiled maps unitary", ok)
 
@@ -119,7 +119,7 @@ def test_criterion_5_generalized_circuit_reproduction():
     ok = with_id.matrix.shape == (8, 4)
     for a in range(2):
         for b in range(2):
-            idx = digits_to_index([a, b], 2)
+            idx = _digits_to_index([a, b], 2)
             want = basis_state(2, [a, b, b])
             ok = ok and np.array_equal(with_id.matrix[:, idx], want)
             ok = ok and np.array_equal(evaluate_bruteforce(generalized_example(np.eye(2)), idx), want)

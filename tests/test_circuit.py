@@ -26,15 +26,15 @@ from hopfcirc.circuit import (
     basis_state,
     build_cnot,
     compile_gate_circuit,
-    digits_to_index,
     direct_gate_map,
     evaluate_bruteforce,
     evaluate_bruteforce_map,
-    index_to_digits,
     is_unitary,
     measure,
     unitary,
     validate,
+    _digits_to_index,
+    _index_to_digits,
 )
 from hopfcirc.engine import circuit_is_unitary, evaluate, run
 
@@ -163,7 +163,7 @@ class TestLayerMap:
         assert m.matrix.shape == (8, 4)
         for a in range(2):
             for b in range(2):
-                col = m.matrix[:, digits_to_index([a, b], 2)]
+                col = m.matrix[:, _digits_to_index([a, b], 2)]
                 expect = basis_state(2, [a, a, b])
                 assert np.array_equal(col, expect)
 
@@ -191,7 +191,7 @@ class TestEvaluate:
         assert m.matrix.shape == (8, 4)
         for a in range(2):
             for b in range(2):
-                col = m.matrix[:, digits_to_index([a, b], 2)]
+                col = m.matrix[:, _digits_to_index([a, b], 2)]
                 assert np.array_equal(col, basis_state(2, [a, b, b]))
 
     def test_validation_error_propagates(self):
@@ -260,7 +260,10 @@ class TestLimits:
         for wires in (13, 20):
             with pytest.raises(CircuitError, match="map too large"):
                 direct_gate_map(Z2, wires, [])
-        with pytest.raises(CircuitError, match="width limit"):
+        # past the state limit: the same refusal, and message, as validate's
+        with pytest.raises(CircuitError, match="circuit too wide: 21 wires"):
+            direct_gate_map(Z2, 21, [])
+        with pytest.raises(CircuitError, match="circuit too wide"):
             direct_gate_map(Z2, 10**20, [])
 
 
@@ -280,7 +283,7 @@ class TestRun:
         # three adjacent swaps in one layer carry wire 0 to the far end
         c = Circuit(Z2, wires_in=4, layers=((SWAP, SWAP), (ID, SWAP, ID), (SWAP, SWAP)))
         out = run(c, basis_state(2, [1, 0, 1, 1])[:, None])[:, 0]
-        assert np.array_equal(out, evaluate_bruteforce(c, digits_to_index([1, 0, 1, 1], 2)))
+        assert np.array_equal(out, evaluate_bruteforce(c, _digits_to_index([1, 0, 1, 1], 2)))
 
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="batch"):
@@ -329,7 +332,7 @@ class TestLayerWidth:
         finally:
             tracemalloc.stop()
         assert peak < 4 * state.nbytes
-        assert np.array_equal(out[:, 0], evaluate_bruteforce(c, digits_to_index([1] * 12, 2)))
+        assert np.array_equal(out[:, 0], evaluate_bruteforce(c, _digits_to_index([1] * 12, 2)))
 
 
 ENGINE_ALGEBRAS = {"Z2": Z2, "Z3": Z3, "S3": builtin_algebra("S3")}
@@ -711,7 +714,7 @@ def test_bruteforce_map_matches_columns_and_engine(name, seed, annihilate):
     assert np.max(np.abs(m - want.matrix)) <= 1e-12
     if annihilate:
         d = algebra.dim
-        zero = [i for i in range(m.shape[1]) if index_to_digits(i, d, c.wires_in)[0] != 0]
+        zero = [i for i in range(m.shape[1]) if _index_to_digits(i, d, c.wires_in)[0] != 0]
         assert np.max(np.abs(m[:, zero])) <= 1e-12
 
 
@@ -890,13 +893,13 @@ class TestApplyMeasure:
 
     def test_measure_generalized_output_matches_bruteforce(self):
         circuit = generalized_circuit(HADAMARD)
-        idx = digits_to_index([1, 0], 2)
+        idx = _digits_to_index([1, 0], 2)
         column = evaluate_bruteforce(circuit, idx)
         dist = measure(column, 2)
         weights = np.abs(column) ** 2
         assert dist.norm_in == pytest.approx(float(weights.sum()))
         for label, prob in dist.entries:
-            i = digits_to_index([int(ch) for ch in label], 2)
+            i = _digits_to_index([int(ch) for ch in label], 2)
             assert prob == pytest.approx(float(weights[i] / weights.sum()))
         assert sum(p for _, p in dist.entries) == pytest.approx(1.0, abs=1e-12)
 
@@ -914,8 +917,16 @@ class TestApplyMeasure:
             measure(out, 2)
 
     def test_measure_bad_length(self):
-        with pytest.raises(ValueError, match="power"):
-            measure(np.ones(3), 2)
+        for length, base_dim in ((3, 2), (2, 1), (1, 0), (1, -2), (4, -2)):
+            with pytest.raises(ValueError, match=f"state length {length} is not a power of {base_dim}"):
+                measure(np.ones(length), base_dim)
+        assert measure(np.ones(1), 1).entries == (("", 1.0),)
+
+
+def gram_minus_identity(m: np.ndarray) -> float:
+    """max |m^H m - I| by the formula, with an identity matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
 
 
 class TestIsUnitary:
@@ -942,13 +953,13 @@ class TestIsUnitary:
                                   1e308, -1e308, np.inf, np.nan]), min_size=32, max_size=32),
     )
     def test_gram_deviation_matches_identity_subtraction(self, rows, cols, values):
+        # a matrix alone is a stack of one
         m = np.empty((rows, cols), dtype=complex)
         m.real.flat, m.imag.flat = values[: rows * cols], values[16 : 16 + rows * cols]
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = m.conj().T @ m
-            want = float(np.max(np.abs(gram - np.eye(cols))))
-        got = hopfcirc.circuit._gram_deviation(m)
-        assert got == want or (math.isnan(got) and math.isnan(want))
+        got = hopfcirc.circuit._gram_deviation(m[None])
+        assert got.shape == (1,)
+        want = gram_minus_identity(m)
+        assert got[0] == want or (math.isnan(got[0]) and math.isnan(want))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -974,8 +985,9 @@ class TestIsUnitary:
         got = hopfcirc.circuit._gram_deviation(stack)
         assert got.shape == (k,)
         for m, dev in zip(stack, got.tolist()):
-            want = hopfcirc.circuit._gram_deviation(m.copy())
-            assert dev == want or (math.isnan(dev) and math.isnan(want))
+            alone = float(hopfcirc.circuit._gram_deviation(m[None].copy())[0])
+            want = gram_minus_identity(m)
+            assert dev == alone == want or (math.isnan(dev) and math.isnan(alone) and math.isnan(want))
 
     def test_peak_memory(self):
         # m^H, the Gram matrix and its absolute values; no identity matrix
@@ -1236,12 +1248,12 @@ class TestWideDistribution:
 
 class TestBasisBookkeeping:
     def test_wire_zero_is_most_significant(self):
-        assert digits_to_index([1, 0], 2) == 2
-        assert index_to_digits(2, 2, 2) == [1, 0]
-        assert digits_to_index([1, 2], 3) == 5
-        assert index_to_digits(5, 3, 2) == [1, 2]
+        assert _digits_to_index([1, 0], 2) == 2
+        assert _index_to_digits(2, 2, 2) == [1, 0]
+        assert _digits_to_index([1, 2], 3) == 5
+        assert _index_to_digits(5, 3, 2) == [1, 2]
 
     def test_round_trip(self):
         for d, n in ((2, 4), (3, 3), (6, 2)):
             for i in range(d**n):
-                assert digits_to_index(index_to_digits(i, d, n), d) == i
+                assert _digits_to_index(_index_to_digits(i, d, n), d) == i

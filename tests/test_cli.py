@@ -21,11 +21,13 @@ import hopfcirc.cli
 import hopfcirc.engine
 from hopfcirc.algebra import builtin_algebra
 from hopfcirc.circuit import (
+    Cnot,
+    U1,
     basis_state,
     compile_gate_circuit,
-    index_to_digits,
     is_unitary,
     measure,
+    _index_to_digits,
 )
 from hopfcirc.cli import cli_run
 from hopfcirc.dsl import circuit_to_document, print_circuit
@@ -184,6 +186,24 @@ class TestCheckAxioms:
         assert code == 1 and out == ""
         assert err == "error: usage: argument --tol: expected one argument\n"
 
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (["check-axioms", "--algebra", "Z2", "--tol=--"], 1,
+             "usage: argument --tol: tolerance must be a finite number, got '--'"),
+            (["sample", CNOT_FILE, "--input", "10", "--shots=--", "--seed", "1"], 1,
+             "usage: argument --shots: invalid int value: '--'"),
+            (["sample", CNOT_FILE, "--input", "10", "--shots", "1", "--seed=--"], 1,
+             "usage: argument --seed: invalid int value: '--'"),
+            (["compile", "--wires=--", "--gates", "none.json"], 1, "usage: argument --wires: invalid int value: '--'"),
+            (["eval", CNOT_FILE, "--input=--"], 2, "validate: bad input string '--': expected base-2 digits"),
+        ],
+        ids=["tol", "shots", "seed", "wires", "input"],
+    )
+    def test_double_dash_after_equals_is_the_value(self, capsys, argv, code, err):
+        # argparse alone would drop it and set the flag to an empty list
+        assert run(capsys, argv) == (code, "", f"error: {err}\n")
+
     @pytest.mark.parametrize("algebra", ["nope", "table"])
     def test_negative_tolerance_refused_before_algebra(self, capsys, tmp_path, monkeypatch, algebra):
         # neither an unknown name nor a valid table file is looked at first
@@ -298,8 +318,8 @@ class TestEval:
         d, wires_in = circuit.algebra.dim, circuit.wires_in
         unitary = is_unitary(evaluate(circuit))
         for index in range(d**wires_in):
-            digits = "".join(map(str, index_to_digits(index, d, wires_in)))
-            vec = run_circuit(circuit, basis_state(d, index_to_digits(index, d, wires_in))[:, None])[:, 0]
+            digits = "".join(map(str, _index_to_digits(index, d, wires_in)))
+            vec = run_circuit(circuit, basis_state(d, _index_to_digits(index, d, wires_in))[:, None])[:, 0]
             wires_out = evaluate(circuit).wires_out
             want = [
                 f"input {digits}",
@@ -704,16 +724,55 @@ class TestLimits:
         assert err.startswith("error: validate: circuit too wide") and err.count("\n") == 1
 
     def test_map_entry_limit_spares_sample(self, capsys, tmp_path):
-        path = tmp_path / "id13.hopf"
-        path.write_text("algebra Z2\nin 13\nlayer " + ", ".join(["ID"] * 13) + "\n")
-        for argv in (["matrix"], ["oracle-check"], ["eval", "--input", "1" * 13]):
+        # eval builds the map only when the plan cannot certify the unitary
+        # flag: the 13-wire identity is certified, copy-then-square is not
+        identity = tmp_path / "id13.hopf"
+        identity.write_text("algebra Z2\nin 13\nlayer " + ", ".join(["ID"] * 13) + "\n")
+        square = tmp_path / "square13.hopf"
+        square.write_text(
+            "algebra Z2\nin 13\nlayer " + ", ".join(["DELTA"] + ["ID"] * 12)
+            + "\nlayer " + ", ".join(["M"] + ["ID"] * 12) + "\n"
+        )
+        for path, argv in ((identity, ["matrix"]), (identity, ["oracle-check"]), (square, ["eval", "--input", "1" * 13])):
             code, out, err = run(capsys, [argv[0], str(path)] + argv[1:])
             assert code == 2 and out == ""
             assert err.startswith("error: validate: map too large") and err.count("\n") == 1
-        code, out, _ = run(
-            capsys, ["sample", str(path), "--input", "1" * 13, "--shots", "5", "--seed", "1", "--json"]
-        )
-        assert code == 0 and json.loads(out)["counts"] == {"1" * 13: 5}
+        # the input digits are parsed before the map is refused
+        code, out, err = run(capsys, ["eval", str(square), "--input", "1" * 12])
+        assert code == 2 and out == "" and "has 12 digits" in err and err.count("\n") == 1
+        code, out, _ = run(capsys, ["eval", str(identity), "--input", "1" * 13, "--json"])
+        assert code == 0 and json.loads(out)["unitary"] is True
+        for path, want in ((identity, "1" * 13), (square, "0" + "1" * 12)):
+            code, out, _ = run(
+                capsys, ["sample", str(path), "--input", "1" * 13, "--shots", "5", "--seed", "1", "--json"]
+            )
+            assert code == 0 and json.loads(out)["counts"] == {want: 5}
+
+    def test_wide_compiled_eval_is_certified(self, capsys, tmp_path):
+        # 16 wires: the map would hold 2^32 entries, eval pushes one state
+        rng = np.random.default_rng(16)
+        wires = 16
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        gates = [U1(w, h, "h") for w in range(wires)]
+        for _ in range(40):
+            if rng.random() < 0.3:
+                gates.append(U1(int(rng.integers(wires)), h, "h"))
+            else:
+                c, t = rng.choice(wires, size=2, replace=False)
+                gates.append(Cnot(int(c), int(t)))
+        circuit = compile_gate_circuit(builtin_algebra("Z2"), wires, gates)
+        path = tmp_path / "wide.hopf"
+        path.write_text(print_circuit(circuit_to_document(circuit, "Z2")))
+        digits = "1011001110001011"
+        code, out, err = run(capsys, ["eval", str(path), "--input", digits, "--json"])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        check_schema(payload, "eval")
+        assert payload["unitary"] is True and payload["wires_out"] == wires
+        # the distribution sample draws from, off the same run
+        state = run_circuit(circuit, basis_state(2, [int(ch) for ch in digits])[:, None])[:, 0]
+        assert payload["distribution"] == measure(state, 2).as_dict()
+        assert payload["vector"] == {"re": state.real.tolist(), "im": state.imag.tolist()}
 
 
 class TestOracleCheck:
@@ -925,7 +984,7 @@ def test_eval_matches_map_column(name, family, seed):
         c = certificate_circuit(rng, algebra, max_wires=max_wires)
     linmap = evaluate(c)
     index = int(rng.integers(d**c.wires_in))
-    digits = index_to_digits(index, d, c.wires_in)
+    digits = _index_to_digits(index, d, c.wires_in)
     column = linmap.matrix[:, index]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.hopf"

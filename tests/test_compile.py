@@ -90,7 +90,7 @@ class TestCompileEquivalence:
             compiled = evaluate(compile_gate_circuit(Z2, wires, gates))
             want = simulate_gates_rowwise(wires, gates)
             assert np.max(np.abs(compiled.matrix - want)) <= 1e-10
-            assert is_unitary(compiled, 1e-10)
+            assert is_unitary(compiled)
 
     def test_direct_gate_map_matches_row_oracle(self):
         rng = np.random.default_rng(55)
@@ -118,4 +118,4 @@ class TestCompileEquivalence:
         compiled = evaluate(compile_gate_circuit(z3, 3, gates))
         direct = direct_gate_map(z3, 3, gates)
         assert np.max(np.abs(compiled.matrix - direct.matrix)) <= 1e-12
-        assert is_unitary(compiled, 1e-10)
+        assert is_unitary(compiled)
