@@ -276,9 +276,8 @@ def _validate_group_table(table: Sequence[Sequence[int]]) -> int:
     for i, j, k in itertools.product(range(d), repeat=3):
         if table[table[i][j]][k] != table[i][table[j][k]]:
             raise GroupTableError(f"not a group: associativity fails at ({i},{j},{k})")
-    for g in range(d):
-        if not any(table[g][h] == identity and table[h][g] == identity for h in range(d)):
-            raise GroupTableError(f"not a group: element {g} has no inverse")
+    # inverses need no check: row g holds the identity at some h and column
+    # g at some h', so g*h = h'*g = e, and h' = h'(gh) = (h'g)h = h
     return identity
 
 
@@ -286,9 +285,10 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
     """Hopf algebra of a finite group given by its multiplication table.
 
     table[i][j] is the index of (element i) * (element j).  The table is
-    validated exhaustively (permutation rows/columns, identity,
-    associativity, inverses) before any tensor is built.  Orders too large
-    for check_axioms are refused first, before the O(d^3) validation.
+    validated exhaustively (permutation rows/columns, identity and
+    associativity, which give the inverses) before any tensor is built.
+    Orders too large for check_axioms are refused first, before the O(d^3)
+    validation.
 
     Nothing is checked after the table: the group laws make the Hopf
     axioms hold exactly.  Every tensor entry is 0 or 1, and each side of
@@ -379,15 +379,21 @@ def _read_json(path: str | Path):
             raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
+def _only_keys(doc: dict, allowed: tuple[str, ...], where: str, error: type = ValueError) -> None:
+    """Refuse a key of a JSON object that its schema does not allow."""
+    extra = doc.keys() - allowed
+    if extra:
+        names = list(map(repr, allowed))
+        raise error(f"{where}: unexpected key(s) {', '.join(map(_echo, sorted(extra)))}; "
+                    f"only {', '.join(names[:-1])} and {names[-1]} are allowed")
+
+
 def load_group_table(path: str | Path) -> HopfAlgebra:
     """Load a group algebra from a JSON file {"labels": [...], "table": [[...]]}."""
     doc = _read_json(path)
     if not isinstance(doc, dict) or "labels" not in doc or "table" not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'labels' and 'table'")
-    extra = sorted(set(doc) - {"labels", "table"})
-    if extra:
-        raise GroupTableError(f"{path}: unexpected key(s) {', '.join(map(_echo, extra))}; "
-                              "only 'labels' and 'table' are allowed")
+    _only_keys(doc, ("labels", "table"), path, GroupTableError)
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(lbl, str) for lbl in labels):
         raise ValueError(f"{path}: 'labels' must be a list of strings")

@@ -149,9 +149,9 @@ class Primitive:
     kind: str
     name: str | None = None
     matrix: np.ndarray | None = None
-    # the matrix's _gram_deviation when the caller computed it already, for
-    # a batch of matrices at once; computed here otherwise
-    gram: InitVar[float | None] = None
+    # the matrix's _gram_deviation when _unitaries computed it already, for
+    # a stack of matrices at once; computed here otherwise
+    _gram: InitVar[float | None] = None
     # read off the primitive table once: the engine and validate read them
     # for every primitive of every layer
     wires_in: int = field(init=False)
@@ -160,7 +160,7 @@ class Primitive:
     # 0.0 for the structure maps, whose matrices belong to the algebra
     deviation: float = field(init=False, default=0.0)
 
-    def __post_init__(self, gram):
+    def __post_init__(self, _gram):
         if self.kind not in PRIMITIVES:
             raise CircuitError(f"unknown primitive kind {self.kind!r}")
         object.__setattr__(self, "wires_in", PRIMITIVES[self.kind].wires_in)
@@ -172,7 +172,7 @@ class Primitive:
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise CircuitError(f"unitary {_echo(self.name)} must be square, got shape {arr.shape}")
-        dev = float(_gram_deviation(arr[None])[0]) if gram is None else gram
+        dev = float(_gram_deviation(arr[None])[0]) if _gram is None else _gram
         if not dev <= UNITARY_TOL:  # a nan deviation must not pass
             raise CircuitError(f"matrix for {_echo(self.name)} is not unitary (deviation {dev:.2e})")
         arr.setflags(write=False)
@@ -194,11 +194,10 @@ ANTIPODE = Primitive("Antipode")
 SWAP = Primitive("Swap")
 
 
-def unitary(name: str, matrix, gram: float | None = None) -> Primitive:
+def unitary(name: str, matrix) -> Primitive:
     """One-wire unitary gate on the algebra's basis; non-unitary matrices
-    are rejected at construction.  gram is the matrix's _gram_deviation
-    when the caller computed it for a stack of matrices at once."""
-    return Primitive("Unitary", name=name, matrix=np.asarray(matrix, dtype=complex), gram=gram)
+    are rejected at construction."""
+    return Primitive("Unitary", name=name, matrix=np.asarray(matrix, dtype=complex))
 
 
 def _unitaries(names: Sequence[str], matrices: Sequence[np.ndarray]) -> list[Primitive]:
@@ -208,7 +207,8 @@ def _unitaries(names: Sequence[str], matrices: Sequence[np.ndarray]) -> list[Pri
     if not matrices:
         return []
     stack = np.array(matrices, dtype=complex)
-    return [unitary(*args) for args in zip(names, stack, _gram_deviation(stack).tolist())]
+    grams = _gram_deviation(stack).tolist()
+    return [Primitive("Unitary", name, matrix, gram) for name, matrix, gram in zip(names, stack, grams)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import _echo, _read_json, check_axioms, resolve_algebra
+from .algebra import _echo, _only_keys, _read_json, check_axioms, resolve_algebra
 from .circuit import (
     AnnihilatedStateError,
     Cnot,
@@ -212,14 +212,14 @@ def _cmd_check_axioms(args) -> int:
 
 
 def _format_vector(vec: np.ndarray, d: int, wires: int) -> list[str]:
+    """eval's lines for the nonzero entries of an output vector: at least
+    one, as eval measures first, and so refuses a zero vector, unless the
+    map is unitary."""
     nz = np.flatnonzero(vec)
-    lines = [
+    return [
         f"  {label}  {_format_complex(z)}"
         for label, z in zip(_basis_labels(nz, d, wires), vec[nz].tolist())
     ]
-    if not lines:
-        lines.append("  (zero vector)")
-    return lines
 
 
 def _cmd_eval(args) -> int:
@@ -277,6 +277,7 @@ def _cmd_matrix(args) -> int:
 def _matrix_from_json(obj, where: str) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{where}: matrix must be an object with 're' (and optional 'im') rows")
+    _only_keys(obj, ("re", "im"), f"{where}: matrix")
     for rows in (obj["re"], obj.get("im")):
         if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
             if len({len(row) for row in rows}) > 1:
@@ -321,11 +322,15 @@ def _load_gates(path: str) -> list[Cnot | U1]:
             spec = item["u1"]
             if not isinstance(spec, dict) or "wire" not in spec or "matrix" not in spec:
                 raise ValueError(f"{where}: 'u1' needs 'wire' and 'matrix'")
+            _only_keys(spec, ("wire", "name", "matrix"), f"{where}: u1")
+            name = spec.get("name", "u")
+            if not isinstance(name, str):
+                raise ValueError(f"{where}: 'name' must be a string, got {_echo(name)}")
             gates.append(
                 U1(
                     wire=_wire(spec["wire"], where),
                     matrix=_matrix_from_json(spec["matrix"], where),
-                    name=str(spec.get("name", "u")),
+                    name=name,
                 )
             )
         else:

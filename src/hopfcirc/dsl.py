@@ -117,6 +117,8 @@ def _preset_matrix(preset: str, angle: float | None) -> np.ndarray:
         return np.array([[1, 0], [0, 1j]], dtype=complex)
     if preset == "T":
         return np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex)
+    if preset not in ROTATION_NAMES:
+        raise ValueError(f"unknown preset {_echo(preset)}")
     half = angle / 2.0
     if preset == "RX":
         return np.array(
@@ -127,9 +129,7 @@ def _preset_matrix(preset: str, angle: float | None) -> np.ndarray:
         return np.array(
             [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]], dtype=complex
         )
-    if preset == "RZ":
-        return np.array([[cmath.exp(-1j * half), 0], [0, cmath.exp(1j * half)]], dtype=complex)
-    raise ValueError(f"unknown preset {_echo(preset)}")
+    return np.array([[cmath.exp(-1j * half), 0], [0, cmath.exp(1j * half)]], dtype=complex)
 
 
 # --- complex literals -------------------------------------------------------
@@ -222,8 +222,6 @@ def parse_circuit(text: str) -> CircuitDocument:
         elif keyword == "algebra":
             if algebra_name is not None:
                 raise ParseError("duplicate algebra line", lineno, 1)
-            if wires_in is not None or unitaries or layers:
-                raise ParseError("algebra must be the first statement", lineno, 1)
             if not rest or len(rest.split()) != 1:
                 raise ParseError("expected a single algebra name", lineno, rest_col)
             algebra_name = rest
@@ -262,12 +260,7 @@ def parse_circuit(text: str) -> CircuitDocument:
         raise ParseError("missing algebra line", max(1, text.count("\n") + 1), 1)
     if wires_in is None:
         raise ParseError("missing 'in' line", max(1, text.count("\n") + 1), 1)
-    return CircuitDocument(
-        algebra_name=algebra_name,
-        wires_in=wires_in,
-        unitaries=tuple(unitaries),
-        layers=tuple(layers),
-    )
+    return CircuitDocument(algebra_name, wires_in, tuple(unitaries), tuple(layers))
 
 
 def _parse_unitary_def(definition: str, lineno: int, column: int) -> UnitaryDef:
@@ -401,9 +394,4 @@ def circuit_to_document(circuit: Circuit, algebra_name: str) -> CircuitDocument:
                 seen[key] = name
             tokens.append(("U", seen[key]))
         layers.append(tuple(tokens))
-    return CircuitDocument(
-        algebra_name=algebra_name,
-        wires_in=circuit.wires_in,
-        unitaries=tuple(defs),
-        layers=tuple(layers),
-    )
+    return CircuitDocument(algebra_name, circuit.wires_in, tuple(defs), tuple(layers))

@@ -212,15 +212,15 @@ def _build_plan(circuit: Circuit) -> _Plan:
     the digits its output wires carry: a copy or a drop of an input wire's
     digit, or one lookup in its table.  The next matrix step, or the end,
     closes the run, and it becomes one index step when it is the plan's
-    first step, which meets one-hot columns, or a permutation: square, and
-    no primitive of it lost digits.  Any other run, and a run of a single
-    primitive (one multiplication costs less than a fold), stays matrix
-    steps, and its digits are never evaluated.  After a matrix step, a
-    primitive that loses digits ends the run and is a matrix step itself.
-    So an index step never adds two nonzero terms: every sum is the matrix
-    steps' own, with the same rounding.  Swaps inside a run exchange digits
-    too; every Swap folds into the permutation of the next matrix step or
-    of the end.
+    first step, which meets one-hot columns, or square.  After a matrix
+    step, a primitive that loses digits ends the run and is a matrix step
+    itself, so a later square run lost no digits: it is a permutation.
+    Any other run, and a run of a single primitive (one multiplication
+    costs less than a fold), stays matrix steps, and its digits are never
+    evaluated.  So an index step never adds two nonzero terms: every sum
+    is the matrix steps' own, with the same rounding.  Swaps inside a run
+    exchange digits too; every Swap folds into the permutation of the next
+    matrix step or of the end.
     """
     profile = validate(circuit)
     algebra = circuit.algebra
@@ -238,7 +238,7 @@ def _build_plan(circuit: Circuit) -> _Plan:
     def close_run() -> None:
         nonlocal axes, run
         square = len(run.digits) == run.wires_in
-        if len(run.prims) > 1 and (run.leading or square and not run.lossy):
+        if len(run.prims) > 1 and (run.leading or square):
             steps.append(_fold_run(run, d))
             axes = None  # the Swaps after its last primitive are in the fold
         else:

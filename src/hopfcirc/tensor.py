@@ -4,7 +4,7 @@ Every array in the package is a read-only complex ndarray: the algebra's
 structure tensors and the matrix of every LinearMap.  A LinearMap takes the
 array the engine (or the brute force, or the gate product) built and keeps
 it, without a copy, as a d^wires_out x d^wires_in matrix.  All composition
-happens in the state engine of circuit.py.  LinearMap.write_json streams a
+happens in the state engine of engine.py.  LinearMap.write_json streams a
 map as the JSON document of `hopfcirc matrix --json`, one row block at a
 time, formatting each distinct nonzero value of a block once.
 

@@ -1,15 +1,14 @@
 """Shared test machinery: independent oracles and random generators.
 
 Everything here deliberately avoids the code paths under test: the
-contraction oracle uses explicit index loops, the axiom oracle sums over
-raw tensor entries, the group-algebra oracle fills the tensors from the
-table with loops, the circuit oracle fills each layer matrix entry by
-entry from the raw tensors, the gate simulator propagates matrix rows by
-index arithmetic instead of Kronecker products or layer maps, the
-measure oracle labels one basis index at a time, and the transition
-oracle lists a tensor's entries with one loop per axis.  The Kronecker
-gate product is the plain textbook formula that direct_gate_map is
-checked against.
+axiom oracle sums over raw tensor entries, the group-algebra oracle fills
+the tensors from the table with loops, the circuit oracle fills each
+layer matrix entry by entry from the raw tensors, the gate simulator
+propagates matrix rows by index arithmetic instead of Kronecker products
+or layer maps, the measure oracle labels one basis index at a time, and
+the transition oracle lists a tensor's entries with one loop per axis.
+The Kronecker gate product is the plain textbook formula that
+direct_gate_map is checked against.
 """
 
 from __future__ import annotations
@@ -39,31 +38,6 @@ from hopfcirc.dsl import _format_complex
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def loop_contract(a: np.ndarray, axes_a, b: np.ndarray, axes_b) -> np.ndarray:
-    """Contraction by explicit nested loops over every index tuple."""
-    axes_a, axes_b = list(axes_a), list(axes_b)
-    free_a = [i for i in range(a.ndim) if i not in axes_a]
-    free_b = [i for i in range(b.ndim) if i not in axes_b]
-    out_shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
-    out = np.zeros(out_shape, dtype=complex) if out_shape else np.zeros((), dtype=complex)
-    sum_ranges = [range(a.shape[i]) for i in axes_a]
-    for out_idx in itertools.product(*[range(s) for s in out_shape]):
-        ia = [0] * a.ndim
-        ib = [0] * b.ndim
-        for pos, axis in enumerate(free_a):
-            ia[axis] = out_idx[pos]
-        for pos, axis in enumerate(free_b):
-            ib[axis] = out_idx[len(free_a) + pos]
-        total = 0j
-        for summed in itertools.product(*sum_ranges):
-            for axis_a, axis_b, v in zip(axes_a, axes_b, summed):
-                ia[axis_a] = v
-                ib[axis_b] = v
-            total += a[tuple(ia)] * b[tuple(ib)]
-        out[out_idx] = total
-    return out
-
-
 def basis_label(digits, base_dim: int) -> str:
     """A basis state's label: one character per digit up to dimension 10,
     comma-separated digits above it."""
@@ -91,12 +65,11 @@ def loop_measure(state, base_dim: int) -> tuple[tuple[tuple[str, float], ...], f
 
 def loop_vector_lines(vec: np.ndarray, d: int, wires: int) -> list[str]:
     """eval's text lines for an output vector, one basis index at a time."""
-    lines = [
+    return [
         f"  {basis_label(_index_to_digits(i, d, wires), d)}  {_format_complex(complex(z))}"
         for i, z in enumerate(vec)
         if z != 0
     ]
-    return lines or ["  (zero vector)"]
 
 
 def dumped_map(m) -> str:

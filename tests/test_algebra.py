@@ -78,6 +78,18 @@ class TestDirectConstruction:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(h, field).flat[0] = 2.0
 
+    def test_labels_checked(self):
+        with pytest.raises(ValueError, match="^algebra needs at least one basis element$"):
+            HopfAlgebra((), **self.STRUCTURE)
+        with pytest.raises(ValueError, match="^basis labels must be distinct$"):
+            HopfAlgebra(("f0", "f0"), **self.STRUCTURE)
+
+    def test_equality_hash_and_repr(self):
+        assert z2_algebra() == z2_algebra() and hash(z2_algebra()) == hash(z2_algebra())
+        assert z2_algebra() != builtin_algebra("Z3")
+        assert z2_algebra().__eq__("Z2") is NotImplemented and z2_algebra() != "Z2"
+        assert repr(z2_algebra()) == "HopfAlgebra(dim=2, labels=['f0', 'f1'])"
+
     def test_caller_arrays_are_copied(self):
         mul = z2_algebra().mul.copy()
         h = HopfAlgebra(("f0", "f1"), mul, **{k: v for k, v in self.STRUCTURE.items() if k != "mul"})
@@ -467,6 +479,10 @@ class TestResolution:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown algebra"):
             resolve_algebra("Q8")
+        with pytest.raises(ValueError, match=r"^unknown built-in algebra 'Q8' \(expected one of Z2, Z3, Z4, Z5, S3\)$"):
+            builtin_algebra("Q8")
+        with pytest.raises(ValueError, match="^cyclic group order must be positive$"):
+            cyclic_group_table(0)
 
     def test_load_group_table_file(self, tmp_path):
         path = tmp_path / "z2.json"

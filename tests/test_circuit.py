@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -23,6 +24,9 @@ from hopfcirc.circuit import (
     Circuit,
     CircuitError,
     Cnot,
+    OutcomeDistribution,
+    Primitive,
+    U1,
     basis_state,
     build_cnot,
     compile_gate_circuit,
@@ -146,6 +150,10 @@ class TestValidate:
         layers = ((COMUL, ID), (ID, MUL))
         c = Circuit(Z2, wires_in=2, layers=layers)
         assert all(mine is given for mine, given in zip(c.layers, layers, strict=True))
+
+    def test_negative_wires_in_refused(self):
+        with pytest.raises(CircuitError, match="^wires_in must be nonnegative$"):
+            Circuit(Z2, wires_in=-1)
 
 
 def one_layer_map(algebra, layer):
@@ -722,6 +730,16 @@ class TestBruteForce:
     def test_map_of_cnot_is_its_table(self):
         assert np.array_equal(evaluate_bruteforce_map(build_cnot(Z2)).matrix, CNOT_TABLE)
 
+    def test_assignment_without_branch_is_dropped(self):
+        # a counit of [1, 0] has no branch on digit 1: |a, b> -> [a = 0] |b>,
+        # so the assignments with a = 1 end at the counit, before the Id
+        algebra = HopfAlgebra(("b0", "b1"), Z2.mul, Z2.comul, Z2.unit, [1.0, 0.0], Z2.antipode)
+        c = Circuit(algebra, wires_in=2, layers=((COUNIT, ID),))
+        want = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex)
+        assert np.array_equal(evaluate_bruteforce_map(c).matrix, want)
+        assert np.array_equal(evaluate(c).matrix, want)
+        assert not evaluate_bruteforce(c, 2).any()
+
     def test_cnot_flips_target_of_input_two(self):
         col = evaluate_bruteforce(build_cnot(Z2), 2)
         assert np.array_equal(col, basis_state(2, [1, 1]))
@@ -839,6 +857,23 @@ class TestBruteForce:
             assert np.array_equal(column, dense.matrix[:, idx])
 
 
+class TestGateListErrors:
+    def test_compile_refuses_a_non_gate(self):
+        with pytest.raises(CircuitError, match=r"^gate 1: expected Cnot or U1, got str$"):
+            compile_gate_circuit(Z2, 2, [Cnot(0, 1), "h"])
+
+    @pytest.mark.parametrize("wire", [-1, 2])
+    def test_direct_gate_map_refuses_a_wire_out_of_range(self, wire):
+        with pytest.raises(CircuitError, match=rf"^gate 0: wire {wire} out of range for 2 wires$"):
+            direct_gate_map(Z2, 2, [U1(wire, HADAMARD)])
+
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 2), (-1, 1)])
+    def test_direct_gate_map_refuses_a_bad_wire_pair(self, pair):
+        c, t = pair
+        with pytest.raises(CircuitError, match=rf"^gate 1: bad wire pair \({c},{t}\) for 2 wires$"):
+            direct_gate_map(Z2, 2, [Cnot(0, 1), Cnot(c, t)])
+
+
 class TestBuildCnot:
     def test_z2_matrix_entries(self):
         m = evaluate(build_cnot(Z2))
@@ -915,6 +950,23 @@ class TestApplyMeasure:
         out = evaluate(c).matrix @ basis_state(2, [1])
         with pytest.raises(AnnihilatedStateError, match="annihilated"):
             measure(out, 2)
+
+    def test_measure_labels_above_dimension_ten(self):
+        # one comma-separated digit per wire
+        assert measure(basis_state(11, [3, 10]), 11).entries == (("3,10", 1.0),)
+
+    def test_measure_refuses_an_overflowing_norm(self):
+        # each amplitude is finite, but their squares are not; the CLI
+        # ignores numpy's overflow warnings, as here
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match=r"^output amplitudes overflow: their squared norm is inf$"):
+            measure(np.array([1e200, 1e200]), 2)
+
+    def test_distribution_checks_its_probabilities(self):
+        with pytest.raises(ValueError, match=r"^probabilities sum to 0.5, not 1$"):
+            OutcomeDistribution(entries=(("0", 0.5),), norm_in=1.0)
+        with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+            OutcomeDistribution(entries=(("0", 1.5), ("1", -0.5)), norm_in=1.0)
 
     def test_measure_bad_length(self):
         for length, base_dim in ((3, 2), (2, 1), (1, 0), (1, -2), (4, -2)):
@@ -1179,6 +1231,28 @@ class TestPrimitives:
     def test_unitary_factory_rejects_nonunitary(self):
         with pytest.raises(CircuitError, match="not unitary"):
             unitary("bad", [[1, 0], [0, 2]])
+
+    def test_unitary_factory_takes_no_gram(self):
+        # every matrix's Gram deviation is computed, never taken on trust:
+        # 2 I is refused, and the circuit of it never reaches the certificate
+        assert list(inspect.signature(unitary).parameters) == ["name", "matrix"]
+        with pytest.raises(TypeError):
+            unitary("u", 2 * np.eye(2), gram=0.0)
+        with pytest.raises(CircuitError, match=r"^matrix for 'u' is not unitary \(deviation 3.00e\+00\)$"):
+            unitary("u", 2 * np.eye(2))
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(CircuitError, match="^unknown primitive kind 'Cnot'$"):
+            Primitive("Cnot")
+
+    @pytest.mark.parametrize("kind,matrix", [("Id", np.eye(2)), ("Unitary", None)])
+    def test_only_unitary_carries_a_matrix(self, kind, matrix):
+        with pytest.raises(CircuitError, match="^exactly the Unitary primitive carries a matrix$"):
+            Primitive(kind, matrix=matrix)
+
+    def test_repr(self):
+        assert repr(unitary("h", HADAMARD)) == "Primitive(Unitary 'h')"
+        assert repr(MUL) == "Primitive(Mul)"
 
     @pytest.mark.parametrize("entry", [1e308, np.nan, np.inf])
     def test_unitary_factory_rejects_overflow_and_nan_quietly(self, entry):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft7Validator
+from jsonschema import Draft7Validator, ValidationError
 
 import hopfcirc.algebra
 import hopfcirc.circuit
@@ -392,6 +392,11 @@ class TestEval:
         assert code == 2
         code, _, err = run(capsys, ["eval", CNOT_FILE, "--input", "xy"])
         assert code == 2
+        code, _, err = run(capsys, ["eval", CNOT_FILE, "--input", "20"])
+        assert code == 2 and err == "error: validate: input digit 2 out of range for dimension 2\n"
+        # comma-separated digits, as needed above dimension 10, read the same
+        plain, commas = (run(capsys, ["eval", CNOT_FILE, "--input", text, "--json"])[1] for text in ("10", "1,0"))
+        assert commas == plain.replace('"input":"10"', '"input":"1,0"')
 
     def test_algebra_from_table_file_inside_circuit(self, capsys, tmp_path):
         table = tmp_path / "z6.json"
@@ -557,8 +562,11 @@ class TestCompile:
             {"re": [["1", "0"], ["0", "1"]]},
             {"re": [[1, 0], [0, 1]], "im": [["0", 0], [0, "0"]]},
             {"re": [[True, False], [False, True]]},
+            {"re": [[1, 0], "01"]},  # a row that is no list: numpy reads the entries
+            {"re": [[1, 0], [0, 1]], "im": [[0, 0], None]},
         ],
-        ids=["object-re", "object-im", "string-re", "list-re", "numeric-string-re", "numeric-string-im", "bool-re"],
+        ids=["object-re", "object-im", "string-re", "list-re", "numeric-string-re", "numeric-string-im", "bool-re",
+             "string-row-re", "null-row-im"],
     )
     def test_non_numeric_matrix_entry_exits_2(self, capsys, tmp_path, matrix):
         path = tmp_path / "bad.json"
@@ -573,8 +581,10 @@ class TestCompile:
             ({"re": [[1, 0], [0]]}, "matrix rows must have equal lengths"),
             ({"re": [[1, 0], [0, 1]], "im": [[0], [0, 0]]}, "matrix rows must have equal lengths"),
             ({"re": [[10**400, 0], [0, 1]]}, "matrix entries must fit in a float"),
+            ({"re": [[1, 0], [0, 1]], "im": [[0, 0]]}, "'re' and 'im' must be equal-shaped 2-d arrays"),
+            ({"re": [1, 0]}, "'re' and 'im' must be equal-shaped 2-d arrays"),
         ],
-        ids=["ragged-re", "ragged-im", "huge-integer"],
+        ids=["ragged-re", "ragged-im", "huge-integer", "unequal-shapes", "one-dimensional"],
     )
     def test_malformed_matrix_exits_2_with_its_location(self, capsys, tmp_path, matrix, detail):
         path = tmp_path / "bad.json"
@@ -622,6 +632,40 @@ class TestCompile:
         path.write_text('[{"u1": {"wire": 0}}]')
         code, _, err = run(capsys, ["compile", "--wires", "1", "--gates", str(path)])
         assert code == 2 and "error: validate:" in err
+        for text, detail in (
+            ('{"cnot": [0, 1]}', "gate list must be a JSON array"),
+            ("[5]", "gate 0: expected an object with exactly one of 'cnot' or 'u1'"),
+            ('[{"cnot": [0]}]', "gate 0: 'cnot' must be [control, target]"),
+        ):
+            path.write_text(text)
+            code, out, err = run(capsys, ["compile", "--wires", "1", "--gates", str(path)])
+            assert (code, out, err) == (2, "", f"error: validate: {path}: {detail}\n")
+
+    @pytest.mark.parametrize(
+        "u1,detail",
+        [
+            ({"wire": 0, "matrix": 5},
+             "matrix must be an object with 're' (and optional 'im') rows"),
+            ({"wire": 0, "extra": True, "matrix": {"re": [[0, 1], [1, 0]]}},
+             "u1: unexpected key(s) 'extra'; only 'wire', 'name' and 'matrix' are allowed"),
+            ({"wire": 0, "matrix": {"re": [[0, 1], [1, 0]], "junk": 1, "Im": 0}},
+             "matrix: unexpected key(s) 'Im', 'junk'; only 're' and 'im' are allowed"),
+            ({"wire": 0, "name": 5, "matrix": {"re": [[0, 1], [1, 0]]}},
+             "'name' must be a string, got 5"),
+        ],
+        ids=["matrix-not-object", "u1-extra-key", "matrix-extra-keys", "name-not-string"],
+    )
+    def test_gate_refused_as_the_schema_refuses_it(self, capsys, tmp_path, u1, detail):
+        # schemas/gate_list.schema.json: no key beyond those listed, and a
+        # string name
+        doc = [{"cnot": [0, 1]}, {"u1": u1}]
+        with pytest.raises(ValidationError):
+            check_schema(doc, "gate_list")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["compile", "--wires", "2", "--gates", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: validate: {path}: gate 1: {detail}\n"
 
 
 class TestSample:
@@ -747,6 +791,27 @@ class TestLimits:
                 capsys, ["sample", str(path), "--input", "1" * 13, "--shots", "5", "--seed", "1", "--json"]
             )
             assert code == 0 and json.loads(out)["counts"] == {want: 5}
+
+    @pytest.mark.parametrize(
+        "argv,detail",
+        [
+            (["eval", "--input", "0"], "map entries must be finite"),
+            (["sample", "--input", "0", "--shots", "10", "--seed", "1"],
+             "output amplitudes overflow: their squared norm is nan"),
+            (["matrix"], "map entries must be finite"),
+            (["oracle-check"], "map entries must be finite"),
+        ],
+        ids=["eval", "sample", "matrix", "oracle-check"],
+    )
+    def test_overflowing_amplitudes_refused(self, capsys, tmp_path, argv, detail):
+        # H, copy, multiply: each round scales the amplitude of 0 by sqrt(2),
+        # so 2200 rounds overflow; eval cannot certify the copy-then-square,
+        # so it builds the map, which the entry check refuses
+        path = tmp_path / "grow.hopf"
+        path.write_text("algebra Z2\nin 1\nunitary h H\n" + "layer U(h)\nlayer DELTA\nlayer M\n" * 2200)
+        code, out, err = run(capsys, [argv[0], str(path)] + argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: validate: {detail}\n"
 
     def test_wide_compiled_eval_is_certified(self, capsys, tmp_path):
         # 16 wires: the map would hold 2^32 entries, eval pushes one state

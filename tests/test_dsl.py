@@ -153,6 +153,21 @@ class TestParse:
             parse_circuit("in 2\nalgebra Z2\n")
         with pytest.raises(ParseError, match="duplicate algebra"):
             parse_circuit("algebra Z2\nalgebra Z3\nin 1\n")
+        with pytest.raises(ParseError, match="^line 3, column 1: duplicate 'in' line$"):
+            parse_circuit("algebra Z2\nin 1\nin 1\n")
+        with pytest.raises(ParseError, match="^line 1, column 9: expected a single algebra name$"):
+            parse_circuit("algebra Z2 Z3\nin 1\n")
+
+    @pytest.mark.parametrize(
+        "first,message",
+        [("in 1", "'in' must follow the algebra line"),
+         ("unitary a H", "unitary definitions must follow the header"),
+         ("layer ID", "layers must follow the header")],
+    )
+    def test_nothing_before_the_algebra_line(self, first, message):
+        # each statement needs the one before it, so none can come first
+        with pytest.raises(ParseError, match=f"^line 1, column 1: {message}$"):
+            parse_circuit(f"{first}\nalgebra Z2\nin 1\n")
 
     def test_bad_wire_count(self):
         with pytest.raises(ParseError, match="integer wire count"):
@@ -172,10 +187,19 @@ class TestParse:
             parse_circuit("algebra Z2\nin 1\nunitary r RX(q)\nlayer U(r)")
         with pytest.raises(ParseError, match="takes no angle"):
             parse_circuit("algebra Z2\nin 1\nunitary h H(0.2)\nlayer U(h)")
+        with pytest.raises(ParseError, match="angle must be finite"):
+            parse_circuit("algebra Z2\nin 1\nunitary r RX(inf)\nlayer U(r)")
 
     def test_unknown_preset(self):
         with pytest.raises(ParseError, match="unknown preset 'CNOT'"):
             parse_circuit("algebra Z2\nin 1\nunitary g CNOT\nlayer U(g)")
+        with pytest.raises(ValueError, match="^unknown preset 'Q'$"):
+            UnitaryDef(preset="Q").matrix()
+
+    def test_unitary_line_needs_a_definition(self):
+        with pytest.raises(ParseError, match=r"expected: unitary NAME \(PRESET \| \[matrix\]\)") as err:
+            parse_circuit("algebra Z2\nin 1\nunitary h\nlayer U(h)")
+        assert (err.value.line, err.value.column) == (3, 9)
 
     def test_matrix_literals(self):
         src = "algebra Z2\nin 1\nunitary p [0.0+1.0i, 0.0+0.0i; 0.0+0.0i, 0.0-1.0i]\nlayer U(p)\n"
@@ -185,6 +209,11 @@ class TestParse:
             parse_circuit("algebra Z2\nin 1\nunitary p [1, 0; 0]\nlayer U(p)")
         with pytest.raises(ParseError, match="complex literal"):
             parse_circuit("algebra Z2\nin 1\nunitary p [1, zz; 0, 1]\nlayer U(p)")
+        assert parse_circuit("algebra Z2\nin 1\nunitary y [0, -1i; 1i, 0]\n").unitaries[0][1].rows == ((0, -1j), (1j, 0))
+        with pytest.raises(ParseError, match=r"matrix literal must be enclosed in \[ \]"):
+            parse_circuit("algebra Z2\nin 1\nunitary p [1, 0; 0, 1\nlayer U(p)")
+        with pytest.raises(ParseError, match="matrix entries must be finite"):
+            parse_circuit("algebra Z2\nin 1\nunitary p [1e999, 0; 0, 1]\nlayer U(p)")
 
     def test_empty_layer_line(self):
         with pytest.raises(ParseError, match="empty layer"):

@@ -9,10 +9,14 @@ identities hold between different circuits, for any group algebra:
   (g, h) -> (g, gh), exactly;
 * for Z_d, conjugating the CNOT by the Fourier transform on both wires
   gives R: |x, y> -> |x - y, y>, itself a circuit of SWAP, COMUL, ANTIPODE
-  and MUL.
+  and MUL;
+* renaming a group's elements changes nothing but the names: a circuit
+  over the renamed table has the map of the circuit over the original one
+  conjugated by the renaming on every wire, and the axiom report is the
+  same.
 
 The group tables of the relabelled algebras are built here from
-permutations, not from hopfcirc's own table helpers.
+permutations and 2x2 matrices, not from hopfcirc's own table helpers.
 """
 
 import itertools
@@ -20,9 +24,11 @@ import itertools
 import numpy as np
 import pytest
 
-from hopfcirc.algebra import builtin_algebra, group_algebra
+from hopfcirc.algebra import builtin_algebra, check_axioms, group_algebra
 from hopfcirc.circuit import ANTIPODE, COMUL, ID, MUL, SWAP, Circuit, build_cnot, evaluate_bruteforce_map, unitary
 from hopfcirc.engine import evaluate
+
+from helpers import random_circuit
 
 #: the axiom and oracle tolerance
 TOL = 1e-12
@@ -40,14 +46,36 @@ def permutation_group(generators: list[tuple[int, ...]]) -> list[list[int]]:
     return [[elements.index(tuple(p[q[x]] for x in range(len(q)))) for q in elements] for p in elements]
 
 
-def relabelled(table: list[list[int]], rng: np.random.Generator) -> list[list[int]]:
-    """The same group with element i renamed perm[i], perm random."""
+def renamed(table: list[list[int]], perm: list[int]) -> list[list[int]]:
+    """The same group with element i renamed perm[i]."""
     d = len(table)
-    perm = rng.permutation(d).tolist()
     out = [[0] * d for _ in range(d)]
     for i, j in itertools.product(range(d), repeat=2):
         out[perm[i]][perm[j]] = perm[table[i][j]]
     return out
+
+
+def relabelled(table: list[list[int]], rng: np.random.Generator) -> list[list[int]]:
+    """The same group with element i renamed perm[i], perm random."""
+    return renamed(table, rng.permutation(len(table)).tolist())
+
+
+def matrix_group(generators: list[tuple[complex, ...]]) -> list[list[int]]:
+    """The group table of the 2x2 matrices (a, b, c, d) = [[a, b], [c, d]]
+    the generators generate under the matrix product, elements in order of
+    discovery.  Entries of 0, +-1 and +-1j multiply exactly."""
+
+    def product(p, q):
+        return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+                p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
+
+    elements = [(1, 0, 0, 1)]
+    for p in elements:  # the list grows while it is walked
+        for g in generators:
+            q = product(p, g)
+            if q not in elements:
+                elements.append(q)
+    return [[elements.index(product(p, q)) for q in elements] for p in elements]
 
 
 def _algebras() -> list:
@@ -114,3 +142,68 @@ def test_fourier_conjugate_of_cnot_is_reversed_cnot_for_qubits():
     z2 = builtin_algebra("Z2")
     reversed_cnot = Circuit(z2, 2, ((SWAP,),) + build_cnot(z2).layers + ((SWAP,),))
     assert np.array_equal(evaluate(Circuit(z2, 2, SUBTRACT)).matrix, evaluate(reversed_cnot).matrix)
+
+
+def _tables() -> list:
+    """Z2-Z5 and S3 as built in, and D4 and Q8 relabelled at random."""
+    rng = np.random.default_rng(8)
+    d4 = permutation_group([(1, 2, 3, 0), (3, 2, 1, 0)])
+    q8 = matrix_group([(1j, 0, 0, -1j), (0, 1, -1, 0)])  # i and j
+    assert (len(d4), len(q8)) == (8, 8)
+    assert any(q8[a][b] != q8[b][a] for a in range(8) for b in range(8))
+    builtin = [
+        # the table of a group algebra is its mul tensor's output index
+        pytest.param(np.argmax(builtin_algebra(name).mul, axis=2).tolist(), id=name)
+        for name in ("Z2", "Z3", "Z4", "Z5", "S3")
+    ]
+    return builtin + [pytest.param(relabelled(t, rng), id=f"{name}-relabelled") for name, t in (("D4", d4), ("Q8", q8))]
+
+
+def _wire_renaming(perm: list[int], wires: int) -> np.ndarray:
+    """index[i]: the basis index over the renamed group of basis index i,
+    each digit g renamed perm[g]."""
+    d = len(perm)
+    digits = np.indices((d,) * wires).reshape(wires, d**wires)
+    index = np.zeros(d**wires, dtype=int)
+    for k in range(wires):  # wire 0 is the most significant digit
+        index = index * d + np.asarray(perm)[digits[k]]
+    return index
+
+
+def _monomial(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A random permutation matrix with phases 1, -1, 1j, -1j: every entry
+    of a map built from these and the 0/1 structure maps is a Gaussian
+    integer, so any order of summation gives it exactly."""
+    u = np.zeros((d, d), dtype=complex)
+    u[rng.permutation(d), np.arange(d)] = rng.choice([1, -1, 1j, -1j], size=d)
+    return u
+
+
+@pytest.mark.parametrize("table", _tables())
+def test_relabelling_conjugates_every_map(table):
+    d = len(table)
+    rng = np.random.default_rng(d)
+    labels = [f"g{i}" for i in range(d)]
+    original = group_algebra(labels, table)
+    for _ in range(12):
+        perm = rng.permutation(d).tolist()
+        inverse = np.argsort(perm)  # element perm[i] of the renamed group is element i
+        relabelled_algebra = group_algebra([labels[i] for i in inverse], renamed(table, perm))
+        assert check_axioms(relabelled_algebra, 1e-12) == check_axioms(original, 1e-12)
+        for _ in range(4):
+            circuit = random_circuit(rng, original, max_wires=3, max_layers=6)
+            layers = tuple(
+                tuple(unitary(p.name, _monomial(rng, d)) if p.kind == "Unitary" else p for p in layer)
+                for layer in circuit.layers
+            )
+            # the unitary over the renamed basis sends perm[j] where u sends j
+            renamed_layers = tuple(
+                tuple(unitary(p.name, p.matrix[np.ix_(inverse, inverse)]) if p.kind == "Unitary" else p
+                      for p in layer)
+                for layer in layers
+            )
+            m = evaluate(Circuit(original, circuit.wires_in, layers))
+            got = evaluate(Circuit(relabelled_algebra, circuit.wires_in, renamed_layers)).matrix
+            want = np.zeros_like(got)
+            want[np.ix_(_wire_renaming(perm, m.wires_out), _wire_renaming(perm, m.wires_in))] = m.matrix
+            assert np.array_equal(got, want)

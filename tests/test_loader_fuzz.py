@@ -7,6 +7,11 @@ componentwise products), not from hopfcirc's own table helpers.
 
 Gate lists: any JSON document given to compile either compiles or is
 refused with one error line.
+
+Both loaders against their schemas: a group table that
+schemas/group_table.schema.json rejects is refused with exit 2 and one
+error line, and a gate list compiles only when
+schemas/gate_list.schema.json accepts it.
 """
 
 import contextlib
@@ -19,12 +24,20 @@ from unittest import mock
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft7Validator
 
 import hopfcirc.algebra
 from hopfcirc.algebra import check_axioms, load_group_table
 from hopfcirc.cli import cli_run
 
-from helpers import loop_axiom_deviations
+from helpers import REPO_ROOT, loop_axiom_deviations
+
+
+def _schema(name: str) -> Draft7Validator:
+    return Draft7Validator(json.loads((REPO_ROOT / "schemas" / f"{name}.schema.json").read_text()))
+
+
+TABLE_SCHEMA, GATE_LIST_SCHEMA = _schema("group_table"), _schema("gate_list")
 
 #: largest order compared with the loop oracle, whose bialgebra sum runs
 #: over d^8 index tuples: about 0.4 s at order 5, 1.6 s at 6 and 15 s at 8
@@ -163,13 +176,12 @@ _JSON = st.recursive(
 _H = 2**-0.5
 _ENTRY = st.sampled_from([0, 1, -1, 0.5, _H, -_H, 1e308]) | _JSON
 _MATRIX = st.lists(st.lists(_ENTRY, min_size=1, max_size=3), min_size=1, max_size=3) | _JSON
+_UNITARIES = [{"re": [[0, 1], [1, 0]]}, {"re": [[_H, _H], [_H, -_H]]}, {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 1]]}]
 #: well-formed gates on 3 wires, so that some documents compile
 _VALID_GATE = st.fixed_dictionaries(
     {"cnot": st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True)}
 ) | st.fixed_dictionaries(
-    {"u1": st.fixed_dictionaries({"wire": st.integers(0, 2), "matrix": st.sampled_from([
-        {"re": [[0, 1], [1, 0]]}, {"re": [[_H, _H], [_H, -_H]]}, {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 1]]},
-    ])})}
+    {"u1": st.fixed_dictionaries({"wire": st.integers(0, 2), "matrix": st.sampled_from(_UNITARIES)})}
 )
 _GATE = (
     _VALID_GATE
@@ -184,8 +196,22 @@ _GATE = (
 )
 
 
+@st.composite
+def near_valid_u1(draw) -> dict:
+    """A u1 gate that would compile, but for an unknown key in it or in its
+    matrix, or a name of any JSON type, each drawn or not."""
+    spec = {"wire": draw(st.integers(0, 2)), "matrix": dict(draw(st.sampled_from(_UNITARIES)))}
+    if draw(st.booleans()):
+        spec[draw(st.sampled_from(["extra", "Wire", "cnot"]))] = draw(_JSON)
+    if draw(st.booleans()):
+        spec["matrix"][draw(st.sampled_from(["junk", "Re", "wire"]))] = draw(_JSON)
+    if draw(st.booleans()):
+        spec["name"] = draw(st.text(max_size=3) | _JSON)
+    return {"u1": spec}
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_GATE, max_size=4) | _JSON)
+@given(st.lists(_VALID_GATE | near_valid_u1(), min_size=1, max_size=3) | st.lists(_GATE, max_size=4) | _JSON)
 def test_gate_list_fuzz(tmp_path_factory, doc):
     path = _write(tmp_path_factory.mktemp("g"), doc)
     stdout, stderr = io.StringIO(), io.StringIO()  # hypothesis rules out capsys
@@ -195,7 +221,42 @@ def test_gate_list_fuzz(tmp_path_factory, doc):
     assert time.perf_counter() - start < 5.0
     event(f"exit {code}")
     if code == 0:
+        # what compiles, the schema accepts: the loader is no laxer than it
+        assert GATE_LIST_SCHEMA.is_valid(json.loads(json.dumps(doc)))
         assert stderr.getvalue() == "" and stdout.getvalue().startswith("algebra Z2\n")
     else:
         assert code == 2 and stdout.getvalue() == ""
         assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+
+
+
+@st.composite
+def table_documents(draw) -> object:
+    """Group tables as loaded, corrupted, or as arbitrary JSON with the
+    document's keys and one unknown key among its object keys."""
+    table = draw(group_tables(max_order=6))
+    kind = draw(st.sampled_from(["valid", "corrupted", "arbitrary"]))
+    if kind == "valid":
+        return {"labels": [f"e{i}" for i in range(len(table))], "table": table}
+    if kind == "corrupted":
+        return draw(corrupted(table))
+    rows = st.lists(st.lists(st.integers(-1, 6) | _JSON, max_size=4), max_size=4)
+    return draw(st.fixed_dictionaries({}, optional={
+        "labels": st.lists(st.text(max_size=2), max_size=4) | _JSON,
+        "table": st.just(table) | rows | _JSON,
+        "extra": _JSON,
+    }) | _JSON)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_documents())
+def test_table_schema_rejection_exits_2(tmp_path_factory, doc):
+    path = _write(tmp_path_factory.mktemp("t"), doc)
+    stdout, stderr = io.StringIO(), io.StringIO()  # hypothesis rules out capsys
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_run(["check-axioms", "--algebra", path, "--json"])
+    valid = TABLE_SCHEMA.is_valid(json.loads(json.dumps(doc)))
+    event(f"schema {'accepts' if valid else 'rejects'}")
+    if not valid:
+        assert code == 2 and stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("error: validate: ") and stderr.getvalue().count("\n") == 1

@@ -131,6 +131,15 @@ class TestAsLinearMap:
 
 
 class TestLinearMap:
+    def test_dimension_and_wire_counts_checked(self):
+        with pytest.raises(ValueError, match="^base dimension must be positive, got 0$"):
+            LinearMap(0, 0, 0, np.ones((1, 1)))
+        with pytest.raises(ValueError, match="^wire counts must be nonnegative$"):
+            LinearMap(2, -1, 0, np.ones((1, 1)))
+
+    def test_repr(self):
+        assert repr(LinearMap(2, 1, 0, np.ones((1, 2)))) == "LinearMap(d=2, 1->0)"
+
     def test_extent_validation(self):
         for shape in ((2, 3), (2, 0), (4,), (2, 2, 1)):
             with pytest.raises(ValueError, match="extents"):
