@@ -50,10 +50,6 @@ __all__ = [
     "BUILTIN_ALGEBRAS",
 ]
 
-#: named algebras the CLI resolves without a table file
-BUILTIN_ALGEBRAS = ("Z2", "Z3", "Z4", "Z5", "S3")
-
-
 class GroupTableError(ValueError):
     """A multiplication table failed one of the group laws."""
 
@@ -358,15 +354,20 @@ def symmetric_group_3_table() -> tuple[list[str], list[list[int]]]:
     return labels, table
 
 
+#: the algebras the CLI resolves without a table file: name -> builder
+_BUILTINS = {
+    "Z2": z2_algebra,
+    **{f"Z{n}": lambda n=n: group_algebra(*cyclic_group_table(n)) for n in (3, 4, 5)},
+    "S3": lambda: group_algebra(*symmetric_group_3_table()),
+}
+BUILTIN_ALGEBRAS = tuple(_BUILTINS)
+
+
 def builtin_algebra(name: str) -> HopfAlgebra:
-    key = name.upper()
-    if key == "Z2":
-        return z2_algebra()
-    if key in ("Z3", "Z4", "Z5"):
-        return group_algebra(*cyclic_group_table(int(key[1])))
-    if key == "S3":
-        return group_algebra(*symmetric_group_3_table())
-    raise ValueError(f"unknown built-in algebra {_echo(name)} (expected one of {', '.join(BUILTIN_ALGEBRAS)})")
+    build = _BUILTINS.get(name.upper())
+    if build is None:
+        raise ValueError(f"unknown built-in algebra {_echo(name)} (expected one of {', '.join(BUILTIN_ALGEBRAS)})")
+    return build()
 
 
 def _read_json(path: str | Path):
@@ -388,8 +389,15 @@ def _only_keys(doc: dict, allowed: tuple[str, ...], where: str, error: type = Va
                     f"only {', '.join(names[:-1])} and {names[-1]} are allowed")
 
 
+def _json_int(value):
+    """value as an int when it is an integral float, as JSON Schema's
+    integer reads 1.0; any other value as it is, for the caller to check."""
+    return int(value) if type(value) is float and value.is_integer() else value
+
+
 def load_group_table(path: str | Path) -> HopfAlgebra:
-    """Load a group algebra from a JSON file {"labels": [...], "table": [[...]]}."""
+    """Load a group algebra from a JSON file {"labels": [...], "table": [[...]]}.
+    An integral float in the table is read as the integer it equals."""
     doc = _read_json(path)
     if not isinstance(doc, dict) or "labels" not in doc or "table" not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'labels' and 'table'")
@@ -400,7 +408,7 @@ def load_group_table(path: str | Path) -> HopfAlgebra:
     table = doc["table"]
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise GroupTableError(f"{path}: 'table' must be a list of rows, each a list")
-    return group_algebra(labels, table)
+    return group_algebra(labels, [[_json_int(v) for v in row] for row in table])
 
 
 def resolve_algebra(name: str) -> HopfAlgebra:

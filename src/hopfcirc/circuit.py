@@ -3,26 +3,22 @@ reading out results.
 
 A circuit is a list of layers applied bottom-up (first layer touches the
 inputs).  Each layer is a left-to-right list of primitives whose input
-arities must add up to the wire count entering the layer; the wire count
-leaving is the sum of output arities.  Because Mul, Comul, Unit and Counit
-change the wire count, circuits need not be square maps: evaluation yields
-a LinearMap from d^wires_in to d^wires_out and the output can be fed to a
-Born-rule measurement even when the map is not unitary.
+arities must add up to the wire count entering the layer, or the Circuit
+is refused when it is built; the wire count leaving is the sum of output
+arities.  Because Mul, Comul, Unit and Counit change the wire count,
+circuits need not be square maps: evaluation yields a LinearMap from
+d^wires_in to d^wires_out and the output can be fed to a Born-rule
+measurement even when the map is not unitary.
 
 This module holds the primitives, Circuit, validate and the size limits,
 the two references the engine (engine.py) is checked against, the
 compilation of gate lists, measure and the basis bookkeeping.  It never
 imports the engine, so neither reference can share a code path with it.
 
-evaluate_bruteforce_map propagates a batch of basis inputs through an
-explicit sum over all intermediate basis assignments, reading
-structure-tensor entries directly: each assignment carries one amplitude
-per input, and each branch weight scales that vector elementwise, so no
-reshape, matrix multiplication or Kronecker product is involved; a run of
-adjacent Ids in a layer copies its digits, with no table and no weight,
-and a layer of only Ids and Swaps re-keys the assignments by a fixed
-digit order and keeps their vectors.  evaluate_bruteforce is the same
-sum on a batch of one input.
+evaluate_bruteforce_map sums over all intermediate basis assignments for a
+batch of basis inputs, reading structure-tensor entries directly, with no
+reshape, matrix multiplication or Kronecker product (see
+_bruteforce_columns); evaluate_bruteforce is the same sum on one input.
 
 direct_gate_map is the reference for gate lists: the plain product of the
 gates, each one-wire gate multiplied into the rows along its own wire and
@@ -213,9 +209,15 @@ def _unitaries(names: Sequence[str], matrices: Sequence[np.ndarray]) -> list[Pri
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
+    """Layers of primitives over an algebra, validated on construction: a
+    Circuit that exists threads its wire counts through every layer, so
+    nothing that takes one checks it again."""
+
     algebra: HopfAlgebra
     wires_in: int
     layers: tuple[tuple[Primitive, ...], ...] = field(default=())
+    # validate's profile: the wire count at every layer boundary
+    profile: tuple[int, ...] = field(init=False)
     # the engine's plan (engine._Plan), built on first use; the circuit is
     # immutable, so the plan never goes stale
     _cached_plan: object = field(default=None, init=False, repr=False)
@@ -225,6 +227,7 @@ class Circuit:
         object.__setattr__(self, "layers", tuple(map(tuple, self.layers)))
         if self.wires_in < 0:
             raise CircuitError("wires_in must be nonnegative")
+        object.__setattr__(self, "profile", tuple(validate(self)))
 
 
 @functools.cache
@@ -268,7 +271,8 @@ def validate(circuit: Circuit) -> list[int]:
     """Thread wire counts through the layers; the profile has one entry per
     layer boundary, starting at wires_in.  Each distinct layer is checked
     once; a repeat is checked again only when it meets another wire count
-    than its first, and so fails as a first sight would."""
+    than its first, and so fails as a first sight would.  Circuit's
+    constructor calls it and keeps the profile as circuit.profile."""
     d = circuit.algebra.dim
     profile = [circuit.wires_in]
     wires = circuit.wires_in
@@ -322,10 +326,10 @@ def _transitions(algebra: HopfAlgebra, prim: Primitive):
     return [(tuple(idx[:n]), tuple(idx[n:]), complex(arr[tuple(idx)])) for idx in np.argwhere(arr).tolist()]
 
 
-def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int]) -> np.ndarray:
+def _bruteforce_columns(circuit: Circuit, inputs: Sequence[int]) -> np.ndarray:
     """Output columns of the basis inputs listed, as a (d^wires_out,
     len(inputs)) array, by explicit summation over all intermediate basis
-    assignments.  The circuit must be validated.
+    assignments.
 
     Every assignment holds a vector of amplitudes, one per input.  A layer's
     transition tables are built once, each (assignment, primitive) branch is
@@ -394,45 +398,29 @@ def _bruteforce_columns(circuit: Circuit, wires_out: int, inputs: Sequence[int])
                     total += value
         amplitudes = next_amplitudes
 
-    columns = np.zeros((d**wires_out, len(inputs)), dtype=complex)
+    columns = np.zeros((d ** circuit.profile[-1], len(inputs)), dtype=complex)
     for digits, amp in amplitudes.items():
         columns[_digits_to_index(digits, d)] += amp
     return columns
 
 
 def evaluate_bruteforce(circuit: Circuit, input_basis_index: int) -> np.ndarray:
-    """Propagate one basis input by explicit summation over all intermediate
-    basis assignments; returns the output column as a complex vector.
-
-    The summation propagates a batch of basis inputs at once, one
-    amplitude per input on every assignment (evaluate_bruteforce_map runs
-    it on every input); here the batch holds this one input.  Independent
-    of evaluate: branch weights scale the amplitude vectors elementwise,
-    and no Kronecker products, reshapes or matrix multiplications are
-    involved.
-    """
-    profile = validate(circuit)
-    d = circuit.algebra.dim
-    n_in = circuit.wires_in
+    """The output column of one basis input, as a complex vector: the
+    brute force of evaluate_bruteforce_map on a batch of this one input."""
+    d, n_in = circuit.algebra.dim, circuit.wires_in
     if not 0 <= input_basis_index < d**n_in:
-        raise ValueError(
-            f"input index {input_basis_index} out of range for {n_in} wires at dimension {d}"
-        )
-    return _bruteforce_columns(circuit, profile[-1], [input_basis_index])[:, 0]
+        raise ValueError(f"input index {input_basis_index} out of range for {n_in} wires at dimension {d}")
+    return _bruteforce_columns(circuit, [input_basis_index])[:, 0]
 
 
 def evaluate_bruteforce_map(circuit: Circuit) -> LinearMap:
     """The circuit's full linear map by one brute-force pass over every
-    basis input at once; the reference evaluate is checked against.
-
-    The map-entry limit is checked before the batch is allocated, as in
-    evaluate.
-    """
-    profile = validate(circuit)
+    basis input at once; the reference evaluate is checked against.  The
+    map-entry limit is checked before the batch is allocated."""
     d = circuit.algebra.dim
-    _check_map_entries(d, circuit.wires_in, max(profile))
-    columns = _bruteforce_columns(circuit, profile[-1], range(d**circuit.wires_in))
-    return LinearMap(d, circuit.wires_in, profile[-1], columns)
+    _check_map_entries(d, circuit.wires_in, max(circuit.profile))
+    columns = _bruteforce_columns(circuit, range(d**circuit.wires_in))
+    return LinearMap(d, circuit.wires_in, circuit.profile[-1], columns)
 
 
 # --- controlled-NOT and gate-list compilation ------------------------------
@@ -468,6 +456,24 @@ def _swap_layer(n: int, p: int) -> tuple[Primitive, ...]:
     return _padded(n, p, [SWAP], 2)
 
 
+def _check_gate(gi: int, gate, wires: int, d: int) -> None:
+    """Refuse gate gi of a gate list on the given wires: not a Cnot or U1,
+    a wire out of range, a control that is its own target, or a one-wire
+    matrix that is not d x d.  Its unitarity is unitary()'s to check."""
+    if isinstance(gate, U1):
+        if not 0 <= gate.wire < wires:
+            raise CircuitError(f"gate {gi}: wire {gate.wire} out of range for {wires} wires")
+        _check_unitary_shape(gate.name, np.shape(gate.matrix), d, f"gate {gi}: ")
+        return
+    if not isinstance(gate, Cnot):
+        raise CircuitError(f"gate {gi}: expected Cnot or U1, got {type(gate).__name__}")
+    c, t = gate.control, gate.target
+    if not (0 <= c < wires and 0 <= t < wires):
+        raise CircuitError(f"gate {gi}: wires ({c},{t}) out of range for {wires} wires")
+    if c == t:
+        raise CircuitError(f"gate {gi}: control and target must differ")
+
+
 def compile_gate_circuit(
     algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
 ) -> Circuit:
@@ -485,19 +491,11 @@ def compile_gate_circuit(
     n = wires
     layers: list[tuple[Primitive, ...]] = []
     for gi, gate in enumerate(gates):
+        _check_gate(gi, gate, n, algebra.dim)
         if isinstance(gate, U1):
-            if not 0 <= gate.wire < n:
-                raise CircuitError(f"gate {gi}: wire {gate.wire} out of range for {n} wires")
-            _check_unitary_shape(gate.name, np.shape(gate.matrix), algebra.dim, f"gate {gi}: ")
             layers.append(_padded(n, gate.wire, [unitary(gate.name, gate.matrix)], 1))
             continue
-        if not isinstance(gate, Cnot):
-            raise CircuitError(f"gate {gi}: expected Cnot or U1, got {type(gate).__name__}")
         c, t = gate.control, gate.target
-        if not (0 <= c < n and 0 <= t < n):
-            raise CircuitError(f"gate {gi}: wires ({c},{t}) out of range for {n} wires")
-        if c == t:
-            raise CircuitError(f"gate {gi}: control and target must differ")
         if c < t:
             pre = [(i, i + 1) for i in range(c, t - 1)]  # walk control right to t-1
             block_at = t - 1
@@ -524,6 +522,7 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
     control and target digits, and the rows of the total move accordingly.
     No comultiplication is involved, and none of the engine's plan or
     state code, so this shares nothing with the compiled evaluation path.
+    Gates are refused as compile_gate_circuit refuses them, unitarity aside.
     """
     d = algebra.dim
     _check_widths([wires], d)
@@ -534,16 +533,13 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
     index = np.arange(dim)
     digits = np.indices((d,) * wires).reshape(wires, dim)  # digits[k, i]: digit k of index i
     for gi, gate in enumerate(gates):
+        _check_gate(gi, gate, wires, d)
         if isinstance(gate, U1):
-            if not 0 <= gate.wire < wires:
-                raise CircuitError(f"gate {gi}: wire {gate.wire} out of range for {wires} wires")
             # the gate's wire is the middle axis of (wires before, d, the rest)
             u = np.asarray(gate.matrix, dtype=complex)
             total = np.matmul(u, total.reshape(d**gate.wire, d, -1)).reshape(dim, dim)
         else:
             c, t = gate.control, gate.target
-            if not (0 <= c < wires and 0 <= t < wires) or c == t:
-                raise CircuitError(f"gate {gi}: bad wire pair ({c},{t}) for {wires} wires")
             # row i of the total moves to row rows[i]; the group table makes
             # rows a permutation
             rows = index + (product[digits[c], digits[t]] - digits[t]) * d ** (wires - 1 - t)

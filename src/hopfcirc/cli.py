@@ -20,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import _echo, _only_keys, _read_json, check_axioms, resolve_algebra
+from .algebra import _json_int, _only_keys, _read_json, check_axioms, resolve_algebra
 from .circuit import (
     AnnihilatedStateError,
     Cnot,
     U1,
     _basis_labels,
+    _echo,
     basis_state,
     compile_gate_circuit,
     direct_gate_map,
@@ -33,7 +34,7 @@ from .circuit import (
     measure,
 )
 from .dsl import ParseError, _format_complex, circuit_to_document, parse_circuit, print_circuit, to_circuit
-from .engine import _plan, circuit_is_unitary, evaluate, run
+from .engine import circuit_is_unitary, evaluate, run
 
 __all__ = ["cli_run", "main"]
 
@@ -177,15 +178,14 @@ def _parse_input_digits(text: str, d: int, wires: int) -> list[int]:
     return digits
 
 
-def _output_vector(args):
-    """The circuit of args.file and its output vector on the basis input
-    args.input.  The plan validates the circuit before the input is parsed,
-    and run reuses it."""
+def _load_input(args):
+    """The circuit of args.file and the basis input args.input as a
+    (d^wires_in, 1) column.  The circuit validates itself as it is built,
+    so its errors come before those of the input."""
     circuit = _load_circuit(args.file)
     d = circuit.algebra.dim
-    _plan(circuit)
     digits = _parse_input_digits(args.input, d, circuit.wires_in)
-    return circuit, run(circuit, basis_state(d, digits)[:, None])[:, 0]
+    return circuit, basis_state(d, digits)[:, None]
 
 
 # --- subcommands -------------------------------------------------------------
@@ -223,13 +223,13 @@ def _format_vector(vec: np.ndarray, d: int, wires: int) -> list[str]:
 
 
 def _cmd_eval(args) -> int:
-    circuit, out = _output_vector(args)
+    circuit, column = _load_input(args)
     d = circuit.algebra.dim
-    profile = _plan(circuit).profile
-    wires_in, wires_out = profile[0], profile[-1]
-    # builds the map, and so meets the map-entry limit, only when the plan
-    # cannot certify the answer
+    wires_in, wires_out = circuit.wires_in, circuit.profile[-1]
+    # decided before the run: it builds the map, and so meets the map-entry
+    # limit, only when the plan cannot certify the answer
     unitary = circuit_is_unitary(circuit)
+    out = run(circuit, column)[:, 0]
     distribution = None
     if args.json or not unitary:
         distribution = measure(out, d)
@@ -298,6 +298,7 @@ def _matrix_from_json(obj, where: str) -> np.ndarray:
 
 
 def _wire(value, where: str) -> int:
+    value = _json_int(value)
     # bool is an int subclass, but true/false are not wire indices
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where}: wire must be an integer, got {_echo(value)}")
@@ -367,8 +368,8 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {args.shots}")
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    circuit, out = _output_vector(args)
-    distribution = measure(out, circuit.algebra.dim)
+    circuit, column = _load_input(args)
+    distribution = measure(run(circuit, column)[:, 0], circuit.algebra.dim)
     labels = [lbl for lbl, _ in distribution.entries]
     probs = np.array([p for _, p in distribution.entries])
     rng = np.random.default_rng(args.seed)

@@ -34,13 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _echo, resolve_algebra
+from .algebra import resolve_algebra
 from .circuit import (
+    ANTIPODE,
+    COMUL,
+    COUNIT,
+    ID,
+    MUL,
     PRIMITIVES,
+    SWAP,
+    UNIT,
     Circuit,
     CircuitError,
-    Primitive,
     _check_unitary_shape,
+    _echo,
     _unitaries,
 )
 
@@ -56,12 +63,30 @@ __all__ = [
     "ROTATION_NAMES",
 ]
 
-PRESET_NAMES = ("I", "X", "Y", "Z", "H", "S_PHASE", "T")
-ROTATION_NAMES = ("RX", "RY", "RZ")
+#: preset name -> its matrix; UnitaryDef.matrix returns a copy
+_PRESETS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / math.sqrt(2.0)),
+    "S_PHASE": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "T": np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
+}
 
-#: DSL token -> structure-map primitive, read off the primitive table
+#: rotation name -> the rows of its matrix at half the angle
+_ROTATIONS = {
+    "RX": lambda half: [[math.cos(half), -1j * math.sin(half)], [-1j * math.sin(half), math.cos(half)]],
+    "RY": lambda half: [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]],
+    "RZ": lambda half: [[cmath.exp(-1j * half), 0], [0, cmath.exp(1j * half)]],
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+ROTATION_NAMES = tuple(_ROTATIONS)
+
+#: DSL token -> structure-map primitive: the circuit module's own objects
 _PRIMITIVE_BY_TOKEN = {
-    spec.token: Primitive(kind) for kind, spec in PRIMITIVES.items() if spec.token
+    PRIMITIVES[prim.kind].token: prim for prim in (ID, MUL, COMUL, UNIT, COUNIT, ANTIPODE, SWAP)
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -86,9 +111,14 @@ class UnitaryDef:
     rows: tuple[tuple[complex, ...], ...] | None = None
 
     def matrix(self) -> np.ndarray:
+        """A new array on every call."""
         if self.rows is not None:
             return np.array(self.rows, dtype=complex)
-        return _preset_matrix(self.preset, self.angle)
+        if self.preset in _PRESETS:
+            return _PRESETS[self.preset].copy()
+        if self.preset not in _ROTATIONS:
+            raise ValueError(f"unknown preset {_echo(self.preset)}")
+        return np.array(_ROTATIONS[self.preset](self.angle / 2.0), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -97,39 +127,6 @@ class CircuitDocument:
     wires_in: int
     unitaries: tuple[tuple[str, UnitaryDef], ...]
     layers: tuple[tuple[str | tuple[str, str], ...], ...]
-
-
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
-
-
-def _preset_matrix(preset: str, angle: float | None) -> np.ndarray:
-    if preset == "I":
-        return np.eye(2, dtype=complex)
-    if preset == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if preset == "Y":
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if preset == "Z":
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    if preset == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
-    if preset == "S_PHASE":
-        return np.array([[1, 0], [0, 1j]], dtype=complex)
-    if preset == "T":
-        return np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex)
-    if preset not in ROTATION_NAMES:
-        raise ValueError(f"unknown preset {_echo(preset)}")
-    half = angle / 2.0
-    if preset == "RX":
-        return np.array(
-            [[math.cos(half), -1j * math.sin(half)], [-1j * math.sin(half), math.cos(half)]],
-            dtype=complex,
-        )
-    if preset == "RY":
-        return np.array(
-            [[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]], dtype=complex
-        )
-    return np.array([[cmath.exp(-1j * half), 0], [0, cmath.exp(1j * half)]], dtype=complex)
 
 
 # --- complex literals -------------------------------------------------------

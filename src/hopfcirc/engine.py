@@ -8,18 +8,18 @@ evaluate is run on the identity batch.
 
 The engine runs a plan, compiled once per circuit on first use and kept on
 the (immutable) circuit, so run, evaluate and circuit_is_unitary share one
-validation and one walk over the layers.  A Unitary, and each structure
-map of an algebra without digit maps, is a matrix step: its matrix is
-multiplied into its wires, after one axis permutation for the Swaps before
-it.  A group algebra's structure maps are functions on basis digits (see
-HopfAlgebra.digit_maps), so a run of them, with the Swaps among them, can
-fold into one index step on the whole state: a gather of rows when the
-run is a permutation, and, for the plan's first step only, a scatter-add
-otherwise (see _build_plan for which runs fold).  When the plan starts
+walk over the layers; the circuit validated itself when it was built.  A
+Unitary, and each structure map of an algebra without digit maps, is a
+matrix step: its matrix is multiplied into its wires, after one axis
+permutation for the Swaps before it.  A group algebra's structure maps
+are functions on basis digits (see HopfAlgebra.digit_maps), so a run of
+them, with the Swaps among them, can fold into one index step on the
+whole state: a gather of rows when the run is a permutation, and, for the
+plan's first step only, a scatter-add otherwise (see _build_plan for
+which runs fold).  When the plan starts
 with an index step, evaluate writes its image of the identity directly.
-Ids give no step.  validate and the plan walk handle each distinct layer
-once, and the walk tracks a run's digits as symbols, so only a run that
-folds builds arrays.
+Ids give no step.  The plan walk handles each distinct layer once, and
+tracks a run's digits as symbols, so only a run that folds builds arrays.
 
 circuit_is_unitary answers is_unitary(evaluate(circuit)) without the map
 where the plan proves it: a map between different wire counts is not
@@ -47,7 +47,6 @@ from .circuit import (
     _check_map_entries,
     _gram_deviation,
     is_unitary,
-    validate,
 )
 from .tensor import LinearMap
 
@@ -80,10 +79,9 @@ class _Run(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """A validated circuit compiled for the engine."""
+    """A circuit compiled for the engine."""
 
     dim: int
-    profile: tuple[int, ...]
     steps: tuple[_Step | _Run, ...]
     final_perm: tuple[int, ...] | None
 
@@ -201,7 +199,7 @@ def _fold_run(run: _OpenRun, d: int) -> _Run:
 
 
 def _build_plan(circuit: Circuit) -> _Plan:
-    """Validate once, then walk the layers once.
+    """Walk the layers once.
 
     Within a layer the primitives act on disjoint wires, so their order is
     free: the shrinking and width-preserving ones go first and Comul/Unit
@@ -222,7 +220,6 @@ def _build_plan(circuit: Circuit) -> _Plan:
     exchange digits too; every Swap folds into the permutation of the next
     matrix step or of the end.
     """
-    profile = validate(circuit)
     algebra = circuit.algebra
     d = algebra.dim
     digit_maps = algebra.digit_maps
@@ -299,7 +296,7 @@ def _build_plan(circuit: Circuit) -> _Plan:
             width += prim.wires_out - n
     if run is not None:
         close_run()
-    return _Plan(d, tuple(profile), tuple(steps), _perm_or_none(axes))
+    return _Plan(d, tuple(steps), _perm_or_none(axes))
 
 
 def _plan(circuit: Circuit) -> _Plan:
@@ -311,9 +308,9 @@ def _plan(circuit: Circuit) -> _Plan:
     return plan
 
 
-def _push(plan: _Plan, columns: np.ndarray, steps: Sequence[_Step | _Run]) -> np.ndarray:
+def _push(plan: _Plan, columns: np.ndarray, steps: Sequence[_Step | _Run], wires_out: int) -> np.ndarray:
     """Run the given steps of a plan on a contiguous (d^wires, batch) array
-    of columns.
+    of columns; the result has d^wires_out rows.
 
     The state is kept as a contiguous array in wire order.  A matrix step
     reorders the state's axes only when Swaps came before it, then
@@ -340,7 +337,7 @@ def _push(plan: _Plan, columns: np.ndarray, steps: Sequence[_Step | _Run]) -> np
     perm = plan.final_perm
     if perm is not None:
         state = state.reshape((d,) * len(perm) + (batch,)).transpose(perm + (len(perm),))
-    return state.reshape(d ** plan.profile[-1], batch)
+    return state.reshape(d**wires_out, batch)
 
 
 def run(circuit: Circuit, states) -> np.ndarray:
@@ -359,7 +356,7 @@ def run(circuit: Circuit, states) -> np.ndarray:
             f"got shape {columns.shape}"
         )
     columns = np.ascontiguousarray(columns)
-    out = _push(plan, columns, plan.steps)
+    out = _push(plan, columns, plan.steps, circuit.profile[-1])
     return out.copy() if np.may_share_memory(out, columns) else out
 
 
@@ -371,7 +368,7 @@ def evaluate(circuit: Circuit) -> LinearMap:
     """
     plan = _plan(circuit)
     d = plan.dim
-    _check_map_entries(d, circuit.wires_in, max(plan.profile))
+    _check_map_entries(d, circuit.wires_in, max(circuit.profile))
     n_in = d**circuit.wires_in
     steps = plan.steps
     if steps and type(steps[0]) is _Run:
@@ -383,8 +380,8 @@ def evaluate(circuit: Circuit) -> LinearMap:
             columns[first.index, np.arange(n_in)] = 1.0
     else:
         columns = np.eye(n_in, dtype=complex)
-    out = _push(plan, columns, steps)
-    return LinearMap(d, circuit.wires_in, plan.profile[-1], out)
+    out = _push(plan, columns, steps, circuit.profile[-1])
+    return LinearMap(d, circuit.wires_in, circuit.profile[-1], out)
 
 
 # --- unitarity without the full map ----------------------------------------
@@ -438,9 +435,9 @@ def circuit_is_unitary(circuit: Circuit) -> bool:
     rounding of evaluate and is_unitary.  Every other circuit falls back to
     the full map, and so to its size limit.
     """
-    plan = _plan(circuit)
-    if plan.profile[0] != plan.profile[-1]:
+    if circuit.wires_in != circuit.profile[-1]:
         return False
+    plan = _plan(circuit)
     bound = _deviation_bound(plan)
     if bound is not None and bound + len(plan.steps) * _ROUNDING_PER_STEP <= UNITARY_TOL / 10:
         return True

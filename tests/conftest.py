@@ -1,12 +1,12 @@
 import pytest
 
 import hopfcirc.circuit
-import hopfcirc.engine
 
 
 @pytest.fixture
 def validated(monkeypatch):
-    """Record every circuit validate is called on, from any module."""
+    """Record every circuit validate is called on: Circuit's constructor
+    looks it up in the circuit module on every call."""
     circuits = []
     original = hopfcirc.circuit.validate
 
@@ -15,5 +15,4 @@ def validated(monkeypatch):
         return original(circuit)
 
     monkeypatch.setattr(hopfcirc.circuit, "validate", recording)
-    monkeypatch.setattr(hopfcirc.engine, "validate", recording)
     return circuits

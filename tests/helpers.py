@@ -501,7 +501,7 @@ def assert_same_plan(a, b) -> None:
     """Two engine plans are equal step by step: the same step types,
     positions, permutations and primitives, and equal index arrays of the
     same dtype."""
-    assert (a.dim, a.profile, a.final_perm) == (b.dim, b.profile, b.final_perm)
+    assert (a.dim, a.final_perm) == (b.dim, b.final_perm)
     assert [type(s).__name__ for s in a.steps] == [type(s).__name__ for s in b.steps]
     for x, y in zip(a.steps, b.steps):
         if type(x).__name__ == "_Run":

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -94,52 +95,62 @@ def generalized_circuit(u_matrix):
 
 
 class TestValidate:
+    """A Circuit validates itself when it is built: an invalid one is
+    refused by its constructor with validate's message, and a valid one
+    keeps validate's profile."""
+
     def test_cnot_profile(self):
-        assert validate(build_cnot(Z2)) == [2, 3, 2]
+        c = build_cnot(Z2)
+        assert validate(c) == [2, 3, 2] and c.profile == (2, 3, 2)
 
     def test_generalized_profile(self):
-        assert validate(generalized_circuit(np.eye(2))) == [2, 4, 4, 4, 3]
+        c = generalized_circuit(np.eye(2))
+        assert validate(c) == [2, 4, 4, 4, 3] and c.profile == (2, 4, 4, 4, 3)
+
+    def test_profile_is_read_only(self):
+        c = build_cnot(Z2)
+        with pytest.raises(AttributeError):
+            c.profile = (2, 2)
+        with pytest.raises(TypeError):
+            Circuit(Z2, 2, ((ID, ID),), profile=(2, 2))
 
     def test_arity_mismatch_message(self):
-        c = Circuit(Z2, wires_in=1, layers=((MUL,),))
-        with pytest.raises(CircuitError, match=r"layer 0 consumes 2 wires, 1 available"):
-            validate(c)
+        with pytest.raises(CircuitError, match=r"^layer 0 consumes 2 wires, 1 available$"):
+            Circuit(Z2, wires_in=1, layers=((MUL,),))
 
     def test_later_layer_mismatch_names_index(self):
-        c = Circuit(Z2, wires_in=2, layers=((ID, ID), (ID,)))
-        with pytest.raises(CircuitError, match=r"layer 1 consumes 1 wires, 2 available"):
-            validate(c)
+        with pytest.raises(CircuitError, match=r"^layer 1 consumes 1 wires, 2 available$"):
+            Circuit(Z2, wires_in=2, layers=((ID, ID), (ID,)))
 
     def test_empty_layer_rejected(self):
-        with pytest.raises(CircuitError, match="empty"):
-            validate(Circuit(Z2, wires_in=0, layers=((),)))
+        with pytest.raises(CircuitError, match="^layer 0 is empty$"):
+            Circuit(Z2, wires_in=0, layers=((),))
 
     def test_width_limit(self):
-        # 21 comultiplications take 21 wires to 42 > 2^20 entries at d=2
-        c = Circuit(Z2, wires_in=21, layers=((COMUL,) * 21,))
-        with pytest.raises(CircuitError, match="too wide"):
-            validate(c)
+        # 20 comultiplications take 20 wires to 40 > 2^20 entries at d=2
+        with pytest.raises(
+            CircuitError,
+            match=r"^circuit too wide: 40 wires at dimension 2 exceeds 1048576 state entries \(at most 20 wires\)$",
+        ):
+            Circuit(Z2, wires_in=20, layers=((COMUL,) * 20,))
 
     def test_unitary_dimension_checked_against_algebra(self):
-        c = Circuit(Z3, wires_in=1, layers=((unitary("h", HADAMARD),),))
-        with pytest.raises(CircuitError, match="dimension"):
-            validate(c)
+        with pytest.raises(CircuitError, match="^layer 0: unitary 'h' is 2x2 but the algebra dimension is 3$"):
+            Circuit(Z3, wires_in=1, layers=((unitary("h", HADAMARD),),))
 
     def test_reused_layer_fails_where_its_wire_count_differs(self):
         # one layer object, valid at layer 2, meets three wires at layer 3
         keep, grow = (ID, ID), (COMUL, ID)
-        c = Circuit(Z2, wires_in=2, layers=(keep, keep, grow, grow))
         with pytest.raises(CircuitError, match=r"^layer 3 consumes 2 wires, 3 available$"):
-            validate(c)
+            Circuit(Z2, wires_in=2, layers=(keep, keep, grow, grow))
         # and where a later boundary brings its count back, it is valid again
         c = Circuit(Z2, wires_in=2, layers=(grow, (ID, MUL), grow, (MUL, ID), keep, keep))
-        assert validate(c) == [2, 3, 2, 3, 2, 2, 2]
+        assert c.profile == (2, 3, 2, 3, 2, 2, 2)
 
     def test_reused_wrong_size_unitary_reports_its_first_layer(self):
         big = (unitary("big", np.eye(3)), ID)
-        c = Circuit(Z2, wires_in=2, layers=((ID, ID), big, (ID, ID), big))
         with pytest.raises(CircuitError, match=r"^layer 1: unitary 'big' is 3x3 but the algebra dimension is 2$"):
-            validate(c)
+            Circuit(Z2, wires_in=2, layers=((ID, ID), big, (ID, ID), big))
 
     def test_layers_given_as_lists_become_tuples(self):
         c = Circuit(Z2, wires_in=2, layers=[[COMUL, ID], [ID, MUL]])
@@ -408,6 +419,14 @@ def engine_circuits(draw):
     return Circuit(algebra, wires_in=wires_in, layers=tuple(layers))
 
 
+@settings(max_examples=100, deadline=None)
+@given(engine_circuits())
+def test_profile_equals_validate(circuit):
+    # the profile a circuit was built with is validate's, read again
+    assert type(circuit.profile) is tuple
+    assert circuit.profile == tuple(validate(circuit))
+
+
 @settings(max_examples=150, deadline=None)
 @given(engine_circuits(), st.integers(0, 2**32 - 1))
 def test_engine_matches_bruteforce_and_map(circuit, seed):
@@ -425,7 +444,7 @@ def repeated_layer_circuits(draw):
     same objects, up to twice in a row, as a parsed document repeats equal
     layer lines."""
     circuit = draw(engine_circuits())
-    profile = validate(circuit)
+    profile = circuit.profile
     layers = []
     for i, layer in enumerate(circuit.layers):
         repeats = draw(st.integers(0, 2)) if profile[i] == profile[i + 1] else 0
@@ -441,7 +460,6 @@ def eager_plan(circuit: Circuit):
     walk now tracks symbols and evaluates only the runs that fold, once per
     distinct layer; its plans must be these."""
     C = hopfcirc.engine
-    profile = validate(circuit)
     algebra, d = circuit.algebra, circuit.algebra.dim
     steps, state = [], {"width": circuit.wires_in, "axes": None, "run": None}
 
@@ -531,7 +549,7 @@ def eager_plan(circuit: Circuit):
         for pos, prim in growing:
             step(pos, prim)
     close_run()
-    return C._Plan(d, tuple(profile), tuple(steps), C._perm_or_none(state["axes"]))
+    return C._Plan(d, tuple(steps), C._perm_or_none(state["axes"]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -870,8 +888,33 @@ class TestGateListErrors:
     @pytest.mark.parametrize("pair", [(0, 0), (0, 2), (-1, 1)])
     def test_direct_gate_map_refuses_a_bad_wire_pair(self, pair):
         c, t = pair
-        with pytest.raises(CircuitError, match=rf"^gate 1: bad wire pair \({c},{t}\) for 2 wires$"):
+        detail = "control and target must differ" if c == t else rf"wires \({c},{t}\) out of range for 2 wires"
+        with pytest.raises(CircuitError, match=rf"^gate 1: {detail}$"):
             direct_gate_map(Z2, 2, [Cnot(0, 1), Cnot(c, t)])
+
+    @pytest.mark.parametrize(
+        "gates,detail",
+        [
+            ([Cnot(0, 1), "x"], "expected Cnot or U1, got str"),
+            ([Cnot(0, 1), U1(0, np.eye(3))], "unitary 'u' is 3x3 but the algebra dimension is 2"),
+            ([Cnot(0, 1), U1(0, np.ones((2, 2, 2)))], "unitary 'u' is 2x2x2 but the algebra dimension is 2"),
+        ],
+        ids=["non-gate", "3x3", "3-d"],
+    )
+    def test_both_gate_list_readers_refuse_alike(self, gates, detail):
+        # one owner for the gate-list rule: the same message from both,
+        # where direct_gate_map used to fail inside numpy or on an attribute
+        for build in (compile_gate_circuit, direct_gate_map):
+            with pytest.raises(CircuitError, match=rf"^gate 1: {re.escape(detail)}$"):
+                build(Z2, 2, gates)
+
+    def test_direct_gate_map_does_not_check_unitarity(self):
+        # unitarity is compile's, through unitary(); the reference multiplies
+        # any d x d matrix in
+        m = direct_gate_map(Z2, 1, [U1(0, 2 * np.eye(2))])
+        assert np.array_equal(m.matrix, 2 * np.eye(2))
+        with pytest.raises(CircuitError, match="not unitary"):
+            compile_gate_circuit(Z2, 1, [U1(0, 2 * np.eye(2))])
 
 
 class TestBuildCnot:
@@ -1183,29 +1226,38 @@ class TestCircuitIsUnitary:
 
 class TestPlan:
     @pytest.mark.parametrize(
-        "circuit",
+        "build",
         [
-            compile_gate_circuit(Z2, 5, [Cnot(0, 4), Cnot(3, 1)]),
-            generalized_circuit(HADAMARD),
-            Circuit(Z2, 2, ((COMUL, ID), (MUL, ID))),  # falls back to the full map
-            Circuit(Z3, 2, ((ANTIPODE, ID), (COMUL, ID), (ID, MUL))),
+            lambda: compile_gate_circuit(Z2, 5, [Cnot(0, 4), Cnot(3, 1)]),
+            lambda: generalized_circuit(HADAMARD),
+            lambda: Circuit(Z2, 2, ((COMUL, ID), (MUL, ID))),  # falls back to the full map
+            lambda: Circuit(Z3, 2, ((ANTIPODE, ID), (COMUL, ID), (ID, MUL))),
         ],
         ids=["compiled", "non-square", "fallback", "antipode"],
     )
-    def test_one_plan_per_circuit(self, validated, circuit):
+    def test_one_plan_per_circuit(self, validated, monkeypatch, build):
+        # the constructor validates once, the first engine call plans once,
+        # and no entry point, the references included, does either again
+        planned = []
+        build_plan = hopfcirc.engine._build_plan
+        monkeypatch.setattr(hopfcirc.engine, "_build_plan", lambda c: planned.append(c) or build_plan(c))
+        circuit = build()
+        assert validated == [circuit] and planned == []
         d = circuit.algebra.dim
         column = basis_state(d, [1] * circuit.wires_in)[:, None]
         first = run(circuit, column)
         evaluate(circuit)
         circuit_is_unitary(circuit)
+        evaluate_bruteforce(circuit, 0)
+        evaluate_bruteforce_map(circuit)
         assert np.array_equal(run(circuit, column), first)
-        assert sum(c is circuit for c in validated) == 1
+        assert validated == [circuit] and planned == [circuit]
 
     def test_invalid_circuit_refused_on_every_call(self):
-        c = Circuit(Z2, 2, ((ID,),))
+        # nothing of a refused circuit is kept: each construction is refused
         for _ in range(2):
-            with pytest.raises(CircuitError, match="consumes 1 wires, 2 available"):
-                run(c, np.eye(4))
+            with pytest.raises(CircuitError, match="^layer 0 consumes 1 wires, 2 available$"):
+                Circuit(Z2, 2, ((ID,),))
 
     def test_ids_skipped_and_swap_runs_folded(self):
         # each CNOT is a Comul and a Mul between two ladders of Swaps; with
@@ -1215,7 +1267,6 @@ class TestPlan:
         plan = hopfcirc.engine._plan(c)
         assert [(type(step), step.bijective) for step in plan.steps] == [(hopfcirc.engine._Run, True)]
         assert plan.final_perm is None
-        assert plan.profile == tuple(validate(c))
         assert np.array_equal(evaluate(c).matrix, direct_gate_map(Z2, 5, gates).matrix)
         # without them, Ids give no step and the Swaps fold into the
         # permutations of the matrix steps and of the end

@@ -225,7 +225,7 @@ class TestCheckAxioms:
             {"labels": ["a"], "table": [5]},
             {"labels": ["a"], "table": "0"},
             {"labels": ["a", "b"], "table": [[True, False], [False, True]]},
-            {"labels": ["a", "b"], "table": [[0, 1], [1, 0.0]]},
+            {"labels": ["a", "b"], "table": [[0, 1], [1, 0.5]]},
             {"labels": 5, "table": [[0]]},
         ],
         ids=["int-table", "int-row", "string-table", "bool-entries", "float-entry", "int-labels"],
@@ -791,6 +791,34 @@ class TestLimits:
                 capsys, ["sample", str(path), "--input", "1" * 13, "--shots", "5", "--seed", "1", "--json"]
             )
             assert code == 0 and json.loads(out)["counts"] == {want: 5}
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_circuit_error_comes_before_input_error(self, capsys, tmp_path, command):
+        # loading validates the circuit, and the input digits are read after
+        path = tmp_path / "arity.hopf"
+        path.write_text("algebra Z2\nin 2\nlayer M\nlayer ID, ID\n")
+        argv = [command, str(path), "--input", "x"] + ["--shots", "1", "--seed", "1"] * (command == "sample")
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: validate: layer 1 consumes 2 wires, 1 available\n")
+
+    def test_uncertified_eval_refused_before_the_run(self, capsys, tmp_path, monkeypatch):
+        # 2000 one-wire H layers on 19 wires: too many steps for the
+        # certificate's rounding allowance, and a map of 2^38 entries, so
+        # eval refuses the circuit, and decides so before it runs the state
+        n = 19
+        path = tmp_path / "deep19.hopf"
+        path.write_text(f"algebra Z2\nin {n}\nunitary h H\n" + "".join(
+            "layer " + ", ".join(["ID"] * (k % n) + ["U(h)"] + ["ID"] * (n - 1 - k % n)) + "\n"
+            for k in range(2000)
+        ))
+
+        def refuse(circuit, states):
+            raise AssertionError("eval ran the state")
+
+        monkeypatch.setattr(hopfcirc.cli, "run", refuse)
+        code, out, err = run(capsys, ["eval", str(path), "--input", "1" * n, "--json"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: validate: map too large") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv,detail",

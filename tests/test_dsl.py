@@ -130,11 +130,15 @@ class TestParse:
         assert (err.value.line, err.value.column) == (1, 1)
 
     def test_repeated_lines_share_one_tuple(self):
-        doc = parse_circuit("algebra Z2\nin 2\nlayer DELTA, ID\nlayer ID, M\nlayer DELTA, ID\nlayer  delta, id\n")
-        assert doc.layers == (("DELTA", "ID"), ("ID", "M"), ("DELTA", "ID"), ("DELTA", "ID"))
-        assert doc.layers[0] is doc.layers[2] and doc.layers[3] is not doc.layers[0]
+        doc = parse_circuit(
+            "algebra Z2\nin 2\nlayer DELTA, ID\nlayer ID, M\nlayer DELTA, ID\nlayer ID, M\nlayer  delta, id\n"
+        )
+        assert doc.layers == (("DELTA", "ID"), ("ID", "M")) * 2 + (("DELTA", "ID"),)
+        assert doc.layers[0] is doc.layers[2] and doc.layers[4] is not doc.layers[0]
         circuit = to_circuit(doc)
-        assert circuit.layers[0] is circuit.layers[2] is circuit.layers[3]
+        assert circuit.layers[0] is circuit.layers[2] is circuit.layers[4]
+        assert circuit.layers[1] is circuit.layers[3]
+        assert circuit.profile == (2, 3, 2, 3, 2, 3)
 
     def test_duplicate_unitary_definition(self):
         with pytest.raises(ParseError, match="duplicate unitary definition"):
@@ -347,19 +351,16 @@ class TestCircuitToDocument:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_every_structure_primitive_round_trips(self):
-        # the DSL tokens come from the circuit module's primitive table; each
-        # layer takes two wires, and the layers are not chained (never validated)
-        prims = (ID, MUL, COMUL, UNIT, COUNIT, ANTIPODE, SWAP)
-        circuit = Circuit(z2_algebra(), 2, tuple((p,) + (ID,) * (2 - p.wires_in) for p in prims))
+        # the DSL tokens come from the circuit module's primitive table, and
+        # parsing them gives back the circuit module's own primitives
+        layers = ((ID, ID), (MUL,), (COMUL,), (UNIT, ID, ID), (COUNIT, ID, ID), (ANTIPODE, ID), (SWAP,))
+        circuit = Circuit(z2_algebra(), 2, layers)
         doc = circuit_to_document(circuit, "Z2")
-        assert doc.layers == tuple(
-            (tok,) + ("ID",) * (2 - p.wires_in)
-            for p, tok in zip(prims, ("ID", "M", "DELTA", "UNIT", "COUNIT", "S", "SWAP"))
+        assert doc.layers == (
+            ("ID", "ID"), ("M",), ("DELTA",), ("UNIT", "ID", "ID"), ("COUNIT", "ID", "ID"), ("S", "ID"), ("SWAP",)
         )
         rebuilt = to_circuit(parse_circuit(print_circuit(doc)))
-        assert [[p.kind for p in layer] for layer in rebuilt.layers] == [
-            [p.kind for p in layer] for layer in circuit.layers
-        ]
+        assert all(mine is given for mine, given in zip(sum(rebuilt.layers, ()), sum(layers, ()), strict=True))
 
 
 #: pieces of layer lines: every primitive token, unitary references, and junk

@@ -11,7 +11,10 @@ refused with one error line.
 Both loaders against their schemas: a group table that
 schemas/group_table.schema.json rejects is refused with exit 2 and one
 error line, and a gate list compiles only when
-schemas/gate_list.schema.json accepts it.
+schemas/gate_list.schema.json accepts it.  The other way round, a
+schema-valid group table, or a schema-valid gate list with in-range wires
+and unitary matrices, loads and gives what its all-integer form gives:
+JSON Schema's integer takes 1.0, and so do the loaders.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import itertools
 import json
 import math
 import time
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import event, given, settings
@@ -140,8 +144,8 @@ def corrupted(draw, table: list[list[int]]) -> dict:
         table[row][col] = draw(st.sampled_from([d, d + 7, -1]))
     elif how == "bool":
         table[row][col] = draw(st.booleans())
-    elif how == "float":
-        table[row][col] = float(table[row][col])
+    elif how == "float":  # an integral float is an integer, as to the schema
+        table[row][col] = table[row][col] + 0.5
     elif how == "ragged":
         table[row] = table[row][:-1] if draw(st.booleans()) else table[row] + [0]
     elif how == "extra-key":
@@ -260,3 +264,54 @@ def test_table_schema_rejection_exits_2(tmp_path_factory, doc):
     if not valid:
         assert code == 2 and stdout.getvalue() == ""
         assert stderr.getvalue().startswith("error: validate: ") and stderr.getvalue().count("\n") == 1
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()  # hypothesis rules out capsys
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_run(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _integer(value: int) -> st.SearchStrategy:
+    """value, or the float equal to it: both are integers to JSON Schema."""
+    return st.sampled_from([value, float(value)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_tables(max_order=6), st.data())
+def test_schema_valid_table_loads(tmp_path_factory, table, data):
+    doc = {"labels": [f"e{i}" for i in range(len(table))], "table": table}
+    floated = {**doc, "table": [[data.draw(_integer(v)) for v in row] for row in table]}
+    assert TABLE_SCHEMA.is_valid(floated)
+    path = _write(tmp_path_factory.mktemp("t"), floated)
+    got = _cli(["check-axioms", "--algebra", path, "--json"])
+    Path(path).write_text(json.dumps(doc))  # the same path: check-axioms prints it
+    assert got == _cli(["check-axioms", "--algebra", path, "--json"])
+    assert got[0] == 0
+
+
+@st.composite
+def schema_valid_gate_lists(draw) -> tuple[list, list]:
+    """A gate list on 3 wires with in-range wires, distinct control and
+    target and unitary matrices, as (integer wires, some wires as floats)."""
+    gates = draw(st.lists(_VALID_GATE, max_size=4))
+    floated = []
+    for gate in gates:
+        if "cnot" in gate:
+            floated.append({"cnot": [draw(_integer(w)) for w in gate["cnot"]]})
+        else:
+            floated.append({"u1": {**gate["u1"], "wire": draw(_integer(gate["u1"]["wire"]))}})
+    return gates, floated
+
+
+@settings(max_examples=40, deadline=None)
+@given(schema_valid_gate_lists())
+def test_schema_valid_gate_list_compiles(tmp_path_factory, lists):
+    gates, floated = lists
+    assert GATE_LIST_SCHEMA.is_valid(floated)
+    path = _write(tmp_path_factory.mktemp("g"), floated)
+    got = _cli(["compile", "--wires", "3", "--gates", path])
+    Path(path).write_text(json.dumps(gates))
+    assert got == _cli(["compile", "--wires", "3", "--gates", path])
+    assert got[0] == 0
