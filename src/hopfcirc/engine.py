@@ -17,7 +17,9 @@ them, with the Swaps among them, can fold into one index step on the
 whole state: a gather of rows when the run is a permutation, and, for the
 plan's first step only, a scatter-add otherwise (see _build_plan for
 which runs fold).  When the plan starts
-with an index step, evaluate writes its image of the identity directly.
+with an index step, evaluate writes its image of the identity directly,
+and a plan of that one step, or of none, gives the map as an integer
+array (_one_hot), which check_axioms compares without writing it out.
 Ids give no step.  The plan walk handles each distinct layer once, and
 tracks a run's digits as symbols, so only a run that folds builds arrays.
 
@@ -124,14 +126,13 @@ class _OpenRun:
     a run that stays matrix steps.
     """
 
-    __slots__ = ("digits", "defs", "consts", "wires_in", "leading", "lossy", "prims")
+    __slots__ = ("digits", "defs", "consts", "wires_in", "lossy", "prims")
 
-    def __init__(self, wires_in: int, axes: list[int] | None, leading: bool):
+    def __init__(self, wires_in: int, axes: list[int] | None):
         self.digits = list(range(wires_in)) if axes is None else axes.copy()
         self.defs: list[tuple[np.ndarray, tuple[int, ...]]] = []
         self.consts: set[int] = set()
         self.wires_in = wires_in
-        self.leading = leading  # whether the run is the plan's first step
         self.lossy = False  # whether a primitive of the run lost digits
         self.prims: list[tuple[list[int] | None, int, Primitive]] = []
 
@@ -144,11 +145,15 @@ class _OpenRun:
         return symbol
 
 
-def _loses_digits(run: _OpenRun, pos: int, n: int) -> bool:
+def _loses_digits(run: _OpenRun | None, pos: int, n: int) -> bool:
     """Whether a Mul or Counit on wires pos..pos+n-1 of an open run may
     send two basis states to one: none of its input digits is a constant
     or still carried by another wire, from which the group table would
-    recover the rest.  A False answer is exact, a True one may not be."""
+    recover the rest.  A False answer is exact, a True one may not be.
+    With no open run (None), every wire carries its own input digit once,
+    so the answer is True without a run to read it from."""
+    if run is None:
+        return True
     ins = run.digits[pos : pos + n]
     # the wires carrying one of ins's symbols are exactly ins's own
     return run.consts.isdisjoint(ins) and sum(map(run.digits.count, set(ins))) == n
@@ -232,10 +237,12 @@ def _build_plan(circuit: Circuit) -> _Plan:
         matrix = prim.matrix if prim.kind == "Unitary" else algebra.maps[prim.kind]
         steps.append(_Step(_perm_or_none(before), pos, prim.wires_in, matrix, prim))
 
+    # no step is added while a run is open, so an open run is the plan's
+    # first step exactly when steps is empty
     def close_run() -> None:
         nonlocal axes, run
         square = len(run.digits) == run.wires_in
-        if len(run.prims) > 1 and (run.leading or square):
+        if len(run.prims) > 1 and (not steps or square):
             steps.append(_fold_run(run, d))
             axes = None  # the Swaps after its last primitive are in the fold
         else:
@@ -278,13 +285,14 @@ def _build_plan(circuit: Circuit) -> _Plan:
                     close_run()
                 matrix_step(axes, pos, prim)
             else:
-                if run is None:
-                    run = _OpenRun(width, axes, leading=not steps)
                 loses = prim.wires_out < n and _loses_digits(run, pos, n)
-                if loses and not run.leading:
-                    close_run()
+                if loses and steps:
+                    if run is not None:
+                        close_run()
                     matrix_step(axes, pos, prim)
                 else:
+                    if run is None:
+                        run = _OpenRun(width, axes)
                     run.lossy = run.lossy or loses
                     run.prims.append((axes, pos, prim))
                     digits = run.digits
@@ -360,11 +368,36 @@ def run(circuit: Circuit, states) -> np.ndarray:
     return out.copy() if np.may_share_memory(out, columns) else out
 
 
+def _image(step: _Run) -> np.ndarray:
+    """The index step's function f on basis indices: it sends input basis
+    state j to output basis state f[j], with coefficient 1.  A bijective
+    step keeps f's inverse, which is inverted here; any other keeps f."""
+    if not step.bijective:
+        return step.index
+    image = np.empty_like(step.index)
+    image[step.index] = np.arange(step.index.size, dtype=np.int32)
+    return image
+
+
+def _one_hot(circuit: Circuit) -> np.ndarray | None:
+    """The circuit's map as the function f on basis indices whose column j
+    is basis state f[j] with coefficient 1, when the plan gives it whole:
+    no step, or a single index step, and no final permutation.  None when
+    the map needs evaluate."""
+    plan = _plan(circuit)
+    if plan.final_perm is not None or len(plan.steps) > 1:
+        return None
+    if not plan.steps:  # Ids, and Swaps that undo each other: the identity
+        return np.arange(plan.dim**circuit.wires_in, dtype=np.int32)
+    step = plan.steps[0]
+    return _image(step) if type(step) is _Run else None
+
+
 def evaluate(circuit: Circuit) -> LinearMap:
     """The circuit's full linear map: run on the identity batch.
 
     When the plan starts with an index step, the identity's image under it
-    is written directly: column j holds a single 1, in row f(j).
+    is written directly: column j holds a single 1, in row f[j] of _image.
     """
     plan = _plan(circuit)
     d = plan.dim
@@ -374,10 +407,7 @@ def evaluate(circuit: Circuit) -> LinearMap:
     if steps and type(steps[0]) is _Run:
         first, steps = steps[0], steps[1:]
         columns = np.zeros((d**first.wires_out, n_in), dtype=complex)
-        if first.bijective:  # row i is the image of input inverse[i]
-            columns[np.arange(n_in), first.index] = 1.0
-        else:
-            columns[first.index, np.arange(n_in)] = 1.0
+        columns[_image(first), np.arange(n_in)] = 1.0
     else:
         columns = np.eye(n_in, dtype=complex)
     out = _push(plan, columns, steps, circuit.profile[-1])

@@ -6,7 +6,8 @@ the tensors from the table with loops, the circuit oracle fills each
 layer matrix entry by entry from the raw tensors, the gate simulator
 propagates matrix rows by index arithmetic instead of Kronecker products
 or layer maps, the measure oracle labels one basis index at a time, and
-the transition oracle lists a tensor's entries with one loop per axis.
+the transition oracle lists a tensor's entries with one loop per axis,
+and the group-table oracle checks the group laws one entry at a time.
 The Kronecker gate product is the plain textbook formula that
 direct_gate_map is checked against.
 """
@@ -30,6 +31,7 @@ from hopfcirc.circuit import (
     Circuit,
     Cnot,
     U1,
+    _echo,
     _index_to_digits,
     unitary,
 )
@@ -174,6 +176,37 @@ def loop_group_tables(table: list[list[int]]) -> dict:
             "Antipode": (inverse,),
         },
     }
+
+
+def loop_validate_group_table(table) -> int | str:
+    """The identity element's index of a group table, or the message of
+    the first group law it fails, checked entry by entry with plain loops:
+    rows, then columns, then the identity, then associativity over (i, j,
+    k) in lexicographic order."""
+    d = len(table)
+    if d < 1 or any(len(row) != d for row in table):
+        return f"not a group: table must be square, got {d} rows"
+    for row in table:
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < d:
+                return f"not a group: table entries must be indices in 0..{d - 1}, got {_echo(v)}"
+    for row in table:
+        if sorted(row) != list(range(d)):
+            return "not a group: rows not permutations"
+    for j in range(d):
+        if sorted(table[i][j] for i in range(d)) != list(range(d)):
+            return "not a group: columns not permutations"
+    identity = None
+    for e in range(d):
+        if all(table[e][j] == j for j in range(d)) and all(table[i][e] == i for i in range(d)):
+            identity = e
+            break
+    if identity is None:
+        return "not a group: no identity element"
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return f"not a group: associativity fails at ({i},{j},{k})"
+    return identity
 
 
 def loop_transitions(algebra, prim) -> list:

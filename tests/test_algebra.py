@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcirc.algebra
+import hopfcirc.engine
 from hopfcirc.algebra import (
     _AXIOM_CIRCUITS,
+    _AXIOM_SIDES,
+    _deviation,
     BUILTIN_ALGEBRAS,
     GroupTableError,
     HopfAlgebra,
@@ -25,7 +28,7 @@ from hopfcirc.algebra import (
     z2_algebra,
 )
 from hopfcirc.circuit import ANTIPODE, COMUL, COUNIT, MUL, Circuit
-from hopfcirc.engine import run
+from hopfcirc.engine import _one_hot, evaluate, run
 
 from helpers import REPO_ROOT, loop_axiom_deviations, loop_group_tables
 
@@ -297,15 +300,8 @@ class TestGroupAlgebra:
             group_algebra(["a", "b", "c"], table)
 
     def test_nonassociative_loop_rejected(self):
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 3, 4, 0, 1],
-            [3, 4, 1, 2, 0],
-            [4, 2, 0, 1, 3],
-        ]
         with pytest.raises(GroupTableError, match="associativity fails"):
-            group_algebra(list("abcde"), table)
+            group_algebra(list("abcde"), NONASSOCIATIVE_LOOP)
 
     def test_bad_entries_rejected(self):
         with pytest.raises(GroupTableError, match="indices"):
@@ -426,9 +422,32 @@ def evaluate_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def planned(monkeypatch):
+    """Circuits the engine builds a plan for, in call order."""
+    calls = []
+    real = hopfcirc.engine._build_plan
+
+    def counting(circuit):
+        calls.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(hopfcirc.engine, "_build_plan", counting)
+    return calls
+
+
+#: the sides a group algebra's plans leave to evaluate, as (wires in,
+#: layers): a lone M or DELTA is a matrix step, so both sides of the two
+#: informational rows are evaluated
+DENSE_SIDES = [(wires, side) for _, wires, left, right in _AXIOM_CIRCUITS[-2:] for side in (left, right)]
+
+
 class TestAxiomsEvaluatedOnce:
-    """Each check_axioms call evaluates the 14 identities, 28 circuits, once;
-    building or loading an algebra evaluates none."""
+    """Each check_axioms call builds the 24 distinct circuits of the 14
+    identities once, and plans each once; a group algebra's plans give 24
+    of the 28 sides as functions on basis indices, so only the other 4 are
+    evaluated.  Building or loading an algebra builds no circuit, and
+    nothing is kept between calls."""
 
     def test_second_tolerance_evaluates_again(self, evaluate_calls):
         h = z2_algebra()
@@ -447,7 +466,7 @@ class TestAxiomsEvaluatedOnce:
         assert not strict.passed and loose.passed
         assert (strict.tol, loose.tol) == (0.0, 1.0)
 
-    def test_loading_evaluates_nothing(self, evaluate_calls, tmp_path):
+    def test_loading_evaluates_nothing(self, evaluate_calls, planned, tmp_path):
         for name in BUILTIN_ALGEBRAS:
             builtin_algebra(name)
         group_algebra(*cyclic_group_table(8))
@@ -455,20 +474,111 @@ class TestAxiomsEvaluatedOnce:
         table = [[(a // 4 + b // 4) % 2 * 4 + (a + b) % 4 for b in range(8)] for a in range(8)]
         path.write_text(json.dumps({"labels": [f"g{i}" for i in range(8)], "table": table}))
         h = load_group_table(path)
-        assert h.dim == 8 and evaluate_calls == []
+        assert h.dim == 8 and evaluate_calls == [] and planned == []
         report = check_axioms(h, 0.0)
-        assert len(evaluate_calls) == 28
+        assert len(planned) == len(_AXIOM_SIDES) == 24
+        assert [(c.wires_in, c.layers) for c in planned] == list(_AXIOM_SIDES)
+        assert [(c.wires_in, c.layers) for c in evaluate_calls] == DENSE_SIDES
         assert report.passed and report.max_deviation == 0.0
+        assert report.commutative and report.cocommutative
 
-    def test_each_algebra_object_evaluates_once(self, evaluate_calls):
-        check_axioms(z2_algebra(), 1e-12)
-        check_axioms(z2_algebra(), 1e-12)
-        assert len(evaluate_calls) == 4 * len(_AXIOM_CIRCUITS)
+    def test_each_algebra_object_evaluates_once(self, evaluate_calls, planned):
+        # a second call on the same algebra builds and plans every circuit
+        # again: nothing is kept between calls
+        h = builtin_algebra("S3")
+        first = check_axioms(h, 1e-12)
+        assert len(planned) == 24 and len(evaluate_calls) == 4
+        assert check_axioms(h, 1e-12) == first
+        assert len(planned) == 48 and len(evaluate_calls) == 8
+        assert len({id(c) for c in planned}) == 48
+        assert [(c.wires_in, c.layers) for c in evaluate_calls] == 2 * DENSE_SIDES
+        assert first.passed and not first.commutative and first.cocommutative
 
     def test_bad_arguments_refused_before_evaluating(self, evaluate_calls):
         with pytest.raises(ValueError, match="nonnegative"):
             check_axioms(z2_algebra(), -1.0)
         assert evaluate_calls == []
+
+    def test_bad_arguments_refused_before_planning(self, evaluate_calls, planned):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_axioms(z2_algebra(), -1.0)
+        d = 17
+        zeros = np.zeros((d, d, d))
+        big = HopfAlgebra([str(i) for i in range(d)], zeros, zeros, np.zeros(d), np.zeros(d), np.zeros((d, d)))
+        with pytest.raises(ValueError, match="order 17 .*order at most 16"):
+            check_axioms(big, 1e-12)
+        assert planned == [] and evaluate_calls == []
+
+
+#: a loop of order 5 with identity 0 that is not associative
+NONASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+def dense_deviations(algebra) -> list[float]:
+    """Each identity's deviation from its two evaluated maps."""
+    return [
+        float(np.abs(evaluate(Circuit(algebra, w, left)).matrix - evaluate(Circuit(algebra, w, right)).matrix).max())
+        for _, w, left, right in _AXIOM_CIRCUITS
+    ]
+
+
+def deviations(algebra) -> tuple[list[float], int]:
+    """Each identity's deviation from _deviation, and the number of
+    identities whose two sides both have an index image."""
+    devs, indexed = [], 0
+    for _, w, left, right in _AXIOM_CIRCUITS:
+        lhs, rhs = Circuit(algebra, w, left), Circuit(algebra, w, right)
+        devs.append(_deviation(lhs, rhs))
+        indexed += _one_hot(lhs) is not None and _one_hot(rhs) is not None
+    return devs, indexed
+
+
+def bits(values: list[float]) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestDeviation:
+    """An identity compared on index images gives the float its dense maps
+    give: 0.0 or 1.0, bit for bit; every other pair is evaluated."""
+
+    @pytest.mark.parametrize("labels,table", _group_table_cases())
+    def test_group_algebra_on_index_images(self, labels, table):
+        h = group_algebra(labels, table)
+        got, indexed = deviations(h)
+        assert bits(got) == bits(dense_deviations(h))
+        assert indexed == 12  # all but the commutativity rows
+        assert set(got[:12]) == {0.0} and got[-1] == 0.0
+
+    def test_group_algebra_without_digit_maps(self):
+        h = group_algebra(*symmetric_group_3_table())
+        h.digit_maps = {}
+        got, indexed = deviations(h)
+        assert indexed == 0
+        assert bits(got) == bits(dense_deviations(h))
+        assert got[-2] == 1.0 and set(got[:-2] + got[-1:]) == {0.0}
+
+    def test_nonassociative_loop_on_index_images(self, evaluate_calls):
+        # tensors and digit maps set by hand from a loop table, which no
+        # group validation lets through
+        built = loop_group_tables(NONASSOCIATIVE_LOOP)
+        h = HopfAlgebra(list("abcde"), **built["tensors"])
+        h.digit_maps = built["digit_maps"]
+        got, indexed = deviations(h)
+        assert indexed == 12 and len(evaluate_calls) == 4
+        assert bits(got) == bits(dense_deviations(h))
+        assert got[0] == 1.0  # associativity
+        evaluate_calls.clear()
+        report = check_axioms(h, 1e-12)
+        assert len(evaluate_calls) == 4
+        oracle = loop_axiom_deviations(h)
+        assert {c.name: c.deviation for c in report.checks} == oracle
+        assert oracle["associativity"] == 1.0 and not report.passed
 
 
 class TestResolution:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import hopfcirc.circuit
@@ -438,6 +438,25 @@ def test_engine_matches_bruteforce_and_map(circuit, seed):
     assert np.max(np.abs(run(circuit, batch) - m @ batch)) <= 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(engine_circuits())
+@example(Circuit(Z3, 2, ((COMUL, ID), (ID, MUL))))  # a bijection that is not its own inverse
+@example(Circuit(Z3, 2, ((UNIT, ID, ID), (ID, MUL))))  # no bijection
+def test_one_hot_image_is_the_map(circuit):
+    # where the plan gives the map as a function f on basis indices, the
+    # map with a single 1 in row f[j] of each column j is the engine's and
+    # the brute force's, bit for bit
+    f = hopfcirc.engine._one_hot(circuit)
+    event("one-hot" if f is not None else "evaluated")
+    if f is None:
+        return
+    m = evaluate(circuit).matrix
+    one_hot = np.zeros(m.shape, dtype=complex)
+    one_hot[f, np.arange(m.shape[1])] = 1.0
+    assert one_hot.tobytes() == m.tobytes()
+    assert one_hot.tobytes() == evaluate_bruteforce_map(circuit).matrix.tobytes()
+
+
 @st.composite
 def repeated_layer_circuits(draw):
     """engine_circuits with some width-preserving layers repeated as the
@@ -683,6 +702,28 @@ class TestIndexRuns:
         assert [step.prim.kind if type(step) is hopfcirc.engine._Step else "bijective run" for step in steps] == kinds
         plain = Circuit(matrix_only(Z3), c.wires_in, c.layers)
         assert np.array_equal(evaluate(c).matrix, evaluate(plain).matrix)
+
+    @pytest.mark.parametrize(
+        "layers,kinds,opened",
+        [
+            (((MUL,),), ["Unitary", "Mul"], 0),
+            (((COUNIT, ID),), ["Unitary", "Counit"], 0),
+            (((ID, COUNIT), (ANTIPODE,)), ["Unitary", "Counit", "Antipode"], 1),
+            (((COMUL, ID), (MUL, ID)), ["Unitary", "Comul", "Mul"], 1),  # the Comul opens one
+        ],
+        ids=["mul", "counit", "counit-then-antipode", "copy-then-mul"],
+    )
+    def test_lossy_primitive_after_a_matrix_step_opens_no_run(self, monkeypatch, layers, kinds, opened):
+        # with no run open, a Mul or Counit after a matrix step loses
+        # digits, so it is a matrix step without a run being opened for it
+        runs = []
+        open_run = hopfcirc.engine._OpenRun
+        monkeypatch.setattr(hopfcirc.engine, "_OpenRun", lambda *args: runs.append(args) or open_run(*args))
+        c = Circuit(Z3, 2, ((unitary("f", haar_unitary(np.random.default_rng(3), 3)), ID),) + layers)
+        plan = hopfcirc.engine._build_plan(c)
+        assert len(runs) == opened
+        assert [step.prim.kind for step in plan.steps] == kinds
+        assert_same_plan(plan, eager_plan(c))
 
     @pytest.mark.parametrize(
         "layers,kinds",

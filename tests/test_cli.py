@@ -254,15 +254,24 @@ class TestCheckAxioms:
         assert code == 0 and payload["passed"] and payload["dim"] == 12
 
     def test_axiom_circuits_run_once(self, capsys, tmp_path, monkeypatch):
-        # loading the table evaluates nothing; the command evaluates the 14
-        # identities (two circuits each) once
-        calls = []
-        real = hopfcirc.algebra.evaluate
-        monkeypatch.setattr(hopfcirc.algebra, "evaluate", lambda c: calls.append(c) or real(c))
+        # loading the table builds no circuit; the command plans the 24
+        # distinct circuits of the 14 identities once each, and evaluates
+        # only the 4 sides of the commutativity rows, whose lone M or DELTA
+        # is a matrix step
+        events = []
+        evaluate, build_plan = hopfcirc.algebra.evaluate, hopfcirc.engine._build_plan
+        monkeypatch.setattr(hopfcirc.algebra, "evaluate", lambda c: events.append(("evaluate", c)) or evaluate(c))
+        monkeypatch.setattr(hopfcirc.engine, "_build_plan", lambda c: events.append(("plan", c)) or build_plan(c))
+        real_load = hopfcirc.cli.resolve_algebra
+        monkeypatch.setattr(hopfcirc.cli, "resolve_algebra", lambda name: events.append(("load", name)) or real_load(name))
         table = self.cyclic_table_file(tmp_path, 4)
         code, out, _ = run(capsys, ["check-axioms", "--algebra", table, "--json"])
         assert code == 0 and json.loads(out)["passed"]
-        assert len(calls) == 28
+        assert events[0] == ("load", table)
+        planned = [c for kind, c in events if kind == "plan"]
+        evaluated = [c for kind, c in events if kind == "evaluate"]
+        assert len(planned) == len({id(c) for c in planned}) == 24
+        assert len(evaluated) == 4 and {id(c) for c in evaluated} <= {id(c) for c in planned}
 
     @pytest.mark.parametrize("n", [17, 300])
     def test_order_above_limit_refused_fast(self, capsys, tmp_path, n):

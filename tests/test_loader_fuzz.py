@@ -31,10 +31,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 import hopfcirc.algebra
-from hopfcirc.algebra import check_axioms, load_group_table
+from hopfcirc.algebra import GroupTableError, _validate_group_table, check_axioms, load_group_table
 from hopfcirc.cli import cli_run
 
-from helpers import REPO_ROOT, loop_axiom_deviations
+from helpers import REPO_ROOT, loop_axiom_deviations, loop_validate_group_table
 
 
 def _schema(name: str) -> Draft7Validator:
@@ -168,6 +168,76 @@ def test_corrupted_table_refused_before_any_circuit(tmp_path_factory, table, dat
     assert stdout.getvalue() == ""
     assert stderr.getvalue().startswith("error: validate: ") and stderr.getvalue().count("\n") == 1
     assert spy.call_count == 0
+
+
+def _intercalate_switched(table: list[list[int]], draw) -> list[list[int]]:
+    """The table with one drawn 2 x 2 subsquare a b / b a, away from the
+    identity's row and column, turned into b a / a b: still a Latin square
+    with the same identity, and usually no longer associative.  The table
+    itself when it has no such subsquare."""
+    d = len(table)
+    spots = [
+        (i, k, j, m)
+        for i, k in itertools.combinations(range(1, d), 2)
+        for j, m in itertools.combinations(range(1, d), 2)
+        if table[i][j] == table[k][m] and table[i][m] == table[k][j]
+    ]
+    if not spots:
+        return table
+    i, k, j, m = draw(st.sampled_from(spots))
+    out = [list(row) for row in table]
+    out[i][j], out[i][m], out[k][j], out[k][m] = table[i][m], table[i][j], table[k][m], table[k][j]
+    return out
+
+
+@st.composite
+def random_tables(draw) -> list[list[int]]:
+    """Square tables of indices that fail the group laws in every way:
+    arbitrary entries, permutation rows, a group table with its rows,
+    columns and entries renamed apart (a Latin square, with an identity or
+    without), and a group table (identity first) with an intercalate
+    switched."""
+    how = draw(st.sampled_from(["any", "rows", "isotope", "intercalate"]))
+    if how in ("any", "rows"):
+        d = draw(st.integers(1, 8))
+        if how == "rows":
+            return [draw(st.permutations(range(d))) for _ in range(d)]
+        row = st.lists(st.integers(0, d - 1), min_size=d, max_size=d)
+        return draw(st.lists(row, min_size=d, max_size=d))
+    table = draw(group_tables(max_order=8))
+    d = len(table)
+    if how == "intercalate":
+        identity = next(e for e in range(d) if table[e][e] == e)
+        swap = list(range(d))
+        swap[0], swap[identity] = identity, 0
+        return _intercalate_switched(_relabelled(table, swap), draw)
+    rows, cols, values = (draw(st.permutations(range(d))) for _ in range(3))
+    return [[values[table[rows[i]][cols[j]]] for j in range(d)] for i in range(d)]
+
+
+def _validated(table) -> int | str:
+    try:
+        return _validate_group_table(table)
+    except GroupTableError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_validation_matches_loop_reference(data):
+    # the array checks give the loops' identity, or their first failure,
+    # with the same message
+    source = data.draw(st.sampled_from(["random", "group", "corrupted"]))
+    if source == "random":
+        table = data.draw(random_tables())
+    else:
+        table = data.draw(group_tables(max_order=8))
+        if source == "corrupted":
+            table = data.draw(corrupted(table)).get("table", table)
+    want = loop_validate_group_table(table)
+    got = _validated(table)
+    event(want if isinstance(want, str) else "a group")
+    assert type(got) is type(want) and got == want
 
 
 #: arbitrary JSON values, with the gate list's own keys among the object keys
