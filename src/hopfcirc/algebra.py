@@ -61,15 +61,16 @@ class HopfAlgebra:
     a read-only complex ndarray; maps holds them as read-only d^out x d^in
     matrices keyed by primitive kind ("Mul", "Comul", "Unit", "Counit",
     "Antipode") for the circuit engine.  Direct construction only checks
-    shapes and finiteness.  The algebras of z2_algebra, group_algebra and
-    builtin_algebra come from a validated group table and are Hopf exactly.
+    shapes and finiteness.  The algebras of group_algebra come from a
+    validated group table, those of builtin_algebra and z2_algebra from a
+    table that is a group by construction, and all are Hopf exactly.
 
     digit_maps holds, for each kind whose map sends every basis input to a
     single basis output with coefficient 1, that function on basis digits:
     one entry per output wire, either the position of the input wire whose
     digit it copies or an integer array indexed by the input digits.  The
-    engine folds runs of such maps into index steps.  group_algebra fills
-    it from the group table; a directly constructed algebra has none, so
+    engine folds runs of such maps into index steps.  A group algebra has
+    it read off its table; a directly constructed algebra has none, so
     the engine multiplies its structure matrices in.
     """
 
@@ -81,6 +82,7 @@ class HopfAlgebra:
             raise ValueError("algebra needs at least one basis element")
         if len(set(basis_labels)) != d:
             raise ValueError("basis labels must be distinct")
+        tensors = []
         for name, data, shape in (
             ("mul", mul, (d, d, d)),
             ("comul", comul, (d, d, d)),
@@ -94,9 +96,17 @@ class HopfAlgebra:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} tensor entries must be finite")
             arr.setflags(write=False)
-            setattr(self, name, arr)
+            tensors.append(arr)
+        self._set_tensors(tuple(basis_labels), *tensors, digit_maps={})
+
+    def _set_tensors(self, basis_labels: tuple[str, ...], mul, comul, unit, counit, antipode, digit_maps) -> None:
+        """Take the tensors as they are, with no copy and no check: each is
+        already a read-only complex ndarray of its shape, as __init__ and
+        _group_algebra build them."""
+        d = len(basis_labels)
         self.dim = d
-        self.basis_labels = tuple(basis_labels)
+        self.basis_labels = basis_labels
+        self.mul, self.comul, self.unit, self.counit, self.antipode = mul, comul, unit, counit, antipode
         # The structure tensors as d^out x d^in matrices, keyed by primitive
         # kind (see tensor.py for the wire conventions).  Output axes must
         # precede input axes, so mul (in,in,out) is permuted to (out,in,in)
@@ -104,13 +114,13 @@ class HopfAlgebra:
         # reshape merges axes that stay contiguous, so every map is a view
         # of a read-only tensor, and read-only itself.
         self.maps = {
-            "Mul": np.transpose(self.mul, (2, 0, 1)).reshape(d, d * d),
-            "Comul": np.transpose(self.comul, (1, 2, 0)).reshape(d * d, d),
-            "Unit": self.unit.reshape(d, 1),
-            "Counit": self.counit.reshape(1, d),
-            "Antipode": np.transpose(self.antipode),
+            "Mul": np.transpose(mul, (2, 0, 1)).reshape(d, d * d),
+            "Comul": np.transpose(comul, (1, 2, 0)).reshape(d * d, d),
+            "Unit": unit.reshape(d, 1),
+            "Counit": counit.reshape(1, d),
+            "Antipode": np.transpose(antipode),
         }
-        self.digit_maps: dict[str, tuple[int | np.ndarray, ...]] = {}
+        self.digit_maps: dict[str, tuple[int | np.ndarray, ...]] = digit_maps
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HopfAlgebra):
@@ -261,11 +271,6 @@ def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
     )
 
 
-def z2_algebra() -> HopfAlgebra:
-    """The two-element algebra whose multiplication table is XOR."""
-    return group_algebra(("f0", "f1"), [[0, 1], [1, 0]])
-
-
 def _validate_group_table(table: Sequence[Sequence[int]]) -> int:
     """Return the identity element's index; raise GroupTableError otherwise."""
     d = len(table)
@@ -313,45 +318,49 @@ def group_algebra(labels: Sequence[str], table: Sequence[Sequence[int]]) -> Hopf
     axioms hold exactly.  Every tensor entry is 0 or 1, and each side of
     every axiom sends a basis input to a single basis output, so
     check_axioms finds every deviation to be exactly 0.0.
-
-    Every structure map is a function on basis labels, so the algebra's
-    digit_maps are read off the table too: Mul is the table, Comul copies
-    its input digit twice, Unit writes the identity, Counit writes no
-    digit and Antipode is the inverse.
     """
     _check_order(len(table))
     identity = _validate_group_table(table)
     d = len(table)
     if len(labels) != d:
         raise ValueError(f"got {len(labels)} labels for a {d}-element table")
+    return _group_algebra(tuple(labels), np.array(table, dtype=np.int32), identity)
 
-    product = np.array(table, dtype=np.int32)
-    eye = np.eye(d)
-    mul = eye[product]  # mul[i, j] is the basis vector of table[i][j]
-    comul = np.zeros((d, d, d))
+
+def _group_algebra(labels: tuple[str, ...], product: np.ndarray, identity: int) -> HopfAlgebra:
+    """The algebra of a group known to be one: product is its int32 table,
+    product[i, j] the index of i * j, and identity the index of its
+    identity.  Nothing is checked; group_algebra validates a table before it
+    comes here, and the built-in tables are groups by construction.
+
+    Each tensor is built here as a read-only complex array, so the algebra
+    takes it as it is, with none of HopfAlgebra's copies or checks.  Every
+    structure map is a function on basis labels, so the algebra's
+    digit_maps are read off the table too: Mul is the table, Comul copies
+    its input digit twice, Unit writes the identity, Counit writes no digit
+    and Antipode is the inverse.
+    """
+    d = len(product)
+    eye = np.eye(d, dtype=complex)
+    eye.setflags(write=False)  # so its row, the unit, is a read-only view
+    mul = eye[product]  # mul[i, j] is the basis vector of product[i, j]
+    comul = np.zeros((d, d, d), dtype=complex)
     comul.reshape(-1)[:: d * d + d + 1] = 1.0  # the entries comul[g, g, g]
-    unit = eye[identity]
-    antipode = product == identity  # 1 at [g, h] where g * h is the identity
-    inverse = antipode.argmax(axis=1).astype(np.int32)
-
-    algebra = HopfAlgebra(
-        tuple(labels),
-        mul=mul,
-        comul=comul,
-        unit=unit,
-        counit=np.ones(d),
-        antipode=antipode,
-    )
+    is_inverse = product == identity  # [g, h] where g * h is the identity
+    antipode = is_inverse.astype(complex)
+    counit = np.ones(d, dtype=complex)
+    inverse = is_inverse.argmax(axis=1).astype(np.int32)
     unit_digit = np.array(identity, dtype=np.int32)  # indexed by no input digit
-    for arr in (product, unit_digit, inverse):
+    for arr in (mul, comul, antipode, counit, product, inverse, unit_digit):
         arr.setflags(write=False)
-    algebra.digit_maps = {
+    algebra = HopfAlgebra.__new__(HopfAlgebra)
+    algebra._set_tensors(labels, mul, comul, eye[identity], counit, antipode, digit_maps={
         "Mul": (product,),
         "Comul": (0, 0),
         "Unit": (unit_digit,),
         "Counit": (),
         "Antipode": (inverse,),
-    }
+    })
     return algebra
 
 
@@ -377,20 +386,32 @@ def symmetric_group_3_table() -> tuple[list[str], list[list[int]]]:
     return labels, table
 
 
-#: the algebras the CLI resolves without a table file: name -> builder
-_BUILTINS = {
-    "Z2": z2_algebra,
-    **{f"Z{n}": lambda n=n: group_algebra(*cyclic_group_table(n)) for n in (3, 4, 5)},
-    "S3": lambda: group_algebra(*symmetric_group_3_table()),
+#: the algebras the CLI resolves without a table file: name -> its labels
+#: and group table.  Each table is a group by construction, with the
+#: identity at index 0, so builtin_algebra does not validate it; a test
+#: does (tests/test_algebra.py)
+_BUILTIN_TABLES = {
+    "Z2": lambda: (["f0", "f1"], [[0, 1], [1, 0]]),
+    **{f"Z{n}": lambda n=n: cyclic_group_table(n) for n in (3, 4, 5)},
+    "S3": symmetric_group_3_table,
 }
-BUILTIN_ALGEBRAS = tuple(_BUILTINS)
+BUILTIN_ALGEBRAS = tuple(_BUILTIN_TABLES)
 
 
 def builtin_algebra(name: str) -> HopfAlgebra:
-    build = _BUILTINS.get(name.upper())
-    if build is None:
+    """The built-in algebra of that name (any case), built from its table
+    with no validation: group_algebra of the same labels and table gives
+    an equal algebra."""
+    table_of = _BUILTIN_TABLES.get(name.upper())
+    if table_of is None:
         raise ValueError(f"unknown built-in algebra {_echo(name)} (expected one of {', '.join(BUILTIN_ALGEBRAS)})")
-    return build()
+    labels, table = table_of()
+    return _group_algebra(tuple(labels), np.array(table, dtype=np.int32), 0)
+
+
+def z2_algebra() -> HopfAlgebra:
+    """The two-element algebra whose multiplication table is XOR."""
+    return builtin_algebra("Z2")
 
 
 def _read_json(path: str | Path):

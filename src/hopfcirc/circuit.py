@@ -146,7 +146,9 @@ class Primitive:
     name: str | None = None
     matrix: np.ndarray | None = None
     # the matrix's _gram_deviation when _unitaries computed it already, for
-    # a stack of matrices at once; computed here otherwise
+    # its stack of matrices at once; the matrix is then a row of that
+    # read-only complex stack, square, and is kept as it is.  Otherwise the
+    # matrix is copied, and its deviation computed, here
     _gram: InitVar[float | None] = None
     # read off the primitive table once: the engine and validate read them
     # for every primitive of every layer
@@ -165,14 +167,16 @@ class Primitive:
             raise CircuitError("exactly the Unitary primitive carries a matrix")
         if self.matrix is None:
             return
-        arr = np.array(self.matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise CircuitError(f"unitary {_echo(self.name)} must be square, got shape {arr.shape}")
-        dev = float(_gram_deviation(arr[None])[0]) if _gram is None else _gram
+        dev = _gram
+        if dev is None:
+            arr = np.array(self.matrix, dtype=complex)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise CircuitError(f"unitary {_echo(self.name)} must be square, got shape {arr.shape}")
+            dev = float(_gram_deviation(arr[None])[0])
+            arr.setflags(write=False)
+            object.__setattr__(self, "matrix", arr)
         if not dev <= UNITARY_TOL:  # a nan deviation must not pass
             raise CircuitError(f"matrix for {_echo(self.name)} is not unitary (deviation {dev:.2e})")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "deviation", dev)
 
     def __repr__(self) -> str:
@@ -196,13 +200,16 @@ def unitary(name: str, matrix) -> Primitive:
     return Primitive("Unitary", name=name, matrix=np.asarray(matrix, dtype=complex))
 
 
-def _unitaries(names: Sequence[str], matrices: Sequence[np.ndarray]) -> list[Primitive]:
+def _unitaries(names: Sequence[str], matrices: Sequence) -> list[Primitive]:
     """unitary(name, matrix) for each pair in order, the first that is not
-    unitary refused, with one Gram computation for the stack of matrices,
-    which must all have one shape."""
+    unitary refused.  The matrices, each given as rows or as an array, must
+    all be square and of one shape: one np.array call stacks them into a
+    read-only array, one Gram computation checks the stack, and each
+    primitive keeps its row of the stack."""
     if not matrices:
         return []
     stack = np.array(matrices, dtype=complex)
+    stack.setflags(write=False)
     grams = _gram_deviation(stack).tolist()
     return [Primitive("Unitary", name, matrix, gram) for name, matrix, gram in zip(names, stack, grams)]
 
@@ -517,9 +524,11 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
 
     A one-wire gate multiplies its d x d matrix into the total's rows along
     its own wire, O(d^(2n+1)) work on n wires, with no Kronecker product.
-    Controlled-NOT acts as a basis permutation read off the group table:
-    the target digit of every basis index is replaced by the product of the
-    control and target digits, and the rows of the total move accordingly.
+    Controlled-NOT acts as a basis permutation read off the group table of
+    a group algebra: the target digit of every basis index is replaced by
+    the product of the control and target digits, and the rows of the total
+    move accordingly.  An algebra whose product table has a row that is
+    no permutation is refused at its first controlled-NOT.
     No comultiplication is involved, and none of the engine's plan or
     state code, so this shares nothing with the compiled evaluation path.
     Gates are refused as compile_gate_circuit refuses them, unitarity aside.
@@ -530,6 +539,9 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
     dim = d**wires
     total = np.eye(dim, dtype=complex)
     product = np.argmax(algebra.mul, axis=2)  # product[a, b] = a * b
+    # a controlled-NOT moves the rows of the total by a permutation when
+    # every row of the table is one, as every row of a group's table is
+    shifts = bool((np.sort(product, axis=1) == np.arange(d)).all())
     index = np.arange(dim)
     digits = np.indices((d,) * wires).reshape(wires, dim)  # digits[k, i]: digit k of index i
     for gi, gate in enumerate(gates):
@@ -539,11 +551,14 @@ def direct_gate_map(algebra: HopfAlgebra, wires: int, gates: Sequence[Cnot | U1]
             u = np.asarray(gate.matrix, dtype=complex)
             total = np.matmul(u, total.reshape(d**gate.wire, d, -1)).reshape(dim, dim)
         else:
+            if not shifts:
+                raise CircuitError(f"gate {gi}: controlled-NOT needs a group algebra, "
+                                   "but a row of the product table is not a permutation")
             c, t = gate.control, gate.target
-            # row i of the total moves to row rows[i]; the group table makes
-            # rows a permutation
+            # row i of the total moves to row rows[i], a permutation, so
+            # every row of moved is written
             rows = index + (product[digits[c], digits[t]] - digits[t]) * d ** (wires - 1 - t)
-            moved = np.zeros_like(total)
+            moved = np.empty_like(total)
             moved[rows] = total
             total = moved
     return LinearMap(d, wires, wires, total)
@@ -562,14 +577,23 @@ class OutcomeDistribution:
 
     entries: tuple[tuple[str, float], ...]
     norm_in: float
+    # the probabilities of the entries as an array, when the caller has one
+    # (measure reads the entries off it); read off the entries otherwise
+    _probabilities: InitVar[np.ndarray | None] = None
+    #: the probabilities of the entries, in their order, as a read-only float array
+    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # a plain running sum of 2^20 probabilities drifts by about 1e-11
-        total = math.fsum(p for _, p in self.entries)
+    def __post_init__(self, _probabilities):
+        probs = np.array([p for _, p in self.entries], dtype=float) if _probabilities is None else _probabilities
+        # fsum is exact: a plain running sum of 2^20 probabilities drifts by about 1e-11
+        total = math.fsum(probs.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(not 0.0 <= p <= 1.0 for _, p in self.entries):
+        # a nan passes the sum check, but not this one: min and max are nan then
+        if not (probs.min() >= 0.0 and probs.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
+        probs.setflags(write=False)
+        object.__setattr__(self, "probabilities", probs)
 
     def as_dict(self) -> dict:
         return {"norm_in": self.norm_in, "outcomes": {lbl: p for lbl, p in self.entries}}
@@ -592,17 +616,19 @@ def measure(state: Sequence[complex], base_dim: int) -> OutcomeDistribution:
         wires += 1
     if base_dim < 1 or base_dim**wires != vec.shape[0]:
         raise ValueError(f"state length {vec.shape[0]} is not a power of {base_dim}")
-    if float(np.max(np.abs(vec))) <= ANNIHILATION_THRESHOLD:
+    magnitudes = np.abs(vec)
+    if float(magnitudes.max()) <= ANNIHILATION_THRESHOLD:
         raise AnnihilatedStateError(
             "all output amplitudes are at most 1e-14; the circuit annihilated this input"
         )
-    weights = np.abs(vec) ** 2
+    weights = magnitudes**2
     norm_in = float(weights.sum())
     if not math.isfinite(norm_in):
         raise ValueError(f"output amplitudes overflow: their squared norm is {norm_in}")
     nz = np.flatnonzero(weights > 0.0)
-    entries = tuple(zip(_basis_labels(nz, base_dim, wires), (weights[nz] / norm_in).tolist()))
-    return OutcomeDistribution(entries=entries, norm_in=norm_in)
+    probs = weights[nz] / norm_in
+    entries = tuple(zip(_basis_labels(nz, base_dim, wires), probs.tolist()))
+    return OutcomeDistribution(entries, norm_in, probs)
 
 
 def is_unitary(linmap: LinearMap) -> bool:

@@ -370,12 +370,13 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     circuit, column = _load_input(args)
     distribution = measure(run(circuit, column)[:, 0], circuit.algebra.dim)
-    labels = [lbl for lbl, _ in distribution.entries]
-    probs = np.array([p for _, p in distribution.entries])
+    probs = distribution.probabilities
     rng = np.random.default_rng(args.seed)
-    draws = rng.choice(len(labels), size=args.shots, p=probs / probs.sum())
-    tally = np.bincount(draws, minlength=len(labels))
-    counts = {lbl: int(n) for lbl, n in sorted(zip(labels, tally)) if n > 0}
+    draws = rng.choice(len(probs), size=args.shots, p=probs / probs.sum())
+    tally = np.bincount(draws, minlength=len(probs))
+    (drawn,) = tally.nonzero()  # only the outcomes drawn need their labels
+    entries = distribution.entries
+    counts = dict(sorted(zip([entries[i][0] for i in drawn.tolist()], tally[drawn].tolist())))
     if args.json:
         print(_dump_json({"input": args.input, "shots": args.shots, "seed": args.seed, "counts": counts}))
     else:

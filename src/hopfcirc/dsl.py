@@ -112,13 +112,18 @@ class UnitaryDef:
 
     def matrix(self) -> np.ndarray:
         """A new array on every call."""
+        return np.array(self._entries(), dtype=complex)
+
+    def _entries(self):
+        """The matrix's entries as rows, or as a preset's own array, which
+        must not be written to."""
         if self.rows is not None:
-            return np.array(self.rows, dtype=complex)
+            return self.rows
         if self.preset in _PRESETS:
-            return _PRESETS[self.preset].copy()
+            return _PRESETS[self.preset]
         if self.preset not in _ROTATIONS:
             raise ValueError(f"unknown preset {_echo(self.preset)}")
-        return np.array(_ROTATIONS[self.preset](self.angle / 2.0), dtype=complex)
+        return _ROTATIONS[self.preset](self.angle / 2.0)
 
 
 @dataclass(frozen=True)
@@ -343,12 +348,13 @@ def _format_unitary_def(udef: UnitaryDef) -> str:
 def to_circuit(doc: CircuitDocument) -> Circuit:
     """Resolve the algebra and primitives of a document into a Circuit.
 
-    The unitary definitions are checked in order, with one Gram computation
-    for all of them; each distinct layer is resolved once, and equal layers
-    share one tuple of primitives.
+    The unitary definitions are checked in order, as one stack of their
+    entries with one Gram computation (see circuit._unitaries); each
+    distinct layer is resolved once, and equal layers share one tuple of
+    primitives.
     """
     algebra = resolve_algebra(doc.algebra_name)
-    names, matrices = [], []
+    names, matrices = [], []  # matrices: each definition's rows, unconverted
     for name, udef in doc.unitaries:
         try:
             if udef.preset is not None and algebra.dim != 2:
@@ -363,7 +369,7 @@ def to_circuit(doc: CircuitDocument) -> Circuit:
             _unitaries(names, matrices)  # a definition before this one fails first
             raise
         names.append(name)
-        matrices.append(udef.matrix())
+        matrices.append(udef._entries())
     prims = dict(_PRIMITIVE_BY_TOKEN)  # token -> primitive, a unitary's token being ("U", name)
     prims.update(zip([("U", name) for name in names], _unitaries(names, matrices)))
     resolved = dict.fromkeys(doc.layers)  # each distinct tokens tuple -> its primitives

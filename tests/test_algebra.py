@@ -243,6 +243,41 @@ class TestGroupAlgebra:
                 if isinstance(b, np.ndarray):
                     assert a.dtype == b.dtype and a.shape == b.shape and not a.flags.writeable, kind
 
+    @pytest.mark.parametrize("name", BUILTIN_ALGEBRAS)
+    def test_builtin_is_the_group_algebra_of_its_table(self, name, monkeypatch):
+        # builtin_algebra does not validate its table on a load: this test
+        # does, and compares what it builds with group_algebra bit for bit
+        labels, table = hopfcirc.algebra._BUILTIN_TABLES[name]()
+        assert hopfcirc.algebra._validate_group_table(table) == 0  # the identity builtin_algebra assumes
+        want = group_algebra(labels, table)
+        validated = []
+        monkeypatch.setattr(hopfcirc.algebra, "_validate_group_table", validated.append)
+        got = builtin_algebra(name)
+        assert validated == []
+
+        def same(a, b):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+        # HopfAlgebra(...) converts what it is given to complex itself
+        longhand = HopfAlgebra(labels, want.mul, want.comul, want.unit, want.counit, want.antipode)
+        assert got.basis_labels == want.basis_labels == tuple(labels)
+        for tensor in ("mul", "comul", "unit", "counit", "antipode"):
+            same(getattr(got, tensor), getattr(want, tensor))
+            same(getattr(got, tensor), getattr(longhand, tensor))
+        assert got.maps.keys() == want.maps.keys()
+        for kind, matrix in want.maps.items():
+            same(got.maps[kind], matrix)
+        assert got.digit_maps.keys() == want.digit_maps.keys()
+        for kind, entries in want.digit_maps.items():
+            assert len(got.digit_maps[kind]) == len(entries), kind
+            for a, b in zip(got.digit_maps[kind], entries):
+                assert type(a) is type(b), kind
+                if isinstance(b, np.ndarray):
+                    same(a, b)
+                else:
+                    assert a == b, kind
+
     def test_z3_antipode_swaps_inverses(self):
         labels, table = cyclic_group_table(3)
         h = group_algebra(labels, table)

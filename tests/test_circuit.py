@@ -949,6 +949,18 @@ class TestGateListErrors:
             with pytest.raises(CircuitError, match=rf"^gate 1: {re.escape(detail)}$"):
                 build(Z2, 2, gates)
 
+    def test_direct_gate_map_refuses_a_cnot_off_a_group(self):
+        # every product is element 0: the rows a controlled-NOT moves are no
+        # permutation, so the total would keep rows no gate wrote
+        mul = np.zeros((2, 2, 2))
+        mul[:, :, 0] = 1.0
+        algebra = HopfAlgebra(("a", "b"), mul, np.zeros((2, 2, 2)), [1.0, 0.0], [1.0, 1.0], np.eye(2))
+        assert np.array_equal(direct_gate_map(algebra, 2, [U1(1, HADAMARD)]).matrix,
+                              direct_gate_map(Z2, 2, [U1(1, HADAMARD)]).matrix)
+        with pytest.raises(CircuitError, match=r"^gate 1: controlled-NOT needs a group algebra, "
+                                               r"but a row of the product table is not a permutation$"):
+            direct_gate_map(algebra, 2, [U1(1, HADAMARD), Cnot(0, 1)])
+
     def test_direct_gate_map_does_not_check_unitarity(self):
         # unitarity is compile's, through unitary(); the reference multiplies
         # any d x d matrix in
@@ -1051,6 +1063,31 @@ class TestApplyMeasure:
             OutcomeDistribution(entries=(("0", 0.5),), norm_in=1.0)
         with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
             OutcomeDistribution(entries=(("0", 1.5), ("1", -0.5)), norm_in=1.0)
+
+    @pytest.mark.parametrize("probs,message", [
+        ((math.inf,), r"probabilities sum to inf, not 1"),
+        ((1.0, -1e-13), r"probabilities must lie in \[0, 1\]"),  # the sum within 1e-12 of 1
+        ((1.0 + 1e-13,), r"probabilities must lie in \[0, 1\]"),
+        # a nan sum passes the sum check, as abs(nan - 1.0) > 1e-12 is
+        # False: the range check refuses it, wherever the nan stands
+        ((math.nan, 1.0), r"probabilities must lie in \[0, 1\]"),
+        ((1.0, math.nan), r"probabilities must lie in \[0, 1\]"),
+        ((0.25, math.nan, 0.75), r"probabilities must lie in \[0, 1\]"),
+    ])
+    def test_distribution_refuses_nan_and_out_of_range(self, probs, message):
+        entries = tuple((str(i), p) for i, p in enumerate(probs))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OutcomeDistribution(entries=entries, norm_in=1.0)
+
+    def test_distribution_probabilities_are_its_entries(self):
+        entries = (("00", 0.25), ("01", 0.0), ("11", 0.75))
+        distribution = OutcomeDistribution(entries=entries, norm_in=2.0)
+        assert distribution.probabilities.tolist() == [0.25, 0.0, 0.75]
+        assert distribution.probabilities.dtype == np.float64 and not distribution.probabilities.flags.writeable
+        assert distribution == OutcomeDistribution(entries=entries, norm_in=2.0)
+        measured = measure(np.array([0.6, 0, 0, 0.8j]), 2)
+        assert measured.probabilities.tolist() == [p for _, p in measured.entries]
+        assert not measured.probabilities.flags.writeable
 
     def test_measure_bad_length(self):
         for length, base_dim in ((3, 2), (2, 1), (1, 0), (1, -2), (4, -2)):

@@ -321,6 +321,30 @@ class TestToCircuit:
         assert [u.deviation for u in got] == [u.deviation for u in expected]
         assert all(np.array_equal(u.matrix, v.matrix) for u, v in zip(got, expected))
 
+    def test_unitary_stack_stays_private(self):
+        src = ("algebra Z2\nin 2\nunitary h H\nunitary r RY(0.3)\n"
+               "unitary p [0.0+1.0i, 0.0+0.0i; 0.0+0.0i, 1.0+0.0i]\nlayer U(h), U(r)\nlayer U(p), ID\n")
+        doc = parse_circuit(src)
+        circuit = to_circuit(doc)
+        prims = {p.name: p for layer in circuit.layers for p in layer if p.kind == "Unitary"}
+        stack = prims["h"].matrix.base  # the definitions are rows of one read-only stack
+        assert stack.shape == (3, 2, 2) and not stack.flags.writeable
+        for name, udef in doc.unitaries:
+            got, want = prims[name].matrix, udef.matrix()
+            assert got.base is stack and not got.flags.writeable
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 0.0
+        # matrix() hands out a new array: writing to it changes no later one
+        written = doc.unitaries[0][1].matrix()
+        written[:] = 0.0
+        assert np.array_equal(UnitaryDef(preset="H").matrix(), prims["h"].matrix)
+        # the public factory keeps its own copy of the caller's array
+        caller = UnitaryDef(preset="H").matrix()
+        gate = unitary("h", caller)
+        caller[0, 0] = 5.0
+        assert np.array_equal(gate.matrix, prims["h"].matrix) and not gate.matrix.flags.writeable
+
     def test_wrong_size_definition_after_a_non_unitary_one(self):
         # definitions fail in their order, whichever check refuses them
         bad = "unitary p [1.0+0.0i, 0.0+0.0i; 0.0+0.0i, 2.0+0.0i]\n"
