@@ -32,7 +32,7 @@ from .circuit import (
     Circuit,
     _echo,
 )
-from .engine import _one_hot, evaluate
+from .engine import _bind, _digit_pattern, _evaluate, _one_hot, _walk
 
 __all__ = [
     "HopfAlgebra",
@@ -208,6 +208,13 @@ _AXIOM_SIDES = tuple(dict.fromkeys(
     (wires, side) for _, wires, left, right in _AXIOM_CIRCUITS for side in (left, right)
 ))
 
+#: the identities as (family, left side, right side), each side its index
+#: in _AXIOM_SIDES
+_AXIOM_ROWS = tuple(
+    (family, _AXIOM_SIDES.index((wires, left)), _AXIOM_SIDES.index((wires, right)))
+    for family, wires, left, right in _AXIOM_CIRCUITS
+)
+
 #: largest order whose widest axiom maps (d^3 x d^3, and d^2 columns of
 #: d^4 entries inside the bialgebra circuit) fit in MAX_MAP_ENTRIES
 MAX_CHECKED_ORDER = next(n for n in itertools.count(1) if (n + 1) ** 6 > MAX_MAP_ENTRIES)
@@ -221,9 +228,9 @@ def _check_order(d: int) -> None:
         )
 
 
-def _deviation(left: Circuit, right: Circuit) -> float:
-    """The largest entry of |map(left) - map(right)| for two circuits with
-    the same wires in and out.
+def _deviation(left: tuple, right: tuple) -> float:
+    """The largest entry of |map(left) - map(right)| for two sides with
+    the same wires in and out, each given as (plan, wire profile).
 
     When the plans give both maps as functions on basis indices (one 1 per
     column, see engine._one_hot), every entry of the difference is 0 or
@@ -231,11 +238,17 @@ def _deviation(left: Circuit, right: Circuit) -> float:
     when they do not: the float the dense maps give.  Any other pair is
     evaluated and subtracted.
     """
-    f = _one_hot(left)
-    g = None if f is None else _one_hot(right)
+    f = _one_hot(*left)
+    g = None if f is None else _one_hot(*right)
     if g is not None:
         return 0.0 if np.array_equal(f, g) else 1.0
-    return float(np.abs(evaluate(left).matrix - evaluate(right).matrix).max())
+    return float(np.abs(_evaluate(*left).matrix - _evaluate(*right).matrix).max())
+
+
+def _walk_sides(digit_maps: dict) -> tuple:
+    """The skeleton of each of _AXIOM_SIDES, in order, for algebras with
+    these digit maps."""
+    return tuple(_walk(wires, layers, digit_maps) for wires, layers in _AXIOM_SIDES)
 
 
 def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
@@ -246,17 +259,25 @@ def check_axioms(algebra: HopfAlgebra, tol: float) -> AxiomReport:
     deviation is the largest entry of the difference of their maps.
     Families: associativity, unit, coassociativity, counit, the four
     bialgebra compatibility identities (reported as one family by their
-    max deviation), and the antipode identity.  Every call builds the 24
-    distinct circuits of the 14 identities once and compares each
-    identity's two sides with _deviation; nothing is kept between calls.
+    max deviation), and the antipode identity.
+
+    The 24 distinct sides of the 14 identities were validated and walked
+    once, at import, for the two digit-map patterns algebras have: every
+    group algebra's and none (_AXIOM_SKELETONS).  A call builds no circuit:
+    it binds each skeleton to the algebra, which folds its runs in the
+    algebra's own tables, and compares each identity's two sides with
+    _deviation.  Digit maps of any other pattern, set by hand, are walked
+    on the call.  Nothing is kept between calls.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     _check_order(algebra.dim)
-    circuits = {side: Circuit(algebra, *side) for side in _AXIOM_SIDES}
+    digit_maps = algebra.digit_maps
+    skeletons = _AXIOM_SKELETONS.get(_digit_pattern(digit_maps)) or _walk_sides(digit_maps)
+    sides = [(_bind(skeleton, algebra), profile) for skeleton, profile in zip(skeletons, _AXIOM_PROFILES)]
     deviations: dict[str, float] = {}
-    for family, wires, left, right in _AXIOM_CIRCUITS:
-        deviation = _deviation(circuits[wires, left], circuits[wires, right])
+    for family, left, right in _AXIOM_ROWS:
+        deviation = _deviation(sides[left], sides[right])
         deviations[family] = max(deviations.get(family, 0.0), deviation)
     checks = tuple(
         AxiomCheck(name, dev, dev <= tol)
@@ -362,6 +383,21 @@ def _group_algebra(labels: tuple[str, ...], product: np.ndarray, identity: int) 
         "Antipode": (inverse,),
     })
     return algebra
+
+
+def _axiom_constants() -> tuple[tuple, dict]:
+    """The wire profile of each of _AXIOM_SIDES, and its skeletons by digit
+    pattern.  Each side is validated once as a circuit of the one-element
+    group algebra, whose digit maps have the pattern of every group
+    algebra's, then walked for that pattern and for an algebra with none."""
+    one = _group_algebra(("e",), np.zeros((1, 1), dtype=np.int32), 0)
+    profiles = tuple(Circuit(one, wires, layers).profile for wires, layers in _AXIOM_SIDES)
+    return profiles, {_digit_pattern(maps): _walk_sides(maps) for maps in (one.digit_maps, {})}
+
+
+#: each axiom side's wire count at every layer boundary, and its skeleton
+#: for each digit pattern check_axioms meets, built once at import
+_AXIOM_PROFILES, _AXIOM_SKELETONS = _axiom_constants()
 
 
 def cyclic_group_table(n: int) -> tuple[list[str], list[list[int]]]:

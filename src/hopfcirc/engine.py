@@ -15,13 +15,20 @@ permutation for the Swaps before it.  A group algebra's structure maps
 are functions on basis digits (see HopfAlgebra.digit_maps), so a run of
 them, with the Swaps among them, can fold into one index step on the
 whole state: a gather of rows when the run is a permutation, and, for the
-plan's first step only, a scatter-add otherwise (see _build_plan for
-which runs fold).  When the plan starts
-with an index step, evaluate writes its image of the identity directly,
-and a plan of that one step, or of none, gives the map as an integer
-array (_one_hot), which check_axioms compares without writing it out.
-Ids give no step.  The plan walk handles each distinct layer once, and
-tracks a run's digits as symbols, so only a run that folds builds arrays.
+plan's first step only, a scatter-add otherwise (see _walk for which runs
+fold).  When the plan starts with an index step, evaluate writes its
+image of the identity directly, and a plan of that one step, or of none,
+gives the map as an integer array (_one_hot), which check_axioms compares
+without writing it out.  Ids give no step.
+
+A plan is built in two parts.  _walk reads the layers and only which
+kinds have digit maps, never a table or a matrix: it handles each
+distinct layer once, tracks a run's digits as symbols, and leaves a
+skeleton of tuples, whose lookups name their table by (kind, slot).
+_bind evaluates the skeleton's folds in one algebra's tables and picks
+its matrices.  A circuit's plan is its walk bound to its algebra;
+check_axioms binds the skeletons of its axiom circuits, walked once when
+the algebra module is imported.
 
 circuit_is_unitary answers is_unitary(evaluate(circuit)) without the map
 where the plan proves it: a map between different wire counts is not
@@ -69,7 +76,7 @@ class _Step(NamedTuple):
 class _Run(NamedTuple):
     """A run of structure maps that have digit maps, with the Swaps among
     them, folded into one function f on the basis indices of the whole
-    state, from wires_in to wires_out wires (see _build_plan).  A bijective
+    state, from wires_in to wires_out wires (see _walk).  A bijective
     run keeps the inverse of f and is the gather of state rows index; any
     other run, always the plan's first step, keeps f and adds state row j
     into output row index[j]."""
@@ -118,31 +125,61 @@ class _OpenRun:
     Its digits are symbols, with no array behind them: symbol k below
     wires_in is the digit of the run's input wire k (state axis k when the
     run opened), and a larger symbol s is one table lookup, defs[s -
-    wires_in] = (table, argument symbols), one per table output of a Mul,
-    Unit or Antipode.  A copy keeps its symbol.  digits[i] is the symbol
-    wire i carries, and consts holds the symbols of lookups that read no
-    input digit.  Only a run that folds evaluates its symbols, in
-    _fold_run; prims holds its primitives as (axes before, pos, prim), for
-    a run that stays matrix steps.
+    wires_in] = (kind, slot, argument symbols), one per table output of a
+    Mul, Unit or Antipode: its table is output slot of that kind's digit
+    map.  A copy keeps its symbol.  digits[i] is the symbol wire i carries,
+    and consts holds the symbols of lookups that read no input digit.  Only
+    a run that folds evaluates its symbols, in _fold_run; prims holds its
+    primitives as (axes before, pos, prim), for a run that stays matrix
+    steps.
     """
 
     __slots__ = ("digits", "defs", "consts", "wires_in", "lossy", "prims")
 
     def __init__(self, wires_in: int, axes: list[int] | None):
         self.digits = list(range(wires_in)) if axes is None else axes.copy()
-        self.defs: list[tuple[np.ndarray, tuple[int, ...]]] = []
+        self.defs: list[tuple[str, int, tuple[int, ...]]] = []
         self.consts: set[int] = set()
         self.wires_in = wires_in
         self.lossy = False  # whether a primitive of the run lost digits
         self.prims: list[tuple[list[int] | None, int, Primitive]] = []
 
-    def lookup(self, table: np.ndarray, args: tuple[int, ...]) -> int:
-        """The symbol of table[args]."""
+    def lookup(self, kind: str, slot: int, args: tuple[int, ...]) -> int:
+        """The symbol of table slot of kind's digit map at args."""
         symbol = self.wires_in + len(self.defs)
-        self.defs.append((table, args))
+        self.defs.append((kind, slot, args))
         if self.consts.issuperset(args):
             self.consts.add(symbol)
         return symbol
+
+
+class _Fold(NamedTuple):
+    """A closed run that folds into one index step once bound to an
+    algebra: output wire k carries symbol digits[k], as in _OpenRun."""
+
+    wires_in: int
+    digits: tuple[int, ...]
+    defs: tuple[tuple[str, int, tuple[int, ...]], ...]
+    lossy: bool
+
+
+class _Skeleton(NamedTuple):
+    """A circuit's plan with no algebra in it, as _walk leaves it: each
+    step a _Fold or a matrix step (perm, pos, prim), and the final perm.
+    It holds only tuples, ints, strings and primitives."""
+
+    steps: tuple[_Fold | tuple[tuple[int, ...] | None, int, Primitive], ...]
+    final_perm: tuple[int, ...] | None
+
+
+def _digit_pattern(digit_maps: dict) -> tuple:
+    """What _walk reads of an algebra's digit maps, as a hashable key: for
+    each kind with a digit map, each output as the input wire it copies,
+    or None for a table lookup."""
+    return tuple(sorted(
+        (kind, tuple(out if type(out) is int else None for out in outputs))
+        for kind, outputs in digit_maps.items()
+    ))
 
 
 def _loses_digits(run: _OpenRun | None, pos: int, n: int) -> bool:
@@ -159,9 +196,9 @@ def _loses_digits(run: _OpenRun | None, pos: int, n: int) -> bool:
     return run.consts.isdisjoint(ins) and sum(map(run.digits.count, set(ins))) == n
 
 
-def _fold_run(run: _OpenRun, d: int) -> _Run:
-    """The index step of a run whose output wire k carries digit
-    run.digits[k].
+def _fold_run(run: _Fold, d: int, tables: dict) -> _Run:
+    """The index step of a fold whose output wire k carries digit
+    run.digits[k], its lookups read in tables, an algebra's digit maps.
 
     The symbols are evaluated as integer arrays over the grid of
     _input_digits.  A square run that changed few wires starts from the
@@ -174,8 +211,8 @@ def _fold_run(run: _OpenRun, d: int) -> _Run:
     """
     wires_in, digits = run.wires_in, run.digits
     values = list(_input_digits(d, wires_in))
-    for table, args in run.defs:
-        values.append(table[tuple(map(values.__getitem__, args))])
+    for kind, slot, args in run.defs:
+        values.append(tables[kind][slot][tuple(map(values.__getitem__, args))])
     h = wires_in // 2
     grid = (d**h, d ** (wires_in - h))
     square = len(digits) == wires_in
@@ -203,8 +240,10 @@ def _fold_run(run: _OpenRun, d: int) -> _Run:
     return _Run(wires_in, len(digits), index, False)
 
 
-def _build_plan(circuit: Circuit) -> _Plan:
-    """Walk the layers once.
+def _walk(wires_in: int, layers: Sequence[Sequence[Primitive]], digit_maps: dict) -> _Skeleton:
+    """Walk the layers of a valid circuit once, for an algebra with these
+    digit maps, of which only _digit_pattern is read: no table, matrix or
+    dimension, so the skeleton is bound to any algebra of that pattern.
 
     Within a layer the primitives act on disjoint wires, so their order is
     free: the shrinking and width-preserving ones go first and Comul/Unit
@@ -214,28 +253,21 @@ def _build_plan(circuit: Circuit) -> _Plan:
     A primitive with a digit map opens a run, or joins the open one, as
     the digits its output wires carry: a copy or a drop of an input wire's
     digit, or one lookup in its table.  The next matrix step, or the end,
-    closes the run, and it becomes one index step when it is the plan's
-    first step, which meets one-hot columns, or square.  After a matrix
-    step, a primitive that loses digits ends the run and is a matrix step
-    itself, so a later square run lost no digits: it is a permutation.
-    Any other run, and a run of a single primitive (one multiplication
-    costs less than a fold), stays matrix steps, and its digits are never
-    evaluated.  So an index step never adds two nonzero terms: every sum
-    is the matrix steps' own, with the same rounding.  Swaps inside a run
-    exchange digits too; every Swap folds into the permutation of the next
-    matrix step or of the end.
+    closes the run, and it becomes one fold when it is the plan's first
+    step, which meets one-hot columns, or square.  After a matrix step, a
+    primitive that loses digits ends the run and is a matrix step itself,
+    so a later square run lost no digits: it is a permutation.  Any other
+    run, and a run of a single primitive (one multiplication costs less
+    than a fold), stays matrix steps, and its digits are never evaluated.
+    So an index step never adds two nonzero terms: every sum is the matrix
+    steps' own, with the same rounding.  Swaps inside a run exchange digits
+    too; every Swap folds into the permutation of the next matrix step or
+    of the end.
     """
-    algebra = circuit.algebra
-    d = algebra.dim
-    digit_maps = algebra.digit_maps
-    steps = []
-    width = circuit.wires_in
+    steps: list[_Fold | tuple] = []
+    width = wires_in
     axes = None  # axes[i]: the state axis holding wire i, once a Swap moved one
     run = None  # the open run
-
-    def matrix_step(before: list[int] | None, pos: int, prim: Primitive) -> None:
-        matrix = prim.matrix if prim.kind == "Unitary" else algebra.maps[prim.kind]
-        steps.append(_Step(_perm_or_none(before), pos, prim.wires_in, matrix, prim))
 
     # no step is added while a run is open, so an open run is the plan's
     # first step exactly when steps is empty
@@ -243,17 +275,16 @@ def _build_plan(circuit: Circuit) -> _Plan:
         nonlocal axes, run
         square = len(run.digits) == run.wires_in
         if len(run.prims) > 1 and (not steps or square):
-            steps.append(_fold_run(run, d))
+            steps.append(_Fold(run.wires_in, tuple(run.digits), tuple(run.defs), run.lossy))
             axes = None  # the Swaps after its last primitive are in the fold
         else:
-            for before, pos, prim in run.prims:
-                matrix_step(before, pos, prim)
+            steps.extend((_perm_or_none(before), pos, prim) for before, pos, prim in run.prims)
         run = None
 
     # layer -> its primitives other than Id, each as (first wire it acts on,
     # prim, its digit map or None), in the order they are applied
     moves_of: dict[tuple[Primitive, ...], list[tuple[int, Primitive, tuple | None]]] = {}
-    for layer in circuit.layers:
+    for layer in layers:
         moves = moves_of.get(layer)
         if moves is None:
             moves, growing = [], []
@@ -283,13 +314,13 @@ def _build_plan(circuit: Circuit) -> _Plan:
                     continue
                 if run is not None:
                     close_run()
-                matrix_step(axes, pos, prim)
+                steps.append((_perm_or_none(axes), pos, prim))
             else:
                 loses = prim.wires_out < n and _loses_digits(run, pos, n)
                 if loses and steps:
                     if run is not None:
                         close_run()
-                    matrix_step(axes, pos, prim)
+                    steps.append((_perm_or_none(axes), pos, prim))
                 else:
                     if run is None:
                         run = _OpenRun(width, axes)
@@ -298,13 +329,37 @@ def _build_plan(circuit: Circuit) -> _Plan:
                     digits = run.digits
                     ins = tuple(digits[pos : pos + n])
                     digits[pos : pos + n] = [
-                        ins[out] if type(out) is int else run.lookup(out, ins) for out in outputs
+                        ins[out] if type(out) is int else run.lookup(prim.kind, slot, ins)
+                        for slot, out in enumerate(outputs)
                     ]
             axes = None
             width += prim.wires_out - n
     if run is not None:
         close_run()
-    return _Plan(d, tuple(steps), _perm_or_none(axes))
+    return _Skeleton(tuple(steps), _perm_or_none(axes))
+
+
+def _bind(skeleton: _Skeleton, algebra) -> _Plan:
+    """The plan of a skeleton for an algebra of the digit pattern it was
+    walked for: each fold evaluated in the algebra's tables (_fold_run),
+    each matrix step given its Unitary's matrix or the algebra's structure
+    matrix."""
+    d, maps, tables = algebra.dim, algebra.maps, algebra.digit_maps
+    steps = []
+    for step in skeleton.steps:
+        if type(step) is _Fold:
+            steps.append(_fold_run(step, d, tables))
+        else:
+            perm, pos, prim = step
+            matrix = prim.matrix if prim.kind == "Unitary" else maps[prim.kind]
+            steps.append(_Step(perm, pos, prim.wires_in, matrix, prim))
+    return _Plan(d, tuple(steps), skeleton.final_perm)
+
+
+def _build_plan(circuit: Circuit) -> _Plan:
+    """The circuit's plan: its layers walked, then bound to its algebra."""
+    algebra = circuit.algebra
+    return _bind(_walk(circuit.wires_in, circuit.layers, algebra.digit_maps), algebra)
 
 
 def _plan(circuit: Circuit) -> _Plan:
@@ -379,30 +434,34 @@ def _image(step: _Run) -> np.ndarray:
     return image
 
 
-def _one_hot(circuit: Circuit) -> np.ndarray | None:
-    """The circuit's map as the function f on basis indices whose column j
-    is basis state f[j] with coefficient 1, when the plan gives it whole:
-    no step, or a single index step, and no final permutation.  None when
-    the map needs evaluate."""
-    plan = _plan(circuit)
+def _one_hot(plan: _Plan, profile: Sequence[int]) -> np.ndarray | None:
+    """The map of a plan, whose circuit has this wire profile, as the
+    function f on basis indices whose column j is basis state f[j] with
+    coefficient 1, when the plan gives it whole: no step, or a single index
+    step, and no final permutation.  None when the map needs _evaluate."""
     if plan.final_perm is not None or len(plan.steps) > 1:
         return None
     if not plan.steps:  # Ids, and Swaps that undo each other: the identity
-        return np.arange(plan.dim**circuit.wires_in, dtype=np.int32)
+        return np.arange(plan.dim ** profile[0], dtype=np.int32)
     step = plan.steps[0]
     return _image(step) if type(step) is _Run else None
 
 
 def evaluate(circuit: Circuit) -> LinearMap:
-    """The circuit's full linear map: run on the identity batch.
+    """The circuit's full linear map: run on the identity batch."""
+    return _evaluate(_plan(circuit), circuit.profile)
+
+
+def _evaluate(plan: _Plan, profile: Sequence[int]) -> LinearMap:
+    """The full linear map of a plan whose circuit has this wire profile.
 
     When the plan starts with an index step, the identity's image under it
     is written directly: column j holds a single 1, in row f[j] of _image.
     """
-    plan = _plan(circuit)
     d = plan.dim
-    _check_map_entries(d, circuit.wires_in, max(circuit.profile))
-    n_in = d**circuit.wires_in
+    wires_in = profile[0]
+    _check_map_entries(d, wires_in, max(profile))
+    n_in = d**wires_in
     steps = plan.steps
     if steps and type(steps[0]) is _Run:
         first, steps = steps[0], steps[1:]
@@ -410,8 +469,8 @@ def evaluate(circuit: Circuit) -> LinearMap:
         columns[_image(first), np.arange(n_in)] = 1.0
     else:
         columns = np.eye(n_in, dtype=complex)
-    out = _push(plan, columns, steps, circuit.profile[-1])
-    return LinearMap(d, circuit.wires_in, circuit.profile[-1], out)
+    out = _push(plan, columns, steps, profile[-1])
+    return LinearMap(d, wires_in, profile[-1], out)
 
 
 # --- unitarity without the full map ----------------------------------------

@@ -13,8 +13,11 @@ import hopfcirc.algebra
 import hopfcirc.engine
 from hopfcirc.algebra import (
     _AXIOM_CIRCUITS,
+    _AXIOM_PROFILES,
     _AXIOM_SIDES,
+    _AXIOM_SKELETONS,
     _deviation,
+    _walk_sides,
     BUILTIN_ALGEBRAS,
     GroupTableError,
     HopfAlgebra,
@@ -28,7 +31,7 @@ from hopfcirc.algebra import (
     z2_algebra,
 )
 from hopfcirc.circuit import ANTIPODE, COMUL, COUNIT, MUL, Circuit
-from hopfcirc.engine import _one_hot, evaluate, run
+from hopfcirc.engine import _Run, _bind, _digit_pattern, _one_hot, evaluate, run
 
 from helpers import REPO_ROOT, loop_axiom_deviations, loop_group_tables
 
@@ -443,46 +446,64 @@ class TestCheckAxioms:
         assert {a["name"] for a in doc["axioms"]} == set(AXIOM_NAMES)
 
 
+def recorder(monkeypatch, module, name: str, pick) -> list:
+    """Patch module.name to record pick(args, result) of each call, in
+    call order."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args):
+        result = real(*args)
+        calls.append(pick(args, result))
+        return result
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 @pytest.fixture
 def evaluate_calls(monkeypatch):
-    """Circuits passed to the algebra module's evaluate, in call order."""
-    calls = []
-    real = hopfcirc.algebra.evaluate
+    """Plans the algebra module evaluates."""
+    return recorder(monkeypatch, hopfcirc.algebra, "_evaluate", lambda args, _: args[0])
 
-    def counting(circuit):
-        calls.append(circuit)
-        return real(circuit)
 
-    monkeypatch.setattr(hopfcirc.algebra, "evaluate", counting)
-    return calls
+@pytest.fixture
+def bound(monkeypatch):
+    """Plans the algebra module binds."""
+    return recorder(monkeypatch, hopfcirc.algebra, "_bind", lambda _, plan: plan)
 
 
 @pytest.fixture
 def planned(monkeypatch):
-    """Circuits the engine builds a plan for, in call order."""
-    calls = []
-    real = hopfcirc.engine._build_plan
-
-    def counting(circuit):
-        calls.append(circuit)
-        return real(circuit)
-
-    monkeypatch.setattr(hopfcirc.engine, "_build_plan", counting)
-    return calls
+    """Circuits the engine builds a plan for."""
+    return recorder(monkeypatch, hopfcirc.engine, "_build_plan", lambda args, _: args[0])
 
 
-#: the sides a group algebra's plans leave to evaluate, as (wires in,
-#: layers): a lone M or DELTA is a matrix step, so both sides of the two
-#: informational rows are evaluated
-DENSE_SIDES = [(wires, side) for _, wires, left, right in _AXIOM_CIRCUITS[-2:] for side in (left, right)]
+@pytest.fixture
+def folds(monkeypatch):
+    """Runs the engine folds into index steps."""
+    return recorder(monkeypatch, hopfcirc.engine, "_fold_run", lambda args, _: args[0])
+
+
+#: the sides a group algebra's plans leave to evaluate, as indexes into
+#: _AXIOM_SIDES: a lone M or DELTA is a matrix step, so both sides of the
+#: two informational rows are evaluated
+DENSE_SIDES = [_AXIOM_SIDES.index((wires, side)) for _, wires, left, right in _AXIOM_CIRCUITS[-2:] for side in (left, right)]
+
+
+def sides_of(plans: list, bound: list) -> list[int]:
+    """The index in _AXIOM_SIDES of each plan, read off its position among
+    the bound plans, which check_axioms binds in _AXIOM_SIDES order."""
+    return [next(i for i, b in enumerate(bound) if b is plan) % len(_AXIOM_SIDES) for plan in plans]
 
 
 class TestAxiomsEvaluatedOnce:
-    """Each check_axioms call builds the 24 distinct circuits of the 14
-    identities once, and plans each once; a group algebra's plans give 24
-    of the 28 sides as functions on basis indices, so only the other 4 are
-    evaluated.  Building or loading an algebra builds no circuit, and
-    nothing is kept between calls."""
+    """check_axioms builds no circuit and plans none: each call binds the
+    24 skeletons of the 14 identities' distinct sides, walked once at
+    import, to the algebra.  A group algebra's bound plans give 24 of the
+    28 sides as functions on basis indices, so only the other 4 are
+    evaluated.  Building or loading an algebra binds nothing, and nothing
+    is kept between calls."""
 
     def test_second_tolerance_evaluates_again(self, evaluate_calls):
         h = z2_algebra()
@@ -501,7 +522,7 @@ class TestAxiomsEvaluatedOnce:
         assert not strict.passed and loose.passed
         assert (strict.tol, loose.tol) == (0.0, 1.0)
 
-    def test_loading_evaluates_nothing(self, evaluate_calls, planned, tmp_path):
+    def test_loading_evaluates_nothing(self, evaluate_calls, bound, planned, validated, tmp_path):
         for name in BUILTIN_ALGEBRAS:
             builtin_algebra(name)
         group_algebra(*cyclic_group_table(8))
@@ -509,32 +530,47 @@ class TestAxiomsEvaluatedOnce:
         table = [[(a // 4 + b // 4) % 2 * 4 + (a + b) % 4 for b in range(8)] for a in range(8)]
         path.write_text(json.dumps({"labels": [f"g{i}" for i in range(8)], "table": table}))
         h = load_group_table(path)
-        assert h.dim == 8 and evaluate_calls == [] and planned == []
+        assert h.dim == 8 and evaluate_calls == bound == planned == validated == []
         report = check_axioms(h, 0.0)
-        assert len(planned) == len(_AXIOM_SIDES) == 24
-        assert [(c.wires_in, c.layers) for c in planned] == list(_AXIOM_SIDES)
-        assert [(c.wires_in, c.layers) for c in evaluate_calls] == DENSE_SIDES
+        # no circuit, no validate and no plan walk: only the 24 bindings
+        assert planned == validated == []
+        assert len(bound) == len(_AXIOM_SIDES) == 24
+        assert sides_of(evaluate_calls, bound) == DENSE_SIDES
         assert report.passed and report.max_deviation == 0.0
         assert report.commutative and report.cocommutative
 
-    def test_each_algebra_object_evaluates_once(self, evaluate_calls, planned):
-        # a second call on the same algebra builds and plans every circuit
-        # again: nothing is kept between calls
+    def test_each_algebra_object_evaluates_once(self, evaluate_calls, bound, planned, validated, folds):
+        # a second call on the same algebra binds every skeleton again, and
+        # so redoes every fold: nothing is kept between calls
         h = builtin_algebra("S3")
         first = check_axioms(h, 1e-12)
-        assert len(planned) == 24 and len(evaluate_calls) == 4
+        once = len(folds)
+        assert len(bound) == 24 and len(evaluate_calls) == 4 and once > 0
         assert check_axioms(h, 1e-12) == first
-        assert len(planned) == 48 and len(evaluate_calls) == 8
-        assert len({id(c) for c in planned}) == 48
-        assert [(c.wires_in, c.layers) for c in evaluate_calls] == 2 * DENSE_SIDES
+        assert len(bound) == 48 and len(evaluate_calls) == 8 and len(folds) == 2 * once
+        assert folds[once:] == folds[:once]  # the same skeletons' folds, in the same order
+        assert len({id(plan) for plan in bound}) == 48
+        assert sides_of(evaluate_calls, bound) == 2 * DENSE_SIDES
+        assert planned == validated == []
         assert first.passed and not first.commutative and first.cocommutative
+
+    def test_skeletons_unchanged_by_a_call(self):
+        # the skeletons hold only tuples, ints, strings and primitives, so
+        # they hash; a call on each pattern leaves them equal to a fresh walk
+        before = {pattern: hash(skeletons) for pattern, skeletons in _AXIOM_SKELETONS.items()}
+        h = group_algebra(*symmetric_group_3_table())
+        check_axioms(h, 0.0)
+        check_axioms(HopfAlgebra(h.basis_labels, h.mul, h.comul, h.unit, h.counit, h.antipode), 0.0)
+        assert {pattern: hash(skeletons) for pattern, skeletons in _AXIOM_SKELETONS.items()} == before
+        assert _AXIOM_SKELETONS == {_digit_pattern(m): _walk_sides(m) for m in (h.digit_maps, {})}
+        assert _AXIOM_PROFILES == tuple(Circuit(h, *side).profile for side in _AXIOM_SIDES)
 
     def test_bad_arguments_refused_before_evaluating(self, evaluate_calls):
         with pytest.raises(ValueError, match="nonnegative"):
             check_axioms(z2_algebra(), -1.0)
         assert evaluate_calls == []
 
-    def test_bad_arguments_refused_before_planning(self, evaluate_calls, planned):
+    def test_bad_arguments_refused_before_planning(self, evaluate_calls, bound):
         with pytest.raises(ValueError, match="nonnegative"):
             check_axioms(z2_algebra(), -1.0)
         d = 17
@@ -542,7 +578,60 @@ class TestAxiomsEvaluatedOnce:
         big = HopfAlgebra([str(i) for i in range(d)], zeros, zeros, np.zeros(d), np.zeros(d), np.zeros((d, d)))
         with pytest.raises(ValueError, match="order 17 .*order at most 16"):
             check_axioms(big, 1e-12)
-        assert planned == [] and evaluate_calls == []
+        assert bound == [] and evaluate_calls == []
+
+
+def relabelled_z2xz4() -> tuple[list[str], list[list[int]]]:
+    """Z2 x Z4 with its elements shuffled, so its identity is element 3;
+    group_algebra validates it."""
+    order = [5, 2, 7, 0, 3, 6, 1, 4]  # element k is the pair of index order[k]
+    table = [[order.index((order[a] // 4 + order[b] // 4) % 2 * 4 + (order[a] + order[b]) % 4)
+              for b in range(8)] for a in range(8)]
+    return [f"g{i}" for i in range(8)], table
+
+
+class TestAxiomSkeletons:
+    """Each skeleton walked at import, bound to an algebra of its pattern,
+    is the plan the engine builds for the same side as a circuit of that
+    algebra, step for step."""
+
+    @pytest.mark.parametrize("build", [
+        *(lambda n=n: builtin_algebra(f"Z{n}") for n in (2, 3, 4, 5)),
+        lambda: builtin_algebra("S3"),
+        lambda: group_algebra(*relabelled_z2xz4()),
+        lambda: HopfAlgebra(*(lambda h: (h.basis_labels, h.mul, h.comul, h.unit, h.counit, h.antipode))(
+            builtin_algebra("S3"))),
+    ], ids=["Z2", "Z3", "Z4", "Z5", "S3", "relabelled-Z2xZ4", "no-digit-maps"])
+    def test_bound_skeleton_is_the_circuit_plan(self, build):
+        h = build()
+        skeletons = _AXIOM_SKELETONS[_digit_pattern(h.digit_maps)]
+        for skeleton, profile, side in zip(skeletons, _AXIOM_PROFILES, _AXIOM_SIDES):
+            circuit = Circuit(h, *side)
+            got, want = _bind(skeleton, h), hopfcirc.engine._build_plan(circuit)
+            assert profile == circuit.profile
+            assert (got.dim, got.final_perm) == (want.dim, want.final_perm)
+            assert [type(step) for step in got.steps] == [type(step) for step in want.steps]
+            for x, y in zip(got.steps, want.steps):
+                if type(x) is _Run:
+                    assert (x.wires_in, x.wires_out, x.bijective) == (y.wires_in, y.wires_out, y.bijective)
+                    assert x.index.dtype == y.index.dtype == np.int32 and np.array_equal(x.index, y.index)
+                else:
+                    assert (x.perm, x.pos, x.wires_in, x.prim) == (y.perm, y.pos, y.wires_in, y.prim)
+                    assert x.matrix is y.matrix is h.maps[x.prim.kind]
+
+    def test_other_digit_pattern_walked_on_the_call(self, bound):
+        # digit maps set by hand to a pattern no algebra is built with are
+        # walked on the call, and give the deviations of the dense maps
+        h = group_algebra(*symmetric_group_3_table())
+        h.digit_maps = {kind: h.digit_maps[kind] for kind in ("Comul", "Counit", "Antipode")}
+        assert _digit_pattern(h.digit_maps) not in _AXIOM_SKELETONS
+        report = check_axioms(h, 0.0)
+        assert len(bound) == 24
+        dense = dense_deviations(h)
+        assert [c.deviation for c in report.checks] == [
+            max(dev for (family, *_), dev in zip(_AXIOM_CIRCUITS, dense) if family == name) for name in AXIOM_NAMES
+        ]
+        assert report == check_axioms(group_algebra(*symmetric_group_3_table()), 0.0)
 
 
 #: a loop of order 5 with identity 0 that is not associative
@@ -568,10 +657,15 @@ def deviations(algebra) -> tuple[list[float], int]:
     identities whose two sides both have an index image."""
     devs, indexed = [], 0
     for _, w, left, right in _AXIOM_CIRCUITS:
-        lhs, rhs = Circuit(algebra, w, left), Circuit(algebra, w, right)
+        lhs, rhs = side(Circuit(algebra, w, left)), side(Circuit(algebra, w, right))
         devs.append(_deviation(lhs, rhs))
-        indexed += _one_hot(lhs) is not None and _one_hot(rhs) is not None
+        indexed += _one_hot(*lhs) is not None and _one_hot(*rhs) is not None
     return devs, indexed
+
+
+def side(circuit: Circuit) -> tuple:
+    """The circuit as _deviation takes a side: (plan, wire profile)."""
+    return hopfcirc.engine._plan(circuit), circuit.profile
 
 
 def bits(values: list[float]) -> list[str]:

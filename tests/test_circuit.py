@@ -262,6 +262,15 @@ class TestLimits:
         with pytest.raises(CircuitError, match="map too large"):
             evaluate(c)
 
+    def test_map_entry_limit_is_inclusive(self):
+        # exactly MAX_MAP_ENTRIES entries pass, one wire more either way is
+        # refused; the check allocates nothing
+        assert 2**12 * 2**12 == MAX_MAP_ENTRIES
+        hopfcirc.circuit._check_map_entries(2, 12, 12)
+        for wires_in, widest in ((12, 13), (13, 12)):
+            with pytest.raises(CircuitError, match="map too large"):
+                hopfcirc.circuit._check_map_entries(2, wires_in, widest)
+
     def test_bruteforce_map_refused_before_allocating(self):
         # the same over-limit map: refused before the batch exists
         c = Circuit(Z2, wires_in=12, layers=((COMUL,) + (ID,) * 11, (MUL,) + (ID,) * 11))
@@ -446,7 +455,7 @@ def test_one_hot_image_is_the_map(circuit):
     # where the plan gives the map as a function f on basis indices, the
     # map with a single 1 in row f[j] of each column j is the engine's and
     # the brute force's, bit for bit
-    f = hopfcirc.engine._one_hot(circuit)
+    f = hopfcirc.engine._one_hot(hopfcirc.engine._plan(circuit), circuit.profile)
     event("one-hot" if f is not None else "evaluated")
     if f is None:
         return
@@ -1293,6 +1302,22 @@ class TestCircuitIsUnitary:
         # an antipode matrix step adds its exact deviation, 0
         assert circuit_is_unitary(Circuit(matrix_only(Z3), 1, ((ANTIPODE,),)))
         assert evaluated == [2, 1]
+
+    @pytest.mark.parametrize("name", ["Z2", "Z3", "S3"])
+    def test_deviation_bound_covers_the_spectral_norm(self, name):
+        # I + eps * ones spreads its Gram error over all d^2 entries, so the
+        # spectral norm of M^H M - I is d times its largest entry: the bound
+        # needs its factor d, for a Unitary and for an algebra's antipode
+        h = builtin_algebra(name)
+        d = h.dim
+        u = np.eye(d) + 1e-11 * np.ones((d, d))
+        blocks = HopfAlgebra(h.basis_labels, h.mul, h.comul, h.unit, h.counit, u)
+        for c in (Circuit(h, 1, ((unitary("u", u),),)), Circuit(blocks, 1, ((ANTIPODE,),))):
+            m = evaluate(c).matrix
+            gram = m.conj().T @ m - np.eye(d)
+            spectral = np.linalg.norm(gram, 2)
+            assert spectral > 1.5 * np.abs(gram).max()  # so a bound without d falls short
+            assert hopfcirc.engine._deviation_bound(hopfcirc.engine._plan(c)) >= spectral
 
     def test_primitive_keeps_its_deviation(self):
         assert unitary("h", HADAMARD).deviation <= 1e-15

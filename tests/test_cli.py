@@ -253,14 +253,16 @@ class TestCheckAxioms:
         payload = json.loads(out)
         assert code == 0 and payload["passed"] and payload["dim"] == 12
 
-    def test_axiom_circuits_run_once(self, capsys, tmp_path, monkeypatch):
-        # loading the table builds no circuit; the command plans the 24
-        # distinct circuits of the 14 identities once each, and evaluates
-        # only the 4 sides of the commutativity rows, whose lone M or DELTA
-        # is a matrix step
+    def test_axiom_circuits_run_once(self, capsys, tmp_path, monkeypatch, validated):
+        # loading the table builds no circuit, and neither does the command:
+        # it binds the skeletons of the 24 distinct sides of the 14
+        # identities, walked at import, once each, plans no circuit, and
+        # evaluates only the 4 sides of the commutativity rows, whose lone M
+        # or DELTA is a matrix step
         events = []
-        evaluate, build_plan = hopfcirc.algebra.evaluate, hopfcirc.engine._build_plan
-        monkeypatch.setattr(hopfcirc.algebra, "evaluate", lambda c: events.append(("evaluate", c)) or evaluate(c))
+        evaluate, bind, build_plan = hopfcirc.algebra._evaluate, hopfcirc.algebra._bind, hopfcirc.engine._build_plan
+        monkeypatch.setattr(hopfcirc.algebra, "_evaluate", lambda p, w: events.append(("evaluate", p)) or evaluate(p, w))
+        monkeypatch.setattr(hopfcirc.algebra, "_bind", lambda s, a: events.append(("bind", bind(s, a))) or events[-1][1])
         monkeypatch.setattr(hopfcirc.engine, "_build_plan", lambda c: events.append(("plan", c)) or build_plan(c))
         real_load = hopfcirc.cli.resolve_algebra
         monkeypatch.setattr(hopfcirc.cli, "resolve_algebra", lambda name: events.append(("load", name)) or real_load(name))
@@ -268,10 +270,11 @@ class TestCheckAxioms:
         code, out, _ = run(capsys, ["check-axioms", "--algebra", table, "--json"])
         assert code == 0 and json.loads(out)["passed"]
         assert events[0] == ("load", table)
-        planned = [c for kind, c in events if kind == "plan"]
-        evaluated = [c for kind, c in events if kind == "evaluate"]
-        assert len(planned) == len({id(c) for c in planned}) == 24
-        assert len(evaluated) == 4 and {id(c) for c in evaluated} <= {id(c) for c in planned}
+        bound = [p for kind, p in events if kind == "bind"]
+        evaluated = [p for kind, p in events if kind == "evaluate"]
+        assert len(bound) == len({id(p) for p in bound}) == 24
+        assert len(evaluated) == 4 and {id(p) for p in evaluated} <= {id(p) for p in bound}
+        assert [kind for kind, _ in events if kind == "plan"] == [] and validated == []
 
     @pytest.mark.parametrize("n", [17, 300])
     def test_order_above_limit_refused_fast(self, capsys, tmp_path, n):

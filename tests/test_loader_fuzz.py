@@ -160,8 +160,9 @@ def corrupted(draw, table: list[list[int]]) -> dict:
 def test_corrupted_table_refused_before_any_circuit(tmp_path_factory, table, data):
     path = _write(tmp_path_factory.mktemp("t"), data.draw(corrupted(table)))
     stdout, stderr = io.StringIO(), io.StringIO()  # hypothesis rules out capsys
-    real = hopfcirc.algebra.evaluate
-    with mock.patch.object(hopfcirc.algebra, "evaluate", side_effect=real) as spy, \
+    # check_axioms binds its axiom plans before it evaluates any of them
+    real = hopfcirc.algebra._bind
+    with mock.patch.object(hopfcirc.algebra, "_bind", side_effect=real) as spy, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli_run(["check-axioms", "--algebra", path, "--json"])
     assert code == 2
