@@ -126,7 +126,7 @@ class _OpenRun:
     wires_in is the digit of the run's input wire k (state axis k when the
     run opened), and a larger symbol s is one table lookup, defs[s -
     wires_in] = (kind, slot, argument symbols), one per table output of a
-    Mul, Unit or Antipode: its table is output slot of that kind's digit
+    Mul, Unit or Antipode, whose table is entry slot of that kind's digit
     map.  A copy keeps its symbol.  digits[i] is the symbol wire i carries,
     and consts holds the symbols of lookups that read no input digit.  Only
     a run that folds evaluates its symbols, in _fold_run; prims holds its
@@ -145,7 +145,7 @@ class _OpenRun:
         self.prims: list[tuple[list[int] | None, int, Primitive]] = []
 
     def lookup(self, kind: str, slot: int, args: tuple[int, ...]) -> int:
-        """The symbol of table slot of kind's digit map at args."""
+        """The symbol of a lookup at args in entry slot of kind's digit map."""
         symbol = self.wires_in + len(self.defs)
         self.defs.append((kind, slot, args))
         if self.consts.issuperset(args):

@@ -35,6 +35,7 @@ from hopfcirc.circuit import (
     _index_to_digits,
     unitary,
 )
+from hopfcirc.algebra import HopfAlgebra
 from hopfcirc.dsl import _format_complex
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -544,6 +545,19 @@ def assert_same_plan(a, b) -> None:
             assert (x.perm, x.pos, x.wires_in) == (y.perm, y.pos, y.wires_in)
             assert x.prim.kind == y.prim.kind and x.prim.name == y.prim.name
             assert np.array_equal(x.matrix, y.matrix)
+
+
+def matrix_only(algebra: HopfAlgebra) -> HopfAlgebra:
+    """The same structure tensors, constructed directly: no digit maps, so
+    the engine multiplies every structure matrix in."""
+    return HopfAlgebra(
+        algebra.basis_labels,
+        mul=algebra.mul,
+        comul=algebra.comul,
+        unit=algebra.unit,
+        counit=algebra.counit,
+        antipode=algebra.antipode,
+    )
 
 
 def layer_signature(circuit) -> tuple:

@@ -51,6 +51,7 @@ from helpers import (
     loop_circuit_map,
     loop_measure,
     loop_transitions,
+    matrix_only,
     near_unitary,
     random_circuit,
     random_gate_list,
@@ -64,19 +65,6 @@ CNOT_TABLE[0, 0] = CNOT_TABLE[1, 1] = CNOT_TABLE[3, 2] = CNOT_TABLE[2, 3] = 1.0
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 H = unitary("h", HADAMARD)
-
-
-def matrix_only(algebra: HopfAlgebra) -> HopfAlgebra:
-    """The same structure tensors, constructed directly: no digit maps, so
-    the engine multiplies every structure matrix in."""
-    return HopfAlgebra(
-        algebra.basis_labels,
-        mul=algebra.mul,
-        comul=algebra.comul,
-        unit=algebra.unit,
-        counit=algebra.counit,
-        antipode=algebra.antipode,
-    )
 
 
 def generalized_circuit(u_matrix):
